@@ -1,8 +1,13 @@
 #include "workload/trace_io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -19,11 +24,35 @@ std::string format_value(double v) {
   return buf;
 }
 
-std::optional<double> parse_value(const std::string& s) {
+// Read sizes: the constructor needs only the header, so the first fill
+// (into the still-empty buffer) is small; every later fill reads a block.
+constexpr std::size_t kHeaderBlock = std::size_t{4} << 10;
+constexpr std::size_t kBlock = std::size_t{64} << 10;
+
+std::optional<double> parse_value(std::string_view s) {
   if (s == "inf") return kTimeInfinity;
+  double v = 0.0;
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec == std::errc() && ptr == last && !std::isnan(v)) return v;
+  // The strtod fallback keeps the accepted grammar and NaN payloads.
+  const std::string text(s);
   char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return std::nullopt;
+  v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return std::nullopt;
+  return v;
+}
+
+/// A machine count or id: decimal digits only. Values past uint64 saturate,
+/// so they fail every range check downstream.
+std::optional<std::uint64_t> parse_index(std::string_view s) {
+  std::uint64_t v = 0;
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ptr != last || ec == std::errc::invalid_argument) return std::nullopt;
+  if (ec == std::errc::result_out_of_range) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
   return v;
 }
 
@@ -106,23 +135,28 @@ void TraceStreamWriter::write_job(const StreamJob& job) {
 // ---------------------------------------------------------------- reader
 
 TraceStreamReader::TraceStreamReader(std::istream& in) : in_(in) {
-  std::vector<std::string> header;
   line_number_ = static_cast<std::size_t>(-1);  // header becomes line 0
-  if (!next_row(header)) {
+  if (!next_row()) {
     if (ok()) fail("empty trace");
     return;
   }
-  if (header.size() == 4 && header[3].rfind("eligible:", 0) == 0 &&
+  const std::vector<std::string_view>& header = fields_;
+  if (header.size() == 4 && header[3].starts_with("eligible:") &&
       header[0] == "release") {
     // Sparse dialect: the machine count rides in the header field.
-    const std::string count = header[3].substr(9);
-    char* end = nullptr;
-    const unsigned long long m = std::strtoull(count.c_str(), &end, 10);
-    if (count.empty() || end == count.c_str() || *end != '\0' || m == 0) {
+    const auto m = parse_index(header[3].substr(9));
+    if (!m || *m == 0) {
       fail("bad header (malformed machine count in eligible:<m>)");
       return;
     }
-    num_machines_ = static_cast<std::size_t>(m);
+    constexpr auto kMaxMachines =
+        static_cast<std::uint64_t>(std::numeric_limits<MachineId>::max());
+    if (*m > kMaxMachines) {
+      fail("bad header (machine count in eligible:<m> exceeds the machine "
+           "id range)");
+      return;
+    }
+    num_machines_ = static_cast<std::size_t>(*m);
     format_ = TraceFormat::kSparse;
     return;
   }
@@ -139,17 +173,71 @@ bool TraceStreamReader::fail(const std::string& message) {
   return false;
 }
 
-bool TraceStreamReader::next_row(std::vector<std::string>& fields) {
+bool TraceStreamReader::next_line(std::string_view& line) {
+  std::size_t scanned = begin_;  // [begin_, scanned) holds no '\n'
+  for (;;) {
+    const void* newline =
+        scanned < end_
+            ? std::memchr(buffer_.data() + scanned, '\n', end_ - scanned)
+            : nullptr;
+    if (newline != nullptr) {
+      const auto at =
+          static_cast<std::size_t>(static_cast<const char*>(newline) -
+                                   buffer_.data());
+      line = std::string_view(buffer_.data() + begin_, at - begin_);
+      begin_ = at + 1;
+      return true;
+    }
+    if (eof_) {
+      if (begin_ == end_) return false;
+      // A last row without a trailing newline.
+      line = std::string_view(buffer_.data() + begin_, end_ - begin_);
+      begin_ = end_;
+      return true;
+    }
+    // Slide the partial line to the front and append one more block.
+    const std::size_t pending = end_ - begin_;
+    if (begin_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, pending);
+    }
+    begin_ = 0;
+    end_ = scanned = pending;
+    const std::size_t block = buffer_.empty() ? kHeaderBlock : kBlock;
+    if (buffer_.size() < pending + block) buffer_.resize(pending + block);
+    in_.read(buffer_.data() + end_, static_cast<std::streamsize>(block));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    end_ += got;
+    eof_ = got < block;  // istream::read comes up short only at the end
+  }
+}
+
+bool TraceStreamReader::next_row() {
   if (!ok()) return false;
-  std::string line;
-  while (std::getline(in_, line)) {
+  std::string_view line;
+  while (next_line(line)) {
     ++line_number_;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;  // blank separator lines are tolerated
-    const auto rows = util::parse_csv(line);
-    if (!rows.has_value() || rows->size() != 1) return fail("malformed CSV");
-    fields = std::move((*rows)[0]);
-    if (fields.size() == 1 && fields[0].empty()) continue;
+    fields_.clear();
+    if (std::memchr(line.data(), '"', line.size()) != nullptr ||
+        std::memchr(line.data(), '\r', line.size()) != nullptr) {
+      auto rows = util::parse_csv(line);
+      if (!rows.has_value() || rows->size() != 1) return fail("malformed CSV");
+      quoted_ = std::move((*rows)[0]);
+      if (quoted_.size() == 1 && quoted_[0].empty()) continue;
+      fields_.assign(quoted_.begin(), quoted_.end());
+      return true;
+    }
+    const char* field = line.data();
+    const char* const last = field + line.size();
+    for (;;) {
+      const auto* comma = static_cast<const char*>(
+          std::memchr(field, ',', static_cast<std::size_t>(last - field)));
+      if (comma == nullptr) break;
+      fields_.emplace_back(field, static_cast<std::size_t>(comma - field));
+      field = comma + 1;
+    }
+    fields_.emplace_back(field, static_cast<std::size_t>(last - field));
     return true;
   }
   return false;  // clean EOF
@@ -157,94 +245,80 @@ bool TraceStreamReader::next_row(std::vector<std::string>& fields) {
 
 std::size_t TraceStreamReader::next_chunk(std::size_t max_jobs,
                                           std::vector<StreamJob>& out) {
-  out.clear();
-  std::vector<std::string> row;
+  const auto reject = [&](const std::string& what) {
+    fail("row " + std::to_string(line_number_) + " " + what);
+    out.clear();
+    return std::size_t{0};
+  };
   const std::size_t arity =
       format_ == TraceFormat::kSparse ? 4 : num_machines_ + 3;
-  while (out.size() < max_jobs && next_row(row)) {
-    if (row.size() != arity) {
-      fail("row " + std::to_string(line_number_) + " has wrong arity");
-      out.clear();
-      return 0;
-    }
-    StreamJob job;
-    const auto release = parse_value(row[0]);
-    const auto weight = parse_value(row[1]);
-    const auto deadline = parse_value(row[2]);
+  std::size_t count = 0;
+  while (count < max_jobs && next_row()) {
+    if (fields_.size() != arity) return reject("has wrong arity");
+    const auto release = parse_value(fields_[0]);
+    const auto weight = parse_value(fields_[1]);
+    const auto deadline = parse_value(fields_[2]);
     if (!release || !weight || !deadline) {
-      fail("row " + std::to_string(line_number_) +
-           " has non-numeric job fields");
-      out.clear();
-      return 0;
+      return reject("has non-numeric job fields");
     }
+    // Reuse the storage of the jobs already in `out`, as fill_stream_job
+    // does: a steady-state chunk allocates nothing.
+    if (count == out.size()) out.emplace_back();
+    StreamJob& job = out[count];
     job.release = *release;
     job.weight = *weight;
     job.deadline = *deadline;
+    job.processing.clear();
+    job.entries.clear();
     if (format_ == TraceFormat::kSparse) {
       // Space-separated `i:p` pairs. Traces are external input, so the
       // structural demands from_sparse_rows/validate_job would make —
       // in-range, strictly ascending machine ids — are diagnosed here with
       // the row number rather than trusted downstream.
-      const std::string& field = row[3];
+      const std::string_view field = fields_[3];
       MachineId previous = kInvalidMachine;
       std::size_t pos = 0;
       while (pos < field.size()) {
-        const std::size_t space = field.find(' ', pos);
         const std::size_t token_end =
-            space == std::string::npos ? field.size() : space;
-        const std::string token = field.substr(pos, token_end - pos);
+            std::min(field.find(' ', pos), field.size());
+        const std::string_view token = field.substr(pos, token_end - pos);
         pos = token_end + 1;
         if (token.empty()) continue;  // tolerate doubled separators
         const std::size_t colon = token.find(':');
-        if (colon == 0 || colon == std::string::npos) {
-          fail("row " + std::to_string(line_number_) +
-               " has a malformed i:p entry '" + token + "'");
-          out.clear();
-          return 0;
+        const auto id = colon == 0 || colon == std::string_view::npos
+                            ? std::nullopt
+                            : parse_index(token.substr(0, colon));
+        const auto p =
+            id ? parse_value(token.substr(colon + 1)) : std::nullopt;
+        if (!p) {
+          return reject("has a malformed i:p entry '" + std::string(token) +
+                        "'");
         }
-        const std::string id_text = token.substr(0, colon);
-        char* end = nullptr;
-        const unsigned long long id = std::strtoull(id_text.c_str(), &end, 10);
-        const auto p = parse_value(token.substr(colon + 1));
-        if (end != id_text.c_str() + id_text.size() || !p) {
-          fail("row " + std::to_string(line_number_) +
-               " has a malformed i:p entry '" + token + "'");
-          out.clear();
-          return 0;
+        if (*id >= num_machines_) {
+          return reject("names machine " + std::to_string(*id) +
+                        " but the trace has " + std::to_string(num_machines_) +
+                        " machines");
         }
-        if (id >= num_machines_) {
-          fail("row " + std::to_string(line_number_) + " names machine " +
-               std::to_string(id) + " but the trace has " +
-               std::to_string(num_machines_) + " machines");
-          out.clear();
-          return 0;
-        }
-        const auto machine = static_cast<MachineId>(id);
+        const auto machine = static_cast<MachineId>(*id);
         if (previous != kInvalidMachine && machine <= previous) {
-          fail("row " + std::to_string(line_number_) +
-               " entries are not strictly ascending by machine");
-          out.clear();
-          return 0;
+          return reject("entries are not strictly ascending by machine");
         }
         previous = machine;
         job.entries.push_back(SparseEntry{machine, *p});
       }
     } else {
-      job.processing.reserve(num_machines_);
+      job.processing.resize(num_machines_);
       for (std::size_t i = 0; i < num_machines_; ++i) {
-        const auto p = parse_value(row[3 + i]);
-        if (!p) {
-          fail("row " + std::to_string(line_number_) + " has non-numeric p_ij");
-          out.clear();
-          return 0;
-        }
-        job.processing.push_back(*p);
+        const auto p = parse_value(fields_[3 + i]);
+        if (!p) return reject("has non-numeric p_ij");
+        job.processing[i] = *p;
       }
     }
-    out.push_back(std::move(job));
+    ++count;
     ++rows_read_;
   }
-  return out.size();
+  out.resize(count);
+  return count;
 }
 
 // ------------------------------------------------------ whole-file helpers
@@ -263,13 +337,14 @@ std::string instance_to_csv(const Instance& instance) {
   return out.str();
 }
 
-std::optional<Instance> instance_from_csv(const std::string& text,
-                                          std::string* error) {
+namespace {
+
+std::optional<Instance> instance_from_stream(std::istream& in,
+                                             std::string* error) {
   auto fail = [&](const std::string& msg) -> std::optional<Instance> {
     if (error) *error = msg;
     return std::nullopt;
   };
-  std::istringstream in(text);
   TraceStreamReader reader(in);
   if (!reader.ok()) return fail(reader.error());
 
@@ -311,6 +386,14 @@ std::optional<Instance> instance_from_csv(const std::string& text,
   return instance;
 }
 
+}  // namespace
+
+std::optional<Instance> instance_from_csv(const std::string& text,
+                                          std::string* error) {
+  std::istringstream in(text);
+  return instance_from_stream(in, error);
+}
+
 bool save_instance(const Instance& instance, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
@@ -325,9 +408,7 @@ std::optional<Instance> load_instance(const std::string& path,
     if (error) *error = "cannot open " + path;
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return instance_from_csv(buffer.str(), error);
+  return instance_from_stream(in, error);
 }
 
 }  // namespace osched::workload

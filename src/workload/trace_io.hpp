@@ -24,11 +24,28 @@
 // text or the full instance; TraceStreamWriter appends rows as jobs are
 // produced. The whole-file helpers below are thin wrappers over them, so
 // there is exactly one parser/formatter for the trace dialect.
+//
+// Reader mechanics. The reader owns one bounded read-ahead buffer: the
+// first fill is a small block (the constructor needs only the header),
+// every later one a 64 KiB istream::read. The buffer grows only to hold
+// the longest row plus one block. Rows are found with memchr and split
+// into string_views on ',' in place; only a row holding a '"' or a stray
+// '\r' goes through util::parse_csv, so quoting rules live in one place.
+// Because of the read-ahead, the istream's position runs ahead of the last
+// row returned: the reader owns the stream until it is done with it.
+//
+// Numeric grammar. "inf" is +infinity. Every other value is what strtod
+// accepts over the whole field: std::from_chars parses the common case,
+// and anything it refuses — a leading '+' or blank, hex floats,
+// magnitudes that overflow to inf or underflow to 0 — or reads as NaN
+// falls back to strtod, so every parsed bit is strtod's. Machine counts
+// and sparse machine ids are decimal digits only (no sign, no blank).
 #pragma once
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "instance/instance.hpp"
@@ -84,14 +101,18 @@ class TraceStreamReader {
   /// Data rows successfully parsed so far.
   std::size_t rows_read() const { return rows_read_; }
 
-  /// Reads up to max_jobs further jobs into `out` (cleared first). Returns
-  /// out.size(); 0 means end of trace or error — distinguish with ok().
+  /// Reads up to max_jobs further jobs into `out`, reusing the payload
+  /// storage of the StreamJobs already there; `out` is resized to the
+  /// count read. Returns out.size(); 0 means end of trace or error —
+  /// distinguish with ok().
   std::size_t next_chunk(std::size_t max_jobs, std::vector<StreamJob>& out);
 
  private:
   bool fail(const std::string& message);
-  /// Reads the next non-blank data line; false at EOF/error.
-  bool next_row(std::vector<std::string>& fields);
+  /// Reads the next non-blank data row into fields_; false at EOF/error.
+  bool next_row();
+  /// The next physical line, without its '\n'; false at end of input.
+  bool next_line(std::string_view& line);
 
   std::istream& in_;
   std::string error_;
@@ -99,6 +120,15 @@ class TraceStreamReader {
   TraceFormat format_ = TraceFormat::kDense;
   std::size_t rows_read_ = 0;
   std::size_t line_number_ = 0;  ///< physical line index (header = 0)
+
+  std::vector<char> buffer_;  ///< read-ahead window over in_
+  std::size_t begin_ = 0;     ///< first unconsumed byte of buffer_
+  std::size_t end_ = 0;       ///< one past the last byte read into buffer_
+  bool eof_ = false;
+  /// The current row: views into buffer_, or into quoted_ when the row
+  /// went through util::parse_csv.
+  std::vector<std::string_view> fields_;
+  std::vector<std::string> quoted_;
 };
 
 /// Serializes in the instance's natural dialect: sparse-CSR instances emit

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -320,6 +321,16 @@ TEST(TraceRoundTrip, MalformedSparseInputComesBackAsMessages) {
   EXPECT_FALSE(instance_from_csv("release,weight,deadline,eligible:0\n", &error)
                    .has_value());
   EXPECT_NE(error.find("bad header"), std::string::npos);
+  // Negative counts and counts past MachineId's range are refused too.
+  EXPECT_FALSE(instance_from_csv(
+                   "release,weight,deadline,eligible:-3\n1,1,inf,0:2\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("bad header"), std::string::npos);
+  EXPECT_FALSE(
+      instance_from_csv(
+          "release,weight,deadline,eligible:3000000000\n1,1,inf,0:2\n", &error)
+          .has_value());
+  EXPECT_NE(error.find("bad header"), std::string::npos);
 
   // Rows must have exactly 4 fields.
   EXPECT_FALSE(instance_from_csv(
@@ -343,6 +354,15 @@ TEST(TraceRoundTrip, MalformedSparseInputComesBackAsMessages) {
                    &error)
                    .has_value());
   EXPECT_NE(error.find("malformed i:p entry"), std::string::npos);
+  // Machine ids are decimal digits only: no sign, no leading blank.
+  for (const char* id : {"-1", "+1", "\t1"}) {
+    EXPECT_FALSE(instance_from_csv("release,weight,deadline,eligible:3\n"
+                                   "1,1,inf," + std::string(id) + ":2\n",
+                                   &error)
+                     .has_value())
+        << id;
+    EXPECT_NE(error.find("malformed i:p entry"), std::string::npos) << error;
+  }
 
   // Structural demands are diagnosed with the row number, never an abort:
   // out-of-range ids, duplicates, descending order.
@@ -378,6 +398,127 @@ TEST(TraceRoundTrip, MalformedSparseInputComesBackAsMessages) {
                    "release,weight,deadline,eligible:3\n1,1,inf,\n", &error)
                    .has_value());
   EXPECT_NE(error.find("no eligible machine"), std::string::npos);
+}
+
+// --------------------------------------------------- dialect-quirk wall
+//
+// Pins what the reader accepts beyond the writer's own output — line-ending
+// and quoting quirks, strtod's numeric grammar, rows longer than any read
+// block — as the exact bits next_chunk hands out, at several chunk sizes.
+
+struct ExpectedRow {
+  double release, weight, deadline;
+  std::vector<double> p;
+};
+
+void append_hex(std::string& dump, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a ", v);
+  dump += buf;
+}
+
+/// Every job next_chunk hands out, one "%a" line each, then "ok" or the
+/// reader's error.
+std::string dump_reader(const std::string& text, std::size_t chunk_size) {
+  std::istringstream in(text);
+  TraceStreamReader reader(in);
+  std::string dump;
+  std::vector<StreamJob> chunk;
+  while (reader.next_chunk(chunk_size, chunk) > 0) {
+    EXPECT_LE(chunk.size(), chunk_size);
+    for (const StreamJob& job : chunk) {
+      append_hex(dump, job.release);
+      append_hex(dump, job.weight);
+      append_hex(dump, job.deadline);
+      for (const Work p : job.processing) append_hex(dump, p);
+      dump += '\n';
+    }
+  }
+  EXPECT_TRUE(chunk.empty());
+  return dump + (reader.ok() ? "ok" : "error: " + reader.error());
+}
+
+std::string dump_expected(const std::vector<ExpectedRow>& rows,
+                          const std::string& tail) {
+  std::string dump;
+  for (const ExpectedRow& row : rows) {
+    append_hex(dump, row.release);
+    append_hex(dump, row.weight);
+    append_hex(dump, row.deadline);
+    for (const double p : row.p) append_hex(dump, p);
+    dump += '\n';
+  }
+  return dump + tail;
+}
+
+void expect_reads(const std::string& text, const std::vector<ExpectedRow>& rows,
+                  const std::string& tail = "ok") {
+  const std::string expected = dump_expected(rows, tail);
+  for (const std::size_t chunk_size : {1ul, 2ul, 7ul, 1000ul}) {
+    EXPECT_EQ(dump_reader(text, chunk_size), expected)
+        << "chunk size " << chunk_size;
+  }
+}
+
+constexpr double kInf = kTimeInfinity;
+
+TEST(TraceDialectQuirks, CrlfBlankAndEmptyQuotedLinesAreSkipped) {
+  expect_reads(
+      "release,weight,deadline,p_0\r\n1,1,inf,2\r\n\r\n\n\"\"\n3,1,inf,4\r\n",
+      {{1, 1, kInf, {2}}, {3, 1, kInf, {4}}});
+}
+
+TEST(TraceDialectQuirks, QuotedFieldsParseAsTheirContents) {
+  expect_reads(
+      "\"release\",weight,deadline,p_0,p_1\n\"1.5\",1,\"inf\",\"2\",3\n",
+      {{1.5, 1, kInf, {2, 3}}});
+}
+
+TEST(TraceDialectQuirks, LastRowNeedsNoNewline) {
+  const std::vector<ExpectedRow> rows = {{1, 1, kInf, {2}}, {3, 1, kInf, {4}}};
+  expect_reads("release,weight,deadline,p_0\n1,1,inf,2\n3,1,inf,4", rows);
+  expect_reads("release,weight,deadline,p_0\n1,1,inf,2\n3,1,inf,4\r", rows);
+}
+
+TEST(TraceDialectQuirks, NumericFieldsFollowStrtod) {
+  // A leading '+' or blank, hex floats, overflow to inf, underflow to 0,
+  // and the smallest denormal.
+  expect_reads(
+      "release,weight,deadline,p_0,p_1,p_2,p_3\n"
+      "+1, 2,1e400,0x1p3,1e-400,4.9406564584124654e-324,-0\n",
+      {{1, 2, kInf, {8, 0, 4.9406564584124654e-324, -0.0}}});
+}
+
+TEST(TraceDialectQuirks, MalformedCsvAfterGoodRowsReturnsTheGoodRowsFirst) {
+  expect_reads(
+      "release,weight,deadline,p_0\n1,1,inf,2\n3,1,inf,4\n5,1,\"inf,6\n"
+      "7,1,inf,8\n",
+      {{1, 1, kInf, {2}}, {3, 1, kInf, {4}}}, "error: malformed CSV");
+}
+
+TEST(TraceDialectQuirks, RowsWiderThanAReadBlockParseExactly) {
+  // At m = 20000 a row is ~400 KB, several times any read block.
+  for (const std::size_t m : {5000ul, 20000ul}) {
+    std::string text = "release,weight,deadline";
+    for (std::size_t i = 0; i < m; ++i) text += ",p_" + std::to_string(i);
+    text += '\n';
+    std::vector<ExpectedRow> rows;
+    for (std::size_t r = 0; r < 3; ++r) {
+      ExpectedRow row{static_cast<double>(r), 1.0 / 3.0, kInf, {}};
+      for (std::size_t i = 0; i < m; ++i) {
+        row.p.push_back(i % 7 == r ? kInf : 1.0 / (1.0 + i + r));
+      }
+      text += std::to_string(r) + ",0.33333333333333331,inf";
+      for (const double p : row.p) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), p < kInf ? ",%.17g" : ",inf", p);
+        text += buf;
+      }
+      text += '\n';
+      rows.push_back(std::move(row));
+    }
+    expect_reads(text, rows);
+  }
 }
 
 TEST(TraceRoundTrip, WriterConvertsBetweenPayloadFormsAndDialects) {
