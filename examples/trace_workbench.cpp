@@ -92,8 +92,9 @@ int inspect(const Instance& instance) {
   table.row("has deadlines", has_deadlines ? "yes" : "no");
   table.row("storage backend", to_string(instance.backend()));
   table.row("dispatch index",
-            instance.dispatch_index_active() ? "active"
-                                             : "inactive (shadow-row scan)");
+            instance.dispatch_order_width() != 0
+                ? "active"
+                : "inactive (shadow-row scan)");
   table.row("sum of min processing", lb_sum_min_processing(instance));
   table.print(std::cout);
   return 0;

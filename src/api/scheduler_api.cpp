@@ -70,7 +70,6 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
                const RunOptions& options) {
   RunSummary summary;
   summary.algorithm = algorithm;
-  summary.dispatch_index_active = instance.dispatch_index_active();
   summary.dispatch_order_width = instance.dispatch_order_width();
   summary.dispatch_simd_tier = util::active_simd_tier();
 

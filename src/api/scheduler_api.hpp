@@ -87,17 +87,13 @@ struct RunSummary {
   std::size_t rule2_rejections = 0;
   /// Fleet-membership counters (all zero for an empty RunOptions::fleet).
   FleetStats fleet;
-  /// Whether the instance carried the (p, id) dispatch order table, i.e.
-  /// dispatch ran the indexed idle-machine walk. False means the O(m)
-  /// shadow-row scan was in effect — by design for generator instances and
-  /// for streamed sessions, whose stores keep no order table. Here so a
-  /// dispatch perf cliff is attributable from a result file alone.
-  bool dispatch_index_active = false;
   /// Machine-id width of the order table in bits: 16 (m < 65536), 32
   /// (m >= 65536, the huge-m tier), 0 when no table exists (generator
-  /// instances, streamed sessions). The "order16"/"order32" half of the
-  /// dispatch tier; perf baselines record it so a number produced by one
-  /// code path is never compared against another path unknowingly.
+  /// instances, streamed sessions — dispatch then ran the O(m) shadow-row
+  /// scan instead of the indexed idle-machine walk). The "order16"/"order32"
+  /// half of the dispatch tier; perf baselines record it so a number
+  /// produced by one code path is never compared against another path
+  /// unknowingly.
   int dispatch_order_width = 0;
   /// SIMD tier the dispatch kernels ran at (util::active_simd_tier():
   /// scalar / avx2 / avx512 — cpuid-dispatched, cappable via OSCHED_SIMD).

@@ -1,13 +1,14 @@
 // Immediate-rejection policy as a resumable, store-generic state machine
 // (see immediate_rejection.hpp for the Lemma 1 context and the batch entry
-// point, and rejection_flow_policy.hpp for the Store/Rec contract).
+// point, and sim/policy_core.hpp for the Store/Rec contract and the shared
+// fleet/shed protocol).
 #pragma once
 
 #include <limits>
 #include <set>
 
 #include "baselines/immediate_rejection.hpp"
-#include "sim/engine.hpp"
+#include "sim/policy_core.hpp"
 
 namespace osched {
 
@@ -24,47 +25,40 @@ struct SptKey {
   }
 };
 
-struct MachineState {
-  std::set<SptKey> pending;
-  Work pending_work = 0.0;
-  JobId running = kInvalidJob;
-  Time running_end = 0.0;
-  std::uint64_t completion_event = 0;
-};
-
 }  // namespace immediate_rejection_detail
 
 template <class Store, class Rec>
-class ImmediateRejectionPolicy final : public SimulationHooks {
+class ImmediateRejectionPolicy final
+    : public PolicyCore<ImmediateRejectionPolicy<Store, Rec>, Store, Rec> {
   using SptKey = immediate_rejection_detail::SptKey;
-  using MachineState = immediate_rejection_detail::MachineState;
+  using Core = PolicyCore<ImmediateRejectionPolicy, Store, Rec>;
+  friend Core;
+  using Core::effective_processing;
+  using Core::fleet_;
+  using Core::rec_;
+  using Core::running_;
+  using Core::running_end_;
+  using Core::store_;
 
  public:
   ImmediateRejectionPolicy(const Store& store, Rec& rec, EventQueue& events,
                            const ImmediateRejectionOptions& options)
-      : store_(store),
-        rec_(rec),
-        events_(events),
+      : Core(store, rec, events, options.fleet),
         options_(options),
-        machines_(store.num_machines()) {
+        pending_(store.num_machines()) {
     OSCHED_CHECK_GT(options.eps, 0.0);
     OSCHED_CHECK_LT(options.eps, 1.0);
     OSCHED_CHECK_GE(options.patience, 0.0);
-    fleet_.init(store.num_machines(), options.fleet);
-    fleet_speed_ = fleet_.has_speed_events();
   }
 
   void on_arrival(JobId j, Time now) override {
     ++arrived_;
     double best_wait = std::numeric_limits<double>::infinity();
-    const MachineId best = pick_machine(j, now, &best_wait);
+    const MachineId best = pick(j, now, &best_wait);
     if (best == kInvalidMachine) {
       // Fleet mode: no active eligible machine. This shed is forced by the
       // fleet, not an admission call — it stays OUT of the eps budget.
-      OSCHED_CHECK(fleet_.enabled())
-          << "job " << j << " has no eligible machine";
-      rec_.mark_rejected_pending(j, now);
-      fleet_.note_forced_rejection();
+      this->force_reject(j, now, /*was_running=*/false);
       return;
     }
 
@@ -82,105 +76,43 @@ class ImmediateRejectionPolicy final : public SimulationHooks {
       return;
     }
 
-    MachineState& ms = machines_[static_cast<std::size_t>(best)];
     rec_.mark_dispatched(j, best);
-    ms.pending.insert(SptKey{p_best, store_.job(j).release, j});
-    ms.pending_work += p_best;
-    if (ms.running == kInvalidJob) start_next(best, now);
-  }
-
-  void on_event(const SimEvent& event, Time now) override {
-    MachineState& ms = machines_[static_cast<std::size_t>(event.machine)];
-    OSCHED_CHECK_EQ(ms.running, event.job);
-    rec_.mark_completed(event.job, now);
-    ms.running = kInvalidJob;
-    start_next(event.machine, now);
-  }
-
-  void on_fleet(const FleetEvent& event, Time now) override {
-    switch (event.kind) {
-      case FleetEventKind::kJoin:
-        fleet_.on_join(event.machine);
-        break;
-      case FleetEventKind::kDrain:
-        fleet_.on_drain(event.machine);
-        break;
-      case FleetEventKind::kFail:
-        fleet_.on_fail(event.machine);
-        handle_fail(event.machine, now);
-        break;
-      case FleetEventKind::kSpeedChange:
-        // Future wait estimates and starts see the new multiplier; the
-        // running job keeps its frozen start-time speed, and pending keys
-        // keep their dispatch-time effective p.
-        fleet_.on_speed_change(event.machine, event.speed);
-        break;
+    enqueue(best, j);
+    if (running_[static_cast<std::size_t>(best)] == kInvalidJob) {
+      start_next(best, now);
     }
-  }
-
-  /// Overload shed (see SimulationHooks): rejects the lowest-value pending
-  /// job — smallest weight, ties to largest queued p, then largest id —
-  /// across every machine. Outside the eps-of-arrivals budget (rejections_
-  /// counts only admission calls); the caller accounts the shed.
-  JobId on_shed(Time now) override {
-    std::size_t victim_machine = 0;
-    const SptKey* victim = nullptr;
-    Weight victim_weight = 0.0;
-    for (std::size_t i = 0; i < machines_.size(); ++i) {
-      for (const SptKey& key : machines_[i].pending) {
-        const Weight w = store_.job(key.id).weight;
-        if (victim == nullptr || w < victim_weight ||
-            (w == victim_weight &&
-             (key.p > victim->p ||
-              (key.p == victim->p && key.id > victim->id)))) {
-          victim = &key;
-          victim_weight = w;
-          victim_machine = i;
-        }
-      }
-    }
-    if (victim == nullptr) return kInvalidJob;
-    const SptKey key = *victim;
-    MachineState& ms = machines_[victim_machine];
-    ms.pending.erase(key);
-    ms.pending_work -= key.p;
-    rec_.mark_rejected_pending(key.id, now);
-    return key.id;
   }
 
   /// The immediate-rejection baseline charges its ε-fraction arrival
   /// rejections; ε-charged sheds fall back to the fixed victim rule and
-  /// the session books them against the same derived budget.
+  /// the session books them against the same derived budget. Fault sheds
+  /// stay OUT of rejections_: that total is the eps-of-arrivals admission
+  /// budget.
   std::size_t charged_rejections() const override { return rejections_; }
 
   /// The policy keeps no per-job state of its own — nothing to release.
   void retire_below(JobId /*frontier*/) {}
 
   std::size_t rejections() const { return rejections_; }
-  const FleetStats& fleet_stats() const { return fleet_.stats; }
 
  private:
-  /// Processing time in wall-clock terms under the machine's CURRENT
-  /// multiplier. Exactly p when no plan scripts speed events.
-  Work effective_processing(MachineId i, JobId j) const {
-    const Work p = store_.processing_unchecked(i, j);
-    if (!fleet_speed_) return p;
-    const double s = fleet_.speed_multiplier(static_cast<std::size_t>(i));
-    return s == 1.0 ? p : p / s;
-  }
+  // ---- PolicyCore hooks ----
 
   /// Best ACTIVE eligible machine by estimated wait (remaining + queued
   /// work ahead in SPT); kInvalidMachine when the fleet mask leaves none.
-  MachineId pick_machine(JobId j, Time now, double* best_wait_out) const {
+  /// Re-placing an orphan goes through here too, but the patience test
+  /// does NOT re-apply: the immediate accept decision was made at arrival
+  /// and this class of policies never revisits it.
+  MachineId pick(JobId j, Time now, double* best_wait_out) const {
     MachineId best = kInvalidMachine;
     double best_wait = std::numeric_limits<double>::infinity();
     for (const MachineId machine : store_.eligible_machines(j)) {
-      if (!fleet_.active(static_cast<std::size_t>(machine))) continue;
-      const MachineState& ms = machines_[static_cast<std::size_t>(machine)];
+      const auto i = static_cast<std::size_t>(machine);
+      if (!fleet_.active(i)) continue;
       const Work p = effective_processing(machine, j);
       double wait =
-          ms.running != kInvalidJob ? std::max(0.0, ms.running_end - now) : 0.0;
-      for (const SptKey& key : ms.pending) {
+          running_[i] != kInvalidJob ? std::max(0.0, running_end_[i] - now) : 0.0;
+      for (const SptKey& key : pending_[i]) {
         if (key.p <= p) wait += key.p;
       }
       if (wait < best_wait) {
@@ -192,86 +124,37 @@ class ImmediateRejectionPolicy final : public SimulationHooks {
     return best;
   }
 
-  void start_next(MachineId i, Time now) {
-    MachineState& ms = machines_[static_cast<std::size_t>(i)];
-    if (ms.pending.empty()) return;
-    const SptKey key = *ms.pending.begin();
-    ms.pending.erase(ms.pending.begin());
-    ms.pending_work -= key.p;
-    ms.running = key.id;
-    if (!fleet_speed_) {
-      ms.running_end = now + key.p;
-      rec_.mark_started(key.id, now, 1.0);
-    } else {
-      // Duration resolves at START from the current multiplier (the key's
-      // p is the dispatch-time estimate, possibly from another epoch).
-      const double s = fleet_.speed_multiplier(static_cast<std::size_t>(i));
-      const Work p = store_.processing_unchecked(i, key.id);
-      ms.running_end = now + (s == 1.0 ? p : p / s);
-      rec_.mark_started(key.id, now, s);
-    }
-    ms.completion_event = events_.schedule(ms.running_end, i, key.id);
+  void enqueue(MachineId machine, JobId j) {
+    pending_[static_cast<std::size_t>(machine)].insert(
+        SptKey{effective_processing(machine, j), store_.job(j).release, j});
   }
 
-  // ---- fleet failure handling (fault sheds stay OUT of rejections_: that
-  // total is the policy's eps-of-arrivals admission budget) ----
+  void take_queue(std::size_t i, std::vector<JobId>& out) {
+    for (const SptKey& key : pending_[i]) out.push_back(key.id);
+    pending_[i].clear();
+  }
 
-  void handle_fail(MachineId machine, Time now) {
-    MachineState& ms = machines_[static_cast<std::size_t>(machine)];
-
-    orphans_.assign(ms.pending.begin(), ms.pending.end());  // SPT order
-    ms.pending.clear();
-    ms.pending_work = 0.0;
-
-    const JobId killed = ms.running;
-    if (killed != kInvalidJob) {
-      events_.cancel(ms.completion_event);
-      ms.running = kInvalidJob;
-      if (fleet_.shed_killed_running() && fleet_.try_spend_budget()) {
-        rec_.mark_rejected_running(killed, now);
-        ++fleet_.stats.fault_rejections;
-      } else {
-        redecide(killed, now, /*was_running=*/true);
-      }
-    }
-
-    for (const SptKey& key : orphans_) {
-      redecide(key.id, now, /*was_running=*/false);
+  template <class Fn>
+  void for_each_pending(Fn&& fn) const {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      for (const SptKey& key : pending_[i]) fn(i, key.id, key.p);
     }
   }
 
-  /// Re-places one orphan. The patience test does NOT re-apply: the
-  /// immediate accept decision was made at arrival and this class of
-  /// policies never revisits it — only the fleet can force a shed here.
-  void redecide(JobId j, Time now, bool was_running) {
-    double wait = 0.0;
-    const MachineId target = pick_machine(j, now, &wait);
-    if (target == kInvalidMachine) {
-      if (was_running) {
-        rec_.mark_rejected_running(j, now);
-      } else {
-        rec_.mark_rejected_pending(j, now);
-      }
-      fleet_.note_forced_rejection();
-      return;
-    }
-    rec_.mark_requeued(j, target);  // resets `started` for a killed runner
-    MachineState& ms = machines_[static_cast<std::size_t>(target)];
-    const Work p = effective_processing(target, j);
-    ms.pending.insert(SptKey{p, store_.job(j).release, j});
-    ms.pending_work += p;
-    ++fleet_.stats.redispatched;
-    if (ms.running == kInvalidJob) start_next(target, now);
+  void erase_pending(std::size_t i, JobId id, Work p) {
+    OSCHED_CHECK(pending_[i].erase(SptKey{p, store_.job(id).release, id}) == 1);
   }
 
-  const Store& store_;
-  Rec& rec_;
-  EventQueue& events_;
+  void start_next(MachineId machine, Time now) {
+    auto& pending = pending_[static_cast<std::size_t>(machine)];
+    if (pending.empty()) return;
+    const SptKey key = *pending.begin();
+    pending.erase(pending.begin());
+    this->start_job(machine, key.id, key.p, now);
+  }
+
   ImmediateRejectionOptions options_;
-  std::vector<MachineState> machines_;
-  FleetState fleet_;
-  bool fleet_speed_ = false;  ///< plan scripts kSpeedChange events
-  std::vector<SptKey> orphans_;  ///< handle_fail scratch
+  std::vector<std::set<SptKey>> pending_;
   std::size_t arrived_ = 0;
   std::size_t rejections_ = 0;
 };

@@ -1,13 +1,14 @@
 // List-scheduler baselines as resumable, store-generic state machines (see
 // list_scheduler.hpp for the dispatch/discipline axes and the batch entry
-// points, and rejection_flow_policy.hpp for the Store/Rec contract).
+// points, and sim/policy_core.hpp for the Store/Rec contract and the shared
+// fleet/shed protocol).
 #pragma once
 
 #include <limits>
 #include <set>
 
 #include "baselines/list_scheduler.hpp"
-#include "sim/engine.hpp"
+#include "sim/policy_core.hpp"
 
 namespace osched {
 
@@ -26,126 +27,50 @@ struct QueueKey {
   }
 };
 
-struct MachineState {
-  std::set<QueueKey> pending;
-  Work pending_work = 0.0;
-  JobId running = kInvalidJob;
-  Time running_end = 0.0;
-  std::uint64_t completion_event = 0;
-};
-
 }  // namespace list_scheduler_detail
 
 template <class Store, class Rec>
-class ListSchedulerPolicy final : public SimulationHooks {
+class ListSchedulerPolicy final
+    : public PolicyCore<ListSchedulerPolicy<Store, Rec>, Store, Rec> {
   using QueueKey = list_scheduler_detail::QueueKey;
-  using MachineState = list_scheduler_detail::MachineState;
+  using Core = PolicyCore<ListSchedulerPolicy, Store, Rec>;
+  friend Core;
+  using Core::effective_processing;
+  using Core::fleet_;
+  using Core::rec_;
+  using Core::running_;
+  using Core::running_end_;
+  using Core::store_;
 
  public:
   ListSchedulerPolicy(const Store& store, Rec& rec, EventQueue& events,
                       const ListSchedulerOptions& options)
-      : store_(store),
-        rec_(rec),
-        events_(events),
+      : Core(store, rec, events, options.fleet),
         options_(options),
-        machines_(store.num_machines()) {
-    fleet_.init(store.num_machines(), options.fleet);
-    fleet_speed_ = fleet_.has_speed_events();
-  }
+        pending_(store.num_machines()),
+        pending_work_(store.num_machines(), 0.0) {}
 
   void on_arrival(JobId j, Time now) override {
-    const MachineId machine = pick_machine(j, now);
+    const MachineId machine = pick(j, now, nullptr);
     if (machine == kInvalidMachine) {
       // Fleet mode: no active eligible machine. Even a "no-rejection"
       // baseline must shed the job — the alternative is a deadlock.
-      rec_.mark_rejected_pending(j, now);
-      fleet_.note_forced_rejection();
+      this->force_reject(j, now, /*was_running=*/false);
       return;
     }
-    MachineState& ms = machines_[static_cast<std::size_t>(machine)];
     rec_.mark_dispatched(j, machine);
-    const QueueKey key = make_key(machine, j);
-    ms.pending.insert(key);
-    ms.pending_work += key.p;
-    if (ms.running == kInvalidJob) start_next(machine, now);
-  }
-
-  void on_event(const SimEvent& event, Time now) override {
-    MachineState& ms = machines_[static_cast<std::size_t>(event.machine)];
-    OSCHED_CHECK_EQ(ms.running, event.job);
-    rec_.mark_completed(event.job, now);
-    ms.running = kInvalidJob;
-    start_next(event.machine, now);
-  }
-
-  void on_fleet(const FleetEvent& event, Time now) override {
-    switch (event.kind) {
-      case FleetEventKind::kJoin:
-        fleet_.on_join(event.machine);
-        break;
-      case FleetEventKind::kDrain:
-        fleet_.on_drain(event.machine);
-        break;
-      case FleetEventKind::kFail:
-        fleet_.on_fail(event.machine);
-        handle_fail(event.machine, now);
-        break;
-      case FleetEventKind::kSpeedChange:
-        // Future dispatch estimates and starts see the new multiplier;
-        // the running job keeps its frozen start-time speed, and pending
-        // keys keep their dispatch-time effective p (queue order is a
-        // property of the decision, not of later throttles).
-        fleet_.on_speed_change(event.machine, event.speed);
-        break;
+    enqueue(machine, j);
+    if (running_[static_cast<std::size_t>(machine)] == kInvalidJob) {
+      start_next(machine, now);
     }
-  }
-
-  /// Overload shed (see SimulationHooks): rejects the lowest-value pending
-  /// job — smallest weight, ties to largest queued p, then largest id —
-  /// across every machine; the caller accounts the shed.
-  JobId on_shed(Time now) override {
-    std::size_t victim_machine = 0;
-    const QueueKey* victim = nullptr;
-    Weight victim_weight = 0.0;
-    for (std::size_t i = 0; i < machines_.size(); ++i) {
-      for (const QueueKey& key : machines_[i].pending) {
-        const Weight w = store_.job(key.id).weight;
-        if (victim == nullptr || w < victim_weight ||
-            (w == victim_weight &&
-             (key.p > victim->p ||
-              (key.p == victim->p && key.id > victim->id)))) {
-          victim = &key;
-          victim_weight = w;
-          victim_machine = i;
-        }
-      }
-    }
-    if (victim == nullptr) return kInvalidJob;
-    const QueueKey key = *victim;
-    MachineState& ms = machines_[victim_machine];
-    ms.pending.erase(key);
-    ms.pending_work -= key.p;
-    rec_.mark_rejected_pending(key.id, now);
-    return key.id;
   }
 
   /// The policy keeps no per-job state of its own — nothing to release.
   void retire_below(JobId /*frontier*/) {}
 
-  const FleetStats& fleet_stats() const { return fleet_.stats; }
-
  private:
-  /// Processing time in wall-clock terms under the machine's CURRENT
-  /// multiplier. Exactly p when no plan scripts speed events.
-  Work effective_processing(MachineId i, JobId j) const {
-    const Work p = store_.processing_unchecked(i, j);
-    if (!fleet_speed_) return p;
-    const double s = fleet_.speed_multiplier(static_cast<std::size_t>(i));
-    return s == 1.0 ? p : p / s;
-  }
-
-  QueueKey make_key(MachineId i, JobId j) const {
-    const Work p = effective_processing(i, j);
+  /// `p` is the queued (dispatch-time effective) processing time.
+  QueueKey make_key(JobId j, Work p) const {
     const Time r = store_.job(j).release;
     const double primary = options_.discipline == QueueDiscipline::kSpt
                                ? p
@@ -153,11 +78,15 @@ class ListSchedulerPolicy final : public SimulationHooks {
     return QueueKey{primary, r, j, p};
   }
 
-  MachineId pick_machine(JobId j, Time now) {
+  // ---- PolicyCore hooks ----
+
+  /// Dispatch estimates see each machine's CURRENT multiplier; the score
+  /// (least backlog or least completion) is not reported.
+  MachineId pick(JobId j, Time now, double* /*score*/) {
     MachineId best = kInvalidMachine;
     double best_score = std::numeric_limits<double>::infinity();
     if (options_.dispatch == DispatchRule::kRoundRobin) {
-      const std::size_t m = machines_.size();
+      const std::size_t m = pending_.size();
       for (std::size_t step = 0; step < m; ++step) {
         const auto candidate = static_cast<MachineId>((round_robin_ + step) % m);
         if (store_.eligible(candidate, j) &&
@@ -170,22 +99,22 @@ class ListSchedulerPolicy final : public SimulationHooks {
       return kInvalidMachine;
     }
     for (const MachineId machine : store_.eligible_machines(j)) {
-      if (!fleet_.active(static_cast<std::size_t>(machine))) continue;
-      const MachineState& ms = machines_[static_cast<std::size_t>(machine)];
+      const auto i = static_cast<std::size_t>(machine);
+      if (!fleet_.active(i)) continue;
       const Work p = effective_processing(machine, j);
       const double remaining =
-          ms.running != kInvalidJob ? std::max(0.0, ms.running_end - now) : 0.0;
+          running_[i] != kInvalidJob ? std::max(0.0, running_end_[i] - now) : 0.0;
       double score = 0.0;
       if (options_.dispatch == DispatchRule::kMinBacklog) {
-        score = remaining + ms.pending_work;
+        score = remaining + pending_work_[i];
       } else {  // kMinCompletion: work served before j under the discipline
         double ahead = 0.0;
         if (options_.discipline == QueueDiscipline::kSpt) {
-          for (const QueueKey& key : ms.pending) {
+          for (const QueueKey& key : pending_[i]) {
             if (key.p <= p) ahead += key.p;  // equal sizes precede the arrival
           }
         } else {
-          ahead = ms.pending_work;  // FIFO: everything queued is ahead
+          ahead = pending_work_[i];  // FIFO: everything queued is ahead
         }
         score = remaining + ahead + p;
       }
@@ -199,81 +128,43 @@ class ListSchedulerPolicy final : public SimulationHooks {
     return best;
   }
 
-  void start_next(MachineId i, Time now) {
-    MachineState& ms = machines_[static_cast<std::size_t>(i)];
-    if (ms.pending.empty()) return;
-    const QueueKey key = *ms.pending.begin();
-    ms.pending.erase(ms.pending.begin());
-    ms.pending_work -= key.p;
-    ms.running = key.id;
-    if (!fleet_speed_) {
-      ms.running_end = now + key.p;
-      rec_.mark_started(key.id, now, 1.0);
-    } else {
-      // Duration resolves at START from the current multiplier (the key's
-      // p is the dispatch-time estimate, possibly from another epoch).
-      const double s = fleet_.speed_multiplier(static_cast<std::size_t>(i));
-      const Work p = store_.processing_unchecked(i, key.id);
-      ms.running_end = now + (s == 1.0 ? p : p / s);
-      rec_.mark_started(key.id, now, s);
-    }
-    ms.completion_event = events_.schedule(ms.running_end, i, key.id);
+  void enqueue(MachineId machine, JobId j) {
+    const auto i = static_cast<std::size_t>(machine);
+    const QueueKey key = make_key(j, effective_processing(machine, j));
+    pending_[i].insert(key);
+    pending_work_[i] += key.p;
   }
 
-  // ---- fleet failure handling ----
+  void take_queue(std::size_t i, std::vector<JobId>& out) {
+    for (const QueueKey& key : pending_[i]) out.push_back(key.id);
+    pending_[i].clear();
+    pending_work_[i] = 0.0;
+  }
 
-  void handle_fail(MachineId machine, Time now) {
-    MachineState& ms = machines_[static_cast<std::size_t>(machine)];
-
-    orphans_.assign(ms.pending.begin(), ms.pending.end());  // queue order
-    ms.pending.clear();
-    ms.pending_work = 0.0;
-
-    const JobId killed = ms.running;
-    if (killed != kInvalidJob) {
-      events_.cancel(ms.completion_event);
-      ms.running = kInvalidJob;
-      if (fleet_.shed_killed_running() && fleet_.try_spend_budget()) {
-        rec_.mark_rejected_running(killed, now);
-        ++fleet_.stats.fault_rejections;
-      } else {
-        redecide(killed, now, /*was_running=*/true);
-      }
-    }
-
-    for (const QueueKey& key : orphans_) {
-      redecide(key.id, now, /*was_running=*/false);
+  template <class Fn>
+  void for_each_pending(Fn&& fn) const {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      for (const QueueKey& key : pending_[i]) fn(i, key.id, key.p);
     }
   }
 
-  void redecide(JobId j, Time now, bool was_running) {
-    const MachineId target = pick_machine(j, now);
-    if (target == kInvalidMachine) {
-      if (was_running) {
-        rec_.mark_rejected_running(j, now);
-      } else {
-        rec_.mark_rejected_pending(j, now);
-      }
-      fleet_.note_forced_rejection();
-      return;
-    }
-    rec_.mark_requeued(j, target);  // resets `started` for a killed runner
-    MachineState& ms = machines_[static_cast<std::size_t>(target)];
-    const QueueKey key = make_key(target, j);
-    ms.pending.insert(key);
-    ms.pending_work += key.p;
-    ++fleet_.stats.redispatched;
-    if (ms.running == kInvalidJob) start_next(target, now);
+  void erase_pending(std::size_t i, JobId id, Work p) {
+    OSCHED_CHECK(pending_[i].erase(make_key(id, p)) == 1);
+    pending_work_[i] -= p;
   }
 
-  const Store& store_;
-  Rec& rec_;
-  EventQueue& events_;
+  void start_next(MachineId machine, Time now) {
+    const auto i = static_cast<std::size_t>(machine);
+    if (pending_[i].empty()) return;
+    const QueueKey key = *pending_[i].begin();
+    pending_[i].erase(pending_[i].begin());
+    pending_work_[i] -= key.p;
+    this->start_job(machine, key.id, key.p, now);
+  }
+
   ListSchedulerOptions options_;
-  std::vector<MachineState> machines_;
-  FleetState fleet_;
-  bool fleet_speed_ = false;  ///< plan scripts kSpeedChange events
-  std::vector<QueueKey> orphans_;  ///< handle_fail scratch
+  std::vector<std::set<QueueKey>> pending_;
+  std::vector<Work> pending_work_;
   std::size_t round_robin_ = 0;
 };
 

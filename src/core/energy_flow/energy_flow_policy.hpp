@@ -1,6 +1,7 @@
 // Theorem 2 scheduling policy as a resumable, store-generic state machine
 // (see energy_flow.hpp for the paper conventions and the batch entry point,
-// and rejection_flow_policy.hpp for the Store/Rec contract).
+// and sim/policy_core.hpp for the Store/Rec contract and the shared
+// fleet/shed/dispatch protocol).
 //
 // Unlike the flow-time policy, the dual bookkeeping here needs a final pass
 // over every job record (the V-integral decomposition), so a streaming
@@ -21,12 +22,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <set>
 
 #include "core/energy_flow/energy_flow.hpp"
-#include "sim/engine.hpp"
-#include "util/dispatch_heap.hpp"
+#include "sim/policy_core.hpp"
 #include "util/sliding_vector.hpp"
 
 namespace osched {
@@ -51,15 +50,23 @@ struct DensityKey {
 }  // namespace energy_flow_detail
 
 template <class Store, class Rec>
-class EnergyFlowPolicy final : public SimulationHooks {
+class EnergyFlowPolicy final
+    : public PolicyCore<EnergyFlowPolicy<Store, Rec>, Store, Rec> {
   using DensityKey = energy_flow_detail::DensityKey;
+  using Core = PolicyCore<EnergyFlowPolicy, Store, Rec>;
+  friend Core;
+  using Core::completion_event_;
+  using Core::events_;
+  using Core::fleet_;
+  using Core::rec_;
+  using Core::running_;
+  using Core::running_end_;
+  using Core::store_;
 
  public:
   EnergyFlowPolicy(const Store& store, Rec& rec, EventQueue& events,
                    const EnergyFlowOptions& options)
-      : store_(store),
-        rec_(rec),
-        events_(events),
+      : Core(store, rec, events, options.fleet),
         options_(options),
         gamma_(options.gamma > 0.0 ? options.gamma
                                    : theorem2_gamma(options.epsilon, options.alpha)) {
@@ -70,18 +77,9 @@ class EnergyFlowPolicy final : public SimulationHooks {
     extra_.extend_to(store.num_jobs());
     lambda_.extend_to(store.num_jobs());
     const std::size_t m = store.num_machines();
-    fleet_.init(m, options.fleet);
     pending_.resize(m);
     pending_weight_.assign(m, 0.0);
-    running_.assign(m, kInvalidJob);
-    running_speed_.assign(m, 0.0);
-    running_start_.assign(m, 0.0);
-    running_end_.assign(m, 0.0);
-    running_volume_.assign(m, 0.0);
     v_counter_.assign(m, 0.0);
-    completion_event_.assign(m, 0);
-    lb_.assign(m, 0.0);
-    heap_.reserve(m);
   }
 
   void on_arrival(JobId j, Time now) override {
@@ -90,19 +88,13 @@ class EnergyFlowPolicy final : public SimulationHooks {
     const Job& job = store_.job(j);
 
     double best_lambda = 0.0;
-    const MachineId best_machine =
-        options_.dispatch == DispatchMode::kIndexed
-            ? dispatch_indexed(j, &best_lambda)
-            : dispatch_linear_scan(j, &best_lambda);
+    const MachineId best_machine = pick(j, now, &best_lambda);
     if (best_machine == kInvalidMachine) {
       // Fleet mode: no active eligible machine — forced rejection at
       // arrival, outside the weight-counter rule and with zero dual
       // contribution (the certificate is diagnostic under a fleet plan).
-      OSCHED_CHECK(fleet_.enabled())
-          << "job " << j << " has no eligible machine";
       lambda_[static_cast<std::size_t>(j)] = 0.0;
-      rec_.mark_rejected_pending(j, now);
-      fleet_.note_forced_rejection();
+      this->force_reject(j, now, /*was_running=*/false);
       return;
     }
     const double lambda_j =
@@ -112,8 +104,7 @@ class EnergyFlowPolicy final : public SimulationHooks {
 
     const auto b = static_cast<std::size_t>(best_machine);
     rec_.mark_dispatched(j, best_machine);
-    pending_[b].insert(make_key(best_machine, j));
-    pending_weight_[b] += job.weight;
+    enqueue(best_machine, j);
 
     if (options_.enable_rejection && running_[b] != kInvalidJob) {
       v_counter_[b] += job.weight;
@@ -124,65 +115,6 @@ class EnergyFlowPolicy final : public SimulationHooks {
     }
 
     if (running_[b] == kInvalidJob) start_next(best_machine, now);
-  }
-
-  void on_event(const SimEvent& event, Time now) override {
-    const auto i = static_cast<std::size_t>(event.machine);
-    OSCHED_CHECK_EQ(running_[i], event.job);
-    rec_.mark_completed(event.job, now);
-    running_[i] = kInvalidJob;
-    start_next(event.machine, now);
-  }
-
-  void on_fleet(const FleetEvent& event, Time now) override {
-    switch (event.kind) {
-      case FleetEventKind::kJoin:
-        fleet_.on_join(event.machine);
-        break;
-      case FleetEventKind::kDrain:
-        fleet_.on_drain(event.machine);
-        break;
-      case FleetEventKind::kFail:
-        fleet_.on_fail(event.machine);
-        handle_fail(event.machine, now);
-        break;
-      case FleetEventKind::kSpeedChange:
-        // The multiplier scales the EXECUTION speed chosen at start_next;
-        // a job already running keeps its frozen start-time speed. The
-        // dispatch lambda stays volume-based on purpose — it estimates
-        // marginal cost in the nominal speed-scaling model, and scaling it
-        // per-machine would double-count the throttle the execution speed
-        // already pays for.
-        fleet_.on_speed_change(event.machine, event.speed);
-        break;
-    }
-  }
-
-  /// Overload shed (see SimulationHooks): rejects the lowest-value pending
-  /// job — smallest weight, ties to largest queued volume, then largest
-  /// id — across every machine. Outside the v-counters and the rejection
-  /// count (that total is the eps-budget accounting); the caller accounts
-  /// the shed.
-  JobId on_shed(Time now) override {
-    std::size_t victim_machine = 0;
-    const DensityKey* victim = nullptr;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      for (const DensityKey& key : pending_[i]) {
-        if (victim == nullptr || key.weight < victim->weight ||
-            (key.weight == victim->weight &&
-             (key.volume > victim->volume ||
-              (key.volume == victim->volume && key.id > victim->id)))) {
-          victim = &key;
-          victim_machine = i;
-        }
-      }
-    }
-    if (victim == nullptr) return kInvalidJob;
-    const DensityKey key = *victim;
-    pending_[victim_machine].erase(key);
-    pending_weight_[victim_machine] -= key.weight;
-    rec_.mark_rejected_pending(key.id, now);
-    return key.id;
   }
 
   /// Theorem 2 charges its ε-budgeted arrival rejections; ε-charged sheds
@@ -262,16 +194,19 @@ class EnergyFlowPolicy final : public SimulationHooks {
   }
 
   std::size_t rejections() const { return rejections_; }
-  const FleetStats& fleet_stats() const { return fleet_.stats; }
 
  private:
-  DensityKey make_key(MachineId i, JobId j) const {
+  /// `volume` is p_ij on the owning machine (keys are speed-free).
+  DensityKey make_key(JobId j, Work volume) const {
     const Job& job = store_.job(j);
-    const Work p = store_.processing_unchecked(i, j);
-    return DensityKey{job.weight / p, job.release, j, job.weight, p};
+    return DensityKey{job.weight / volume, job.release, j, job.weight, volume};
   }
 
   /// lambda_ij with j virtually inserted into machine i's pending order.
+  /// Volume-based on purpose, also under a kSpeedChange plan: it estimates
+  /// marginal cost in the nominal speed-scaling model, and scaling it
+  /// per-machine would double-count the throttle the execution speed
+  /// (start_next) already pays for.
   double lambda_ij(MachineId i, JobId j) const {
     const auto& pending = pending_[static_cast<std::size_t>(i)];
     const Job& job = store_.job(j);
@@ -300,77 +235,48 @@ class EnergyFlowPolicy final : public SimulationHooks {
            weight_after * p / denom_j;
   }
 
-  /// Reference dispatch: exact lambda for every eligible machine, ascending
-  /// machine id, strict-less keeps the first (= smallest id on ties).
-  MachineId dispatch_linear_scan(JobId j, double* best_lambda_out) const {
-    double best_lambda = std::numeric_limits<double>::infinity();
-    MachineId best_machine = kInvalidMachine;
-    for (const MachineId machine : store_.eligible_machines(j)) {
-      if (!fleet_.active(static_cast<std::size_t>(machine))) continue;
-      const double lambda = lambda_ij(machine, j);
-      if (lambda < best_lambda) {
-        best_lambda = lambda;
-        best_machine = machine;
-      }
-    }
-    *best_lambda_out = best_lambda;
-    return best_machine;
-  }
+  // ---- PolicyCore hooks ----
 
-  /// Indexed dispatch: job-only lower bounds (every queue-dependent lambda
-  /// term is non-negative), best-first exact evaluation until the next
-  /// bound exceeds the incumbent. Bit-identical to dispatch_linear_scan.
-  MachineId dispatch_indexed(JobId j, double* best_lambda_out) {
-    const auto eligible = store_.eligible_machines(j);
-    const std::size_t count = eligible.size();
-    OSCHED_CHECK(count > 0) << "job " << j << " has no eligible machine";
+  /// Argmin lambda_ij over the active eligible machines: the exact
+  /// reference scan, or best-first over job-only bounds (every
+  /// queue-dependent lambda term is non-negative).
+  MachineId pick(JobId j, Time /*now*/, double* best_lambda_out) {
+    const auto exact = [&](MachineId i) { return lambda_ij(i, j); };
+    if (options_.dispatch == DispatchMode::kLinearScan) {
+      return this->linear_argmin(j, exact, best_lambda_out);
+    }
     const Work* row = store_.processing_row(j);
-    const Weight w = store_.job(j).weight;
-    const double coeff = kDispatchBoundMargin * w / options_.epsilon;
-
-    std::size_t seed_k = 0;
-    double seed_lb = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto i = static_cast<std::size_t>(eligible.first[k]);
-      if (!fleet_.active(i)) {
-        lb_[k] = std::numeric_limits<double>::infinity();
-        continue;
-      }
-      lb_[k] = coeff * row[i];
-      if (lb_[k] < seed_lb) {
-        seed_lb = lb_[k];
-        seed_k = k;
-      }
-    }
-
-    const MachineId seed_machine = eligible.first[seed_k];
-    if (!fleet_.active(static_cast<std::size_t>(seed_machine))) {
-      // Every eligible machine is masked: the reference scan settles it
-      // (returns kInvalidMachine, the caller force-rejects).
-      return dispatch_linear_scan(j, best_lambda_out);
-    }
-    double best_lambda = lambda_ij(seed_machine, j);
-    MachineId best_machine = seed_machine;
-
-    heap_.reset();
-    for (std::size_t k = 0; k < count; ++k) {
-      if (k == seed_k || lb_[k] > best_lambda) continue;
-      heap_.push(lb_[k], static_cast<std::uint32_t>(eligible.first[k]));
-    }
-    while (!heap_.empty()) {
-      const auto entry = heap_.pop_min();
-      if (entry.key > best_lambda) break;
-      const auto machine = static_cast<MachineId>(entry.id);
-      const double lambda = lambda_ij(machine, j);
-      if (lambda < best_lambda ||
-          (lambda == best_lambda && machine < best_machine)) {
-        best_lambda = lambda;
-        best_machine = machine;
-      }
-    }
-    *best_lambda_out = best_lambda;
-    return best_machine;
+    const double coeff =
+        kDispatchBoundMargin * store_.job(j).weight / options_.epsilon;
+    const auto bound = [&](std::size_t i) { return coeff * row[i]; };
+    return this->best_first_argmin(j, bound, exact, best_lambda_out);
   }
+
+  void enqueue(MachineId machine, JobId j) {
+    const auto i = static_cast<std::size_t>(machine);
+    pending_[i].insert(make_key(j, store_.processing_unchecked(machine, j)));
+    pending_weight_[i] += store_.job(j).weight;
+  }
+
+  void take_queue(std::size_t i, std::vector<JobId>& out) {
+    for (const DensityKey& key : pending_[i]) out.push_back(key.id);
+    pending_[i].clear();
+    pending_weight_[i] = 0.0;
+  }
+
+  template <class Fn>
+  void for_each_pending(Fn&& fn) const {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      for (const DensityKey& key : pending_[i]) fn(i, key.id, key.volume);
+    }
+  }
+
+  void erase_pending(std::size_t i, JobId id, Work volume) {
+    OSCHED_CHECK(pending_[i].erase(make_key(id, volume)) == 1);
+    pending_weight_[i] -= store_.job(id).weight;
+  }
+
+  void reset_machine(std::size_t i) { v_counter_[i] = 0.0; }
 
   void start_next(MachineId machine, Time now) {
     const auto i = static_cast<std::size_t>(machine);
@@ -386,15 +292,8 @@ class EnergyFlowPolicy final : public SimulationHooks {
                         std::pow(pending_weight_[i], 1.0 / options_.alpha);
     OSCHED_CHECK_GT(speed, 0.0);
     pending_weight_[i] -= key.weight;
-
-    running_[i] = key.id;
-    running_speed_[i] = speed;
-    running_start_[i] = now;
-    running_volume_[i] = key.volume;
-    running_end_[i] = now + key.volume / speed;
     v_counter_[i] = 0.0;
-    rec_.mark_started(key.id, now, speed);
-    completion_event_[i] = events_.schedule(running_end_[i], machine, key.id);
+    this->launch(machine, key.id, now, speed, now + key.volume / speed);
   }
 
   void reject_running(MachineId machine, Time now) {
@@ -416,86 +315,15 @@ class EnergyFlowPolicy final : public SimulationHooks {
     ++rejections_;
   }
 
-  // ---- fleet failure handling ----
-
-  /// The machine just went down (fleet_ already reflects it): orphan the
-  /// queue, decide the killed running job (budget shed or restart from
-  /// scratch — its frozen-speed execution is lost), re-decide every orphan.
-  void handle_fail(MachineId machine, Time now) {
-    const auto i = static_cast<std::size_t>(machine);
-
-    orphans_.assign(pending_[i].begin(), pending_[i].end());  // density order
-    pending_[i].clear();
-    pending_weight_[i] = 0.0;
-
-    const JobId killed = running_[i];
-    if (killed != kInvalidJob) {
-      events_.cancel(completion_event_[i]);
-      running_[i] = kInvalidJob;
-      if (fleet_.shed_killed_running() && fleet_.try_spend_budget()) {
-        rec_.mark_rejected_running(killed, now);
-        ++fleet_.stats.fault_rejections;
-      } else {
-        redecide(killed, now, /*was_running=*/true);
-      }
-    }
-    v_counter_[i] = 0.0;
-
-    for (const DensityKey& key : orphans_) {
-      redecide(key.id, now, /*was_running=*/false);
-    }
-  }
-
-  /// Re-decides one orphan: normal dispatch restricted to active machines,
-  /// or a forced rejection. Skips the weight counter and the dual lambda
-  /// (set at arrival).
-  void redecide(JobId j, Time now, bool was_running) {
-    double lambda = 0.0;
-    const MachineId target =
-        options_.dispatch == DispatchMode::kIndexed
-            ? dispatch_indexed(j, &lambda)
-            : dispatch_linear_scan(j, &lambda);
-    if (target == kInvalidMachine) {
-      if (was_running) {
-        rec_.mark_rejected_running(j, now);
-      } else {
-        rec_.mark_rejected_pending(j, now);
-      }
-      fleet_.note_forced_rejection();
-      return;
-    }
-    rec_.mark_requeued(j, target);  // resets `started` for a killed runner
-    const auto b = static_cast<std::size_t>(target);
-    pending_[b].insert(make_key(target, j));
-    pending_weight_[b] += store_.job(j).weight;
-    ++fleet_.stats.redispatched;
-    if (running_[b] == kInvalidJob) start_next(target, now);
-  }
-
-  const Store& store_;
-  Rec& rec_;
-  EventQueue& events_;
   EnergyFlowOptions options_;
   double gamma_;
   util::SlidingVector<double> extra_;
   util::SlidingVector<double> lambda_;
-  FleetState fleet_;
-  std::vector<DensityKey> orphans_;  ///< handle_fail scratch
 
   // ---- machine state, structure-of-arrays (indexed by machine id) ----
   std::vector<std::set<DensityKey>> pending_;
   std::vector<Weight> pending_weight_;
-  std::vector<JobId> running_;
-  std::vector<Speed> running_speed_;
-  std::vector<Time> running_start_;
-  std::vector<Time> running_end_;
-  std::vector<Work> running_volume_;
   std::vector<double> v_counter_;  ///< weight dispatched during execution
-  std::vector<std::uint64_t> completion_event_;
-
-  // ---- dispatch scratch, reused across arrivals ----
-  std::vector<double> lb_;
-  util::DispatchHeap heap_;
 
   double sum_lambda_ = 0.0;
   std::size_t rejections_ = 0;

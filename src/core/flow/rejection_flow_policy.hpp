@@ -1,22 +1,11 @@
 // Theorem 1 scheduling policy as a resumable, store-generic state machine.
 //
 // The algorithm itself (dispatch by argmin lambda_ij, Rule 1/Rule 2
-// rejections, SPT pending queues over the arena treap) lives here as a
-// template over
-//   Store — where job data comes from: the batch `Instance`, or the
-//           streaming session's `service::StreamingJobStore`. Must provide
-//           job(j), processing_unchecked(i, j), processing_row(j),
-//           eligible_machines(j) and num_machines() with Instance's
-//           semantics.
-//   Rec   — where decisions are recorded: the batch `Schedule`, or the
-//           session's windowed record store. Must provide the mark_*
-//           mutation surface of Schedule.
-// The policy holds no event loop: it reacts to on_arrival/on_event calls
-// from whatever driver owns the clock (SimEngine for batch runs, a
-// SchedulerSession for submit/advance/drain streaming), scheduling its own
-// completions into the EventQueue it was handed. Identical call sequences
-// produce bit-identical decisions regardless of the driver, which is what
-// the streaming differential tests pin down.
+// rejections, SPT pending queues over the arena treap) lives here; the
+// Store/Rec contract and the fleet/shed/redispatch protocol every policy
+// shares live in sim/policy_core.hpp. Identical call sequences produce
+// bit-identical decisions regardless of the driver, which is what the
+// streaming differential tests pin down.
 //
 // Machine state is laid out structure-of-arrays: the lambda inputs the
 // dispatch needs per machine (pending count, pending minimum processing
@@ -43,9 +32,8 @@
 
 #include "core/flow/dual_accounting.hpp"
 #include "core/flow/rejection_flow.hpp"
-#include "sim/engine.hpp"
+#include "sim/policy_core.hpp"
 #include "util/augmented_treap.hpp"
-#include "util/dispatch_heap.hpp"
 #include "util/rng.hpp"
 #include "util/simd_argmin.hpp"
 #include "util/sliding_vector.hpp"
@@ -77,18 +65,29 @@ using PendingQueue = util::AugmentedTreap<PendingKey, KeyProcessing>;
 }  // namespace rejection_flow_detail
 
 template <class Store, class Rec>
-class RejectionFlowPolicy final : public SimulationHooks {
+class RejectionFlowPolicy final
+    : public PolicyCore<RejectionFlowPolicy<Store, Rec>, Store, Rec> {
   using PendingKey = rejection_flow_detail::PendingKey;
   using PendingQueue = rejection_flow_detail::PendingQueue;
+  using Core = PolicyCore<RejectionFlowPolicy, Store, Rec>;
+  friend Core;
+  using Core::completion_event_;
+  using Core::effective_processing;
+  using Core::events_;
+  using Core::fleet_;
+  using Core::fleet_speed_;
+  using Core::heap_;
+  using Core::rec_;
+  using Core::running_;
+  using Core::running_end_;
+  using Core::speed_is_one_;
+  using Core::store_;
 
  public:
   RejectionFlowPolicy(const Store& store, Rec& rec, EventQueue& events,
                       const RejectionFlowOptions& options)
-      : store_(store),
-        rec_(rec),
-        events_(events),
+      : Core(store, rec, events, options.fleet, options.speed),
         options_(options),
-        speed_is_one_(options.speed == 1.0),
         dual_(store.num_jobs(), options.epsilon),
         victim_rng_(options.victim_seed) {
     OSCHED_CHECK_GT(options.epsilon, 0.0);
@@ -111,10 +110,6 @@ class RejectionFlowPolicy final : public SimulationHooks {
       pending_.emplace_back(rejection_flow_detail::KeyProcessing{},
                             util::derive_seed(0xF10BA5E5ULL, i));
     }
-    fleet_.init(m, options.fleet);
-    running_.assign(m, kInvalidJob);
-    running_end_.assign(m, 0.0);
-    completion_event_.assign(m, 0);
     v_counter_.assign(m, 0);
     c_counter_.assign(m, 0);
     pend_n_.assign(m, 0);
@@ -141,7 +136,6 @@ class RejectionFlowPolicy final : public SimulationHooks {
     // bound sweeps stay sound under scaling. Exactly 1.0f while the
     // combined divisor is exactly 1 — float division by 1.0f is exact, so
     // the pre-first-event bounds match the speed-free path bit for bit.
-    fleet_speed_ = fleet_.has_speed_events();
     if (fleet_speed_) {
       speed_div_up_.assign(m, speed_is_one_ ? 1.0f : speed_up_);
     }
@@ -152,10 +146,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
     lambda_.extend_to(static_cast<std::size_t>(j) + 1);
 
     double best_lambda = 0.0;
-    const MachineId best_machine =
-        options_.dispatch == DispatchMode::kIndexed
-            ? dispatch_indexed(j, &best_lambda)
-            : dispatch_linear_scan(j, &best_lambda);
+    const MachineId best_machine = pick(j, now, &best_lambda);
 
     // No active eligible machine (fleet mode only): the job cannot run
     // anywhere — forced rejection at arrival, outside the rule counters and
@@ -164,9 +155,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
     if (best_machine == kInvalidMachine) {
       dual_.set_lambda(j, 0.0);
       lambda_[static_cast<std::size_t>(j)] = 0.0;
-      rec_.mark_rejected_pending(j, now);
-      dual_.finalize(j, store_.job(j).release, now);
-      fleet_.note_forced_rejection();
+      this->force_reject(j, now, /*was_running=*/false);
       return;
     }
 
@@ -176,7 +165,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
 
     const auto b = static_cast<std::size_t>(best_machine);
     rec_.mark_dispatched(j, best_machine);
-    pending_insert(b, make_key(best_machine, j));
+    enqueue(best_machine, j);
 
     // Rule 1: the arrival was dispatched during the running job's execution.
     if (options_.enable_rule1 && running_[b] != kInvalidJob) {
@@ -198,116 +187,9 @@ class RejectionFlowPolicy final : public SimulationHooks {
     if (running_[b] == kInvalidJob) start_next(best_machine, now);
   }
 
-  void on_event(const SimEvent& event, Time now) override {
-    // Only completions are scheduled.
-    const auto i = static_cast<std::size_t>(event.machine);
-    OSCHED_CHECK_EQ(running_[i], event.job);
-    rec_.mark_completed(event.job, now);
-    dual_.finalize(event.job, store_.job(event.job).release, now);
-    running_[i] = kInvalidJob;
-    start_next(event.machine, now);
-  }
-
-  void on_fleet(const FleetEvent& event, Time now) override {
-    switch (event.kind) {
-      case FleetEventKind::kJoin:
-        fleet_.on_join(event.machine);
-        break;
-      case FleetEventKind::kDrain:
-        // Masked out of dispatch from now on; the running job and queue
-        // complete normally through start_next.
-        fleet_.on_drain(event.machine);
-        break;
-      case FleetEventKind::kFail:
-        fleet_.on_fail(event.machine);
-        handle_fail(event.machine, now);
-        break;
-      case FleetEventKind::kSpeedChange: {
-        // Applies to jobs STARTED from now on (start_next reads the current
-        // multiplier); the running job finishes at its start-time speed, so
-        // no event is rescheduled. Pending keys keep their dispatch-time
-        // effective p — re-keying would reorder queues mid-run and break
-        // the batch==streamed equivalence the tie order guarantees.
-        fleet_.on_speed_change(event.machine, event.speed);
-        const auto i = static_cast<std::size_t>(event.machine);
-        const double s = options_.speed * fleet_.speed_multiplier(i);
-        speed_div_up_[i] = s == 1.0 ? 1.0f : float_next_up(static_cast<float>(s));
-        break;
-      }
-    }
-  }
-
-  /// Overload shed (see SimulationHooks): rejects the lowest-value pending
-  /// job — smallest weight, ties to largest queued p, then largest id —
-  /// across every machine. Outside the Rule 1/2 counters and the dual
-  /// (like fault sheds, the dual lower bound is diagnostic under forced
-  /// rejections); the caller accounts the shed.
-  JobId on_shed(Time now) override {
-    std::size_t victim_machine = 0;
-    PendingKey victim{};
-    Weight victim_weight = 0.0;
-    bool found = false;
-    for (const std::uint32_t i : live_list_) {
-      pending_[i].for_each([&](const PendingKey& key) {
-        const Weight w = store_.job(key.id).weight;
-        if (!found || w < victim_weight ||
-            (w == victim_weight &&
-             (key.p > victim.p || (key.p == victim.p && key.id > victim.id)))) {
-          found = true;
-          victim = key;
-          victim_weight = w;
-          victim_machine = i;
-        }
-      });
-    }
-    if (!found) return kInvalidJob;
-    pending_erase(victim_machine, victim);
-    rec_.mark_rejected_pending(victim.id, now);
-    return victim.id;
-  }
-
-  /// ε-charged shed (see SimulationHooks): the victim is the job Rule 2
-  /// would pick, generalized across machines — the globally LARGEST queued
-  /// effective processing time, ties to the largest id — and the eviction
-  /// is booked into the dual exactly like a Rule 2 rejection (definitive-
-  /// finish extension by the victim's estimated completion, then finalize),
-  /// so sum lambda / beta stay a valid certificate with the shed counted as
-  /// a paper rejection. Unlike reject_largest_pending this fires outside
-  /// the c-counters (the budget lives in the session, which charges it
-  /// against floor(2εn) alongside rule1_rejections + rule2_rejections).
-  JobId on_shed_charged(Time now) override {
-    std::size_t victim_machine = 0;
-    PendingKey victim{};
-    bool found = false;
-    for (const std::uint32_t i : live_list_) {
-      pending_[i].for_each([&](const PendingKey& key) {
-        if (!found || key.p > victim.p ||
-            (key.p == victim.p && key.id > victim.id)) {
-          found = true;
-          victim = key;
-          victim_machine = i;
-        }
-      });
-    }
-    if (!found) return kInvalidJob;
-    const Time remaining_of_running =
-        running_[victim_machine] != kInvalidJob
-            ? std::max(0.0, running_end_[victim_machine] - now)
-            : 0.0;
-    // Estimated completion had the victim stayed: the running remainder
-    // plus everything queued with it (it is its machine's largest, so the
-    // whole queue is "ahead") plus its own processing time. No arriving
-    // trigger to exclude — the shed fires before the triggering arrival is
-    // dispatched anywhere.
-    const double sum_except =
-        pending_[victim_machine].total_weight() - victim.p;
-    dual_.on_rule2_rejection(victim.id, remaining_of_running,
-                             std::max(0.0, sum_except), victim.p);
-    dual_.finalize(victim.id, store_.job(victim.id).release, now);
-    rec_.mark_rejected_pending(victim.id, now);
-    pending_erase(victim_machine, victim);
-    return victim.id;
-  }
+  /// ε-charged shed (see SimulationHooks): PolicyCore::shed_largest's
+  /// Rule-2-style victim, booked into the dual by book_charged_shed.
+  JobId on_shed_charged(Time now) override { return this->shed_largest(now); }
 
   std::size_t charged_rejections() const override {
     return rule1_rejections_ + rule2_rejections_;
@@ -322,7 +204,6 @@ class RejectionFlowPolicy final : public SimulationHooks {
 
   std::size_t rule1_rejections() const { return rule1_rejections_; }
   std::size_t rule2_rejections() const { return rule2_rejections_; }
-  const FleetStats& fleet_stats() const { return fleet_.stats; }
   const FlowDualAccounting& dual() const { return dual_; }
   /// lambda_j = eps/(1+eps) * min_i lambda_ij; j must not be retired.
   double lambda(JobId j) const { return lambda_.at(static_cast<std::size_t>(j)); }
@@ -336,21 +217,6 @@ class RejectionFlowPolicy final : public SimulationHooks {
 
   PendingKey make_key(MachineId i, JobId j) const {
     return PendingKey{effective_processing(i, j), store_.job(j).release, j};
-  }
-
-  Work effective_processing(MachineId i, JobId j) const {
-    // Indices are validated by construction: i comes from the store's
-    // eligibility adjacency (or a machine that already holds j) and j from
-    // the arrival stream. speed == 1.0 skips the division (p/1.0 == p, so
-    // the fast path is bit-identical).
-    const Work p = store_.processing_unchecked(i, j);
-    if (!fleet_speed_) return speed_is_one_ ? p : p / options_.speed;
-    // kSpeedChange plans: the machine's CURRENT multiplier scales dispatch
-    // scoring and pending keys; the combined divisor folds the global
-    // speed option in. s == 1.0 keeps p untouched bit for bit.
-    const double s =
-        options_.speed * fleet_.speed_multiplier(static_cast<std::size_t>(i));
-    return s == 1.0 ? p : p / s;
   }
 
   /// lambda_ij = p_ij/eps + sum_{l <= j} p_il + |{l > j}| * p_ij over the
@@ -386,28 +252,17 @@ class RejectionFlowPolicy final : public SimulationHooks {
            pend_cnt_margin_[i] * std::min(p, pend_min_p_[i]);
   }
 
-  /// Reference dispatch: exact lambda for every ACTIVE eligible machine,
-  /// ascending machine id, strict-less keeps the first (= smallest id on
-  /// ties). Returns kInvalidMachine when the fleet mask leaves no candidate
-  /// (impossible with an empty fleet plan — active() is then constant
-  /// true and eligibility is non-empty by validation).
+  /// Reference dispatch (PolicyCore::linear_argmin over the exact lambda).
+  /// kInvalidMachine only under a fleet mask — with an empty plan active()
+  /// is constant true and eligibility is non-empty by validation.
   MachineId dispatch_linear_scan(JobId j, double* best_lambda_out) const {
     const Time release = store_.job(j).release;
-    const auto eligible = store_.eligible_machines(j);
-    OSCHED_CHECK(!eligible.empty()) << "job " << j << " has no eligible machine";
-    double best_lambda = kTimeInfinity;
-    MachineId best_machine = kInvalidMachine;
-    for (const MachineId machine : eligible) {
-      if (!fleet_.active(static_cast<std::size_t>(machine))) continue;
-      const Work p = effective_processing(machine, j);
-      const double lambda = lambda_ij(machine, j, p, release);
-      if (lambda < best_lambda) {
-        best_lambda = lambda;
-        best_machine = machine;
-      }
-    }
-    *best_lambda_out = best_lambda;
-    return best_machine;
+    return this->linear_argmin(
+        j,
+        [&](MachineId i) {
+          return lambda_ij(i, j, effective_processing(i, j), release);
+        },
+        best_lambda_out);
   }
 
   /// Indexed dispatch: one vectorizable sweep computes every candidate's
@@ -541,9 +396,6 @@ class RejectionFlowPolicy final : public SimulationHooks {
       }
       const Work p = effective_processing(machine, j);
       const double lambda = lambda_ij(machine, j, p, release);
-#ifdef OSCHED_DISPATCH_STATS
-      ++stat_evals_;
-#endif
       if (lambda < best_lambda ||
           (lambda == best_lambda && machine < best_machine)) {
         best_lambda = lambda;
@@ -592,7 +444,7 @@ class RejectionFlowPolicy final : public SimulationHooks {
 
     // Whole fleet down: nothing can take the job (also keeps the dense
     // argmin below safe — an all-infinity lb row has no locatable seed).
-    if (fleet_.enabled() && fleet_.num_active() == 0) {
+    if (fleet_.num_active() == 0) {
       *best_lambda_out = kTimeInfinity;
       return kInvalidMachine;
     }
@@ -761,33 +613,15 @@ class RejectionFlowPolicy final : public SimulationHooks {
       const auto machine = static_cast<MachineId>(entry.id);
       const Work p = effective_processing(machine, j);
       const double lambda = lambda_ij(machine, j, p, release);
-#ifdef OSCHED_DISPATCH_STATS
-      ++stat_evals_;
-#endif
       if (lambda < best_lambda ||
           (lambda == best_lambda && machine < best_machine)) {
         best_lambda = lambda;
         best_machine = machine;
       }
     }
-#ifdef OSCHED_DISPATCH_STATS
-    ++stat_dispatches_;
-    stat_survivors_ += has_rivals ? 1 : 0;
-#endif
     *best_lambda_out = best_lambda;
     return best_machine;
   }
-
-#ifdef OSCHED_DISPATCH_STATS
- public:
-  /// Diagnostics for perf work (compile-gated; not part of the API):
-  /// dispatches, exact rival lambda evaluations, dispatches with rivals.
-  mutable std::size_t stat_dispatches_ = 0;
-  mutable std::size_t stat_evals_ = 0;
-  mutable std::size_t stat_survivors_ = 0;
-
- private:
-#endif
 
   // ---- pending-queue mutations keep the cached lambda inputs in sync
   // (only the touched machine's entries are ever written) ----
@@ -852,23 +686,8 @@ class RejectionFlowPolicy final : public SimulationHooks {
     OSCHED_CHECK_EQ(running_[i], kInvalidJob);
     if (pending_[i].empty()) return;
     const PendingKey key = pending_pop_min(i);
-    running_[i] = key.id;
-    if (!fleet_speed_) {
-      running_end_[i] = now + key.p;
-      rec_.mark_started(key.id, now, options_.speed);
-    } else {
-      // The key froze the DISPATCH-time effective p (queue-order
-      // stability); the run itself executes at the START-time speed — a
-      // speed change between dispatch and start re-resolves the duration
-      // here, and the recorded speed keeps the validator's p/speed
-      // occupancy check exact.
-      const double s = options_.speed * fleet_.speed_multiplier(i);
-      const Work p = store_.processing_unchecked(machine, key.id);
-      running_end_[i] = now + (s == 1.0 ? p : p / s);
-      rec_.mark_started(key.id, now, s);
-    }
     v_counter_[i] = 0;
-    completion_event_[i] = events_.schedule(running_end_[i], machine, key.id);
+    this->start_job(machine, key.id, key.p, now);
   }
 
   void reject_running(MachineId machine, Time now) {
@@ -931,83 +750,85 @@ class RejectionFlowPolicy final : public SimulationHooks {
     ++rule2_rejections_;
   }
 
-  // ---- fleet failure handling ----
+  // ---- PolicyCore hooks ----
 
-  /// The machine just went down (fleet_ already reflects it). Orphans the
-  /// queue, decides the killed running job (budget shed or restart), and
-  /// re-decides every orphan against the surviving fleet.
-  void handle_fail(MachineId machine, Time now) {
-    const auto i = static_cast<std::size_t>(machine);
+  MachineId pick(JobId j, Time /*now*/, double* best_lambda_out) {
+    return options_.dispatch == DispatchMode::kIndexed
+               ? dispatch_indexed(j, best_lambda_out)
+               : dispatch_linear_scan(j, best_lambda_out);
+  }
 
-    // Pop the whole queue through pending_pop_min so the cached lambda
-    // inputs and the live list stay in sync; orphans come out in SPT order,
-    // which fixes the (deterministic) re-decision order.
-    orphans_.clear();
-    while (pend_n_[i] != 0) orphans_.push_back(pending_pop_min(i));
+  void enqueue(MachineId machine, JobId j) {
+    pending_insert(static_cast<std::size_t>(machine), make_key(machine, j));
+  }
 
-    const JobId killed = running_[i];
-    if (killed != kInvalidJob) {
-      events_.cancel(completion_event_[i]);
-      running_[i] = kInvalidJob;
-      if (fleet_.shed_killed_running() && fleet_.try_spend_budget()) {
-        rec_.mark_rejected_running(killed, now);
-        dual_.finalize(killed, store_.job(killed).release, now);
-        ++fleet_.stats.fault_rejections;
-      } else {
-        redecide(killed, now, /*was_running=*/true);
-      }
+  /// Pops the whole queue through pending_pop_min so the cached lambda
+  /// inputs and the live list stay in sync; orphans come out in SPT order.
+  void take_queue(std::size_t i, std::vector<JobId>& out) {
+    while (pend_n_[i] != 0) out.push_back(pending_pop_min(i).id);
+  }
+
+  template <class Fn>
+  void for_each_pending(Fn&& fn) const {
+    for (const std::uint32_t i : live_list_) {
+      pending_[i].for_each(
+          [&](const PendingKey& key) { fn(i, key.id, key.p); });
     }
+  }
+
+  void erase_pending(std::size_t i, JobId id, Work p) {
+    pending_erase(i, PendingKey{p, store_.job(id).release, id});
+  }
+
+  void reset_machine(std::size_t i) {
     v_counter_[i] = 0;
     c_counter_[i] = 0;
-
-    for (const PendingKey& key : orphans_) {
-      redecide(key.id, now, /*was_running=*/false);
-    }
   }
 
-  /// Re-decides one orphan: normal dispatch rule restricted to active
-  /// machines, or a forced rejection when nothing can take it. Skips the
-  /// rule counters and the dual lambda (set at arrival).
-  void redecide(JobId j, Time now, bool was_running) {
-    double lambda = 0.0;
-    const MachineId target =
-        options_.dispatch == DispatchMode::kIndexed
-            ? dispatch_indexed(j, &lambda)
-            : dispatch_linear_scan(j, &lambda);
-    if (target == kInvalidMachine) {
-      if (was_running) {
-        rec_.mark_rejected_running(j, now);
-      } else {
-        rec_.mark_rejected_pending(j, now);
-      }
-      dual_.finalize(j, store_.job(j).release, now);
-      fleet_.note_forced_rejection();
-      return;
-    }
-    rec_.mark_requeued(j, target);  // resets `started` for a killed runner
-    pending_insert(static_cast<std::size_t>(target), make_key(target, j));
-    ++fleet_.stats.redispatched;
-    if (running_[static_cast<std::size_t>(target)] == kInvalidJob) {
-      start_next(target, now);
-    }
+  /// Fault and forced rejections leave the rule counters alone but close
+  /// the job's dual record, like every other exit.
+  void on_rejected(JobId j, Time now) {
+    dual_.finalize(j, store_.job(j).release, now);
+  }
+  void on_completed(JobId j, Time now) {
+    dual_.finalize(j, store_.job(j).release, now);
   }
 
-  const Store& store_;
-  Rec& rec_;
-  EventQueue& events_;
+  /// kSpeedChange: refresh the machine's UP-rounded float divisor so the
+  /// bound sweeps stay sound under the new multiplier.
+  void on_speed_change(std::size_t i) {
+    const double s = options_.speed * fleet_.speed_multiplier(i);
+    speed_div_up_[i] = s == 1.0 ? 1.0f : float_next_up(static_cast<float>(s));
+  }
+
+  /// ε-charged shed booking: the eviction enters the dual exactly like a
+  /// Rule 2 rejection (definitive-finish extension by the victim's
+  /// estimated completion, then finalize), so sum lambda / beta stay a
+  /// valid certificate with the shed counted as a paper rejection. Unlike
+  /// reject_largest_pending this fires outside the c-counters (the budget
+  /// lives in the session, which charges it against floor(2εn) alongside
+  /// rule1_rejections + rule2_rejections).
+  void book_charged_shed(std::size_t i, JobId victim, Work p, Time now) {
+    const Time remaining_of_running =
+        running_[i] != kInvalidJob ? std::max(0.0, running_end_[i] - now) : 0.0;
+    // Estimated completion had the victim stayed: the running remainder
+    // plus everything queued with it (it is its machine's largest, so the
+    // whole queue is "ahead") plus its own processing time. No arriving
+    // trigger to exclude — the shed fires before the triggering arrival is
+    // dispatched anywhere.
+    const double sum_except = pending_[i].total_weight() - p;
+    dual_.on_rule2_rejection(victim, remaining_of_running,
+                             std::max(0.0, sum_except), p);
+    dual_.finalize(victim, store_.job(victim).release, now);
+  }
+
   RejectionFlowOptions options_;
-  bool speed_is_one_ = true;
   FlowDualAccounting dual_;
   util::SlidingVector<double> lambda_;
   util::Rng victim_rng_;
-  FleetState fleet_;
-  std::vector<PendingKey> orphans_;  ///< handle_fail scratch
 
   // ---- machine state, structure-of-arrays (indexed by machine id) ----
   std::vector<PendingQueue> pending_;
-  std::vector<JobId> running_;
-  std::vector<Time> running_end_;
-  std::vector<std::uint64_t> completion_event_;
   std::vector<std::int64_t> v_counter_;  ///< Rule 1 dispatch counters
   std::vector<std::int64_t> c_counter_;  ///< Rule 2 dispatch counters
   /// Cached lambda inputs (contiguous float32; written only for touched
@@ -1021,14 +842,12 @@ class RejectionFlowPolicy final : public SimulationHooks {
   // ---- dispatch scratch, reused across arrivals ----
   std::vector<float> lb_;
   std::vector<float> block_min_;
-  util::DispatchHeap heap_;
   float empty_coeff_margin_ = 0.0f;  ///< marginF * (1/eps + 1)
   float empty_coeff_up_ = 0.0f;      ///< (1/eps + 1) * 1.0001 (upper twin)
   float speed_up_ = 1.0f;            ///< float(speed) rounded up
   /// kSpeedChange plans only: per-machine combined divisor
   /// (options.speed * multiplier) rounded up as a float, exactly 1.0f when
   /// the combination is exactly 1 (division by 1.0f is exact).
-  bool fleet_speed_ = false;
   std::vector<float> speed_div_up_;
 
   std::int64_t rule1_threshold_ = 0;

@@ -1,6 +1,7 @@
 // Weighted-flow extension policy as a resumable, store-generic state
 // machine (see weighted_flow.hpp for the algorithm notes and the batch
-// entry point, and rejection_flow_policy.hpp for the Store/Rec contract).
+// entry point, and sim/policy_core.hpp for the Store/Rec contract and the
+// shared fleet/shed/dispatch protocol).
 //
 // Machine state is structure-of-arrays: the lambda inputs the dispatch
 // needs per machine (pending count, pending minimum processing time and
@@ -19,17 +20,10 @@
 #pragma once
 
 #include <algorithm>
-#include <limits>
 #include <set>
 
-#ifdef OSCHED_DISPATCH_VERIFY
-#include <cstdio>
-#endif
-
 #include "extensions/weighted_flow.hpp"
-#include "sim/engine.hpp"
-#include "util/check.hpp"
-#include "util/dispatch_heap.hpp"
+#include "sim/policy_core.hpp"
 
 namespace osched {
 
@@ -53,53 +47,51 @@ struct DensityKey {
 }  // namespace weighted_flow_detail
 
 template <class Store, class Rec>
-class WeightedFlowPolicy final : public SimulationHooks {
+class WeightedFlowPolicy final
+    : public PolicyCore<WeightedFlowPolicy<Store, Rec>, Store, Rec> {
   using DensityKey = weighted_flow_detail::DensityKey;
+  using Core = PolicyCore<WeightedFlowPolicy, Store, Rec>;
+  friend Core;
+  using Core::completion_event_;
+  using Core::effective_processing;
+  using Core::events_;
+  using Core::fleet_;
+  using Core::fleet_speed_;
+  using Core::rec_;
+  using Core::running_;
+  using Core::store_;
 
  public:
   WeightedFlowPolicy(const Store& store, Rec& rec, EventQueue& events,
                      const WeightedFlowOptions& options)
-      : store_(store), rec_(rec), events_(events), options_(options) {
+      : Core(store, rec, events, options.fleet), options_(options) {
     OSCHED_CHECK_GT(options.epsilon, 0.0);
     OSCHED_CHECK_LT(options.epsilon, 1.0);
     const std::size_t m = store.num_machines();
-    fleet_.init(m, options.fleet);
-    fleet_speed_ = fleet_.has_speed_events();
     pending_.resize(m);
-    running_.assign(m, kInvalidJob);
     running_weight_.assign(m, 0.0);
-    running_end_.assign(m, 0.0);
-    completion_event_.assign(m, 0);
     v_counter_.assign(m, 0.0);
     c_counter_.assign(m, 0.0);
     pend_n_.assign(m, 0.0);
     pend_min_p_.assign(m, 0.0);  // 0 = empty-queue sentinel (see
     pend_min_w_.assign(m, 0.0);  // pending_insert/pending_removed)
-    lb_.assign(m, 0.0);
-    heap_.reserve(m);
   }
 
   void on_arrival(JobId j, Time now) override {
     const Weight w = store_.job(j).weight;
 
     double best_lambda = 0.0;
-    const MachineId best =
-        options_.dispatch == DispatchMode::kIndexed
-            ? dispatch_indexed(j, &best_lambda)
-            : dispatch_linear_scan(j, &best_lambda);
+    const MachineId best = pick(j, now, &best_lambda);
     if (best == kInvalidMachine) {
       // Fleet mode: no active eligible machine — forced rejection at
       // arrival, outside the weight counters and budget accounting.
-      OSCHED_CHECK(fleet_.enabled())
-          << "job " << j << " has no eligible machine";
-      rec_.mark_rejected_pending(j, now);
-      fleet_.note_forced_rejection();
+      this->force_reject(j, now, /*was_running=*/false);
       return;
     }
 
     const auto b = static_cast<std::size_t>(best);
     rec_.mark_dispatched(j, best);
-    pending_insert(b, make_key(best, j));
+    enqueue(best, j);
 
     if (options_.enable_rule1 && running_[b] != kInvalidJob) {
       v_counter_[b] += w;
@@ -114,86 +106,12 @@ class WeightedFlowPolicy final : public SimulationHooks {
     if (running_[b] == kInvalidJob) start_next(best, now);
   }
 
-  void on_event(const SimEvent& event, Time now) override {
-    const auto i = static_cast<std::size_t>(event.machine);
-    OSCHED_CHECK_EQ(running_[i], event.job);
-    rec_.mark_completed(event.job, now);
-    running_[i] = kInvalidJob;
-    start_next(event.machine, now);
-  }
-
-  void on_fleet(const FleetEvent& event, Time now) override {
-    switch (event.kind) {
-      case FleetEventKind::kJoin:
-        fleet_.on_join(event.machine);
-        break;
-      case FleetEventKind::kDrain:
-        fleet_.on_drain(event.machine);
-        break;
-      case FleetEventKind::kFail:
-        fleet_.on_fail(event.machine);
-        handle_fail(event.machine, now);
-        break;
-      case FleetEventKind::kSpeedChange:
-        // Scales jobs STARTED from now on (start_next re-resolves the
-        // duration); pending keys keep their dispatch-time effective p so
-        // queue order never shifts under a live queue.
-        fleet_.on_speed_change(event.machine, event.speed);
-        break;
-    }
-  }
-
-  /// Overload shed (see SimulationHooks): rejects the lowest-value pending
-  /// job — smallest weight, ties to largest queued p, then largest id —
-  /// across every machine. Outside the weight counters and
-  /// rejected_weight_ (that total is the 2*eps*W budget accounting); the
-  /// caller accounts the shed.
-  JobId on_shed(Time now) override {
-    std::size_t victim_machine = 0;
-    const DensityKey* victim = nullptr;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      for (const DensityKey& key : pending_[i]) {
-        if (victim == nullptr || key.w < victim->w ||
-            (key.w == victim->w &&
-             (key.p > victim->p ||
-              (key.p == victim->p && key.id > victim->id)))) {
-          victim = &key;
-          victim_machine = i;
-        }
-      }
-    }
-    if (victim == nullptr) return kInvalidJob;
-    const DensityKey key = *victim;
-    pending_[victim_machine].erase(key);
-    pending_removed(victim_machine);
-    rec_.mark_rejected_pending(key.id, now);
-    return key.id;
-  }
-
   /// ε-charged shed (see SimulationHooks): the Rule-2-style victim — the
   /// globally largest queued effective processing time, ties to the largest
   /// id — matching Theorem 1's charged rule. The weighted extension keeps
   /// no dual ledger, so there is nothing further to book; the session
   /// charges the shed against the derived budget next to the rule counters.
-  JobId on_shed_charged(Time now) override {
-    std::size_t victim_machine = 0;
-    const DensityKey* victim = nullptr;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      for (const DensityKey& key : pending_[i]) {
-        if (victim == nullptr || key.p > victim->p ||
-            (key.p == victim->p && key.id > victim->id)) {
-          victim = &key;
-          victim_machine = i;
-        }
-      }
-    }
-    if (victim == nullptr) return kInvalidJob;
-    const DensityKey key = *victim;
-    pending_[victim_machine].erase(key);
-    pending_removed(victim_machine);
-    rec_.mark_rejected_pending(key.id, now);
-    return key.id;
-  }
+  JobId on_shed_charged(Time now) override { return this->shed_largest(now); }
 
   std::size_t charged_rejections() const override {
     return rule1_rejections_ + rule2_rejections_;
@@ -205,20 +123,11 @@ class WeightedFlowPolicy final : public SimulationHooks {
   std::size_t rule1_rejections() const { return rule1_rejections_; }
   std::size_t rule2_rejections() const { return rule2_rejections_; }
   Weight rejected_weight() const { return rejected_weight_; }
-  const FleetStats& fleet_stats() const { return fleet_.stats; }
 
  private:
-  /// p_ij scaled by the machine's CURRENT speed multiplier (kSpeedChange
-  /// plans); the speed-free path returns the raw value untouched.
-  Work effective_processing(MachineId i, JobId j) const {
-    const Work p = store_.processing_unchecked(i, j);
-    if (!fleet_speed_) return p;
-    const double s = fleet_.speed_multiplier(static_cast<std::size_t>(i));
-    return s == 1.0 ? p : p / s;
-  }
-
-  DensityKey make_key(MachineId i, JobId j) const {
-    const Work p = effective_processing(i, j);
+  /// `p` is the dispatch-time effective processing time on the owning
+  /// machine (a speed change never re-keys a live queue).
+  DensityKey make_key(JobId j, Work p) const {
     const Job& job = store_.job(j);
     return DensityKey{job.weight / p, job.release, j, p, job.weight};
   }
@@ -227,7 +136,7 @@ class WeightedFlowPolicy final : public SimulationHooks {
   /// over the density order with j virtually inserted, running job excluded.
   double lambda_ij(MachineId i, JobId j) const {
     const auto& pending = pending_[static_cast<std::size_t>(i)];
-    const DensityKey key = make_key(i, j);
+    const DensityKey key = make_key(j, effective_processing(i, j));
     double work_before = 0.0;
     double weight_after = 0.0;
     for (const DensityKey& other : pending) {
@@ -241,23 +150,6 @@ class WeightedFlowPolicy final : public SimulationHooks {
            key.p * weight_after;
   }
 
-  /// Reference dispatch: exact lambda for every eligible machine, ascending
-  /// machine id, strict-less keeps the first (= smallest id on ties).
-  MachineId dispatch_linear_scan(JobId j, double* best_lambda_out) const {
-    double best_lambda = std::numeric_limits<double>::infinity();
-    MachineId best = kInvalidMachine;
-    for (const MachineId machine : store_.eligible_machines(j)) {
-      if (!fleet_.active(static_cast<std::size_t>(machine))) continue;
-      const double lambda = lambda_ij(machine, j);
-      if (lambda < best_lambda) {
-        best_lambda = lambda;
-        best = machine;
-      }
-    }
-    *best_lambda_out = best_lambda;
-    return best;
-  }
-
   /// Sound lower bound on lambda_ij from the cached per-machine aggregates
   /// (see the header comment for the derivation).
   double lambda_lower_bound(Work p, Weight w, std::size_t i) const {
@@ -267,85 +159,57 @@ class WeightedFlowPolicy final : public SimulationHooks {
            (w * p / options_.epsilon + w * p + queue_term);
   }
 
-  /// Indexed dispatch: bounds for every eligible machine, best-first exact
-  /// evaluation until the next bound exceeds the incumbent. Returns the
-  /// same (lambda, machine) as dispatch_linear_scan, bit for bit.
-  MachineId dispatch_indexed(JobId j, double* best_lambda_out) {
-    const auto eligible = store_.eligible_machines(j);
-    const std::size_t count = eligible.size();
-    OSCHED_CHECK(count > 0) << "job " << j << " has no eligible machine";
+  // ---- PolicyCore hooks ----
+
+  /// Argmin lambda_ij over the active eligible machines: the exact
+  /// reference scan, or best-first over the cached-aggregate bounds. Under
+  /// a speed multiplier the bound's candidate p is the SAME effective value
+  /// the exact lambda uses (make_key performs the identical division), so
+  /// no extra rounding slack is needed.
+  MachineId pick(JobId j, Time /*now*/, double* best_lambda_out) {
+    const auto exact = [&](MachineId i) { return lambda_ij(i, j); };
+    if (options_.dispatch == DispatchMode::kLinearScan) {
+      return this->linear_argmin(j, exact, best_lambda_out);
+    }
     const Work* row = store_.processing_row(j);
     const Weight w = store_.job(j).weight;
-
-    std::size_t seed_k = 0;
-    double seed_lb = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto i = static_cast<std::size_t>(eligible.first[k]);
-      if (!fleet_.active(i)) {
-        lb_[k] = std::numeric_limits<double>::infinity();
-        continue;
-      }
-      // Under a speed multiplier the bound's candidate p must be the SAME
-      // effective value the exact lambda uses (make_key performs the
-      // identical division), so no extra rounding slack is needed.
+    const auto bound = [&](std::size_t i) {
       const double s = fleet_speed_ ? fleet_.speed_multiplier(i) : 1.0;
-      lb_[k] = lambda_lower_bound(s == 1.0 ? row[i] : row[i] / s, w, i);
-      if (lb_[k] < seed_lb) {
-        seed_lb = lb_[k];
-        seed_k = k;
-      }
-    }
+      return lambda_lower_bound(s == 1.0 ? row[i] : row[i] / s, w, i);
+    };
+    return this->best_first_argmin(j, bound, exact, best_lambda_out);
+  }
 
-    const MachineId seed_machine = eligible.first[seed_k];
-    if (!fleet_.active(static_cast<std::size_t>(seed_machine))) {
-      // Every eligible machine is masked: the reference scan settles it
-      // (returns kInvalidMachine, the caller force-rejects).
-      return dispatch_linear_scan(j, best_lambda_out);
-    }
-    double best_lambda = lambda_ij(seed_machine, j);
-    MachineId best_machine = seed_machine;
+  void enqueue(MachineId machine, JobId j) {
+    pending_insert(static_cast<std::size_t>(machine),
+                   make_key(j, effective_processing(machine, j)));
+  }
 
-    heap_.reset();
-    for (std::size_t k = 0; k < count; ++k) {
-      if (k == seed_k || lb_[k] > best_lambda) continue;
-      heap_.push(lb_[k], static_cast<std::uint32_t>(eligible.first[k]));
+  void take_queue(std::size_t i, std::vector<JobId>& out) {
+    for (const DensityKey& key : pending_[i]) out.push_back(key.id);
+    pending_[i].clear();
+    pend_n_[i] = 0.0;
+    pend_min_p_[i] = 0.0;  // empty-queue sentinel
+    pend_min_w_[i] = 0.0;
+  }
+
+  template <class Fn>
+  void for_each_pending(Fn&& fn) const {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      for (const DensityKey& key : pending_[i]) fn(i, key.id, key.p);
     }
-    while (!heap_.empty()) {
-      const auto entry = heap_.pop_min();
-      if (entry.key > best_lambda) break;
-      const auto machine = static_cast<MachineId>(entry.id);
-      const double lambda = lambda_ij(machine, j);
-      if (lambda < best_lambda ||
-          (lambda == best_lambda && machine < best_machine)) {
-        best_lambda = lambda;
-        best_machine = machine;
-      }
-    }
-#ifdef OSCHED_DISPATCH_VERIFY
-    {
-      double ref_lambda = 0.0;
-      const MachineId ref = dispatch_linear_scan(j, &ref_lambda);
-      if (ref != best_machine || ref_lambda != best_lambda) {
-        std::fprintf(stderr,
-                     "VERIFY FAIL job %d: indexed (m=%d, l=%.17g) ref (m=%d, "
-                     "l=%.17g)\n",
-                     j, best_machine, best_lambda, ref, ref_lambda);
-        for (const MachineId mm : {best_machine, ref}) {
-          const auto ii = static_cast<std::size_t>(mm);
-          std::fprintf(stderr,
-                       "  machine %d: lambda=%.17g lb=%.17g n=%g pmin_p=%.17g "
-                       "pmin_w=%.17g p=%.17g w=%.17g pend=%zu\n",
-                       mm, lambda_ij(mm, j),
-                       lambda_lower_bound(store_.processing_unchecked(mm, j), w, ii),
-                       pend_n_[ii], pend_min_p_[ii], pend_min_w_[ii],
-                       store_.processing_unchecked(mm, j), w,
-                       pending_[ii].size());
-        }
-      }
-    }
-#endif
-    *best_lambda_out = best_lambda;
-    return best_machine;
+  }
+
+  void erase_pending(std::size_t i, JobId id, Work p) {
+    OSCHED_CHECK(pending_[i].erase(make_key(id, p)) == 1);
+    pending_removed(i);
+  }
+
+  /// Fault sheds stay OUT of rejected_weight_: that total is the policy's
+  /// 2*eps*W budget accounting; FleetStats holds the fault counts.
+  void reset_machine(std::size_t i) {
+    v_counter_[i] = 0.0;
+    c_counter_[i] = 0.0;
   }
 
   // ---- pending mutations keep the cached lambda inputs in sync. The min
@@ -383,21 +247,9 @@ class WeightedFlowPolicy final : public SimulationHooks {
     const DensityKey key = *pending_[i].begin();
     pending_[i].erase(pending_[i].begin());
     pending_removed(i);
-    running_[i] = key.id;
     running_weight_[i] = key.w;
-    if (!fleet_speed_) {
-      running_end_[i] = now + key.p;
-      rec_.mark_started(key.id, now, 1.0);
-    } else {
-      // Start-time speed governs the run; the key's dispatch-time p only
-      // fixed the queue position (see on_fleet).
-      const double s = fleet_.speed_multiplier(i);
-      const Work p = store_.processing_unchecked(machine, key.id);
-      running_end_[i] = now + (s == 1.0 ? p : p / s);
-      rec_.mark_started(key.id, now, s);
-    }
     v_counter_[i] = 0.0;
-    completion_event_[i] = events_.schedule(running_end_[i], machine, key.id);
+    this->start_job(machine, key.id, key.p, now);
   }
 
   void reject_running(MachineId machine, Time now) {
@@ -433,86 +285,17 @@ class WeightedFlowPolicy final : public SimulationHooks {
     ++rule2_rejections_;
   }
 
-  // ---- fleet failure handling (fault sheds stay OUT of rejected_weight_:
-  // that total is the policy's 2*eps*W budget accounting; FleetStats holds
-  // the fault counts) ----
-
-  void handle_fail(MachineId machine, Time now) {
-    const auto i = static_cast<std::size_t>(machine);
-
-    orphans_.assign(pending_[i].begin(), pending_[i].end());  // density order
-    pending_[i].clear();
-    pend_n_[i] = 0.0;
-    pend_min_p_[i] = 0.0;  // empty-queue sentinel
-    pend_min_w_[i] = 0.0;
-
-    const JobId killed = running_[i];
-    if (killed != kInvalidJob) {
-      events_.cancel(completion_event_[i]);
-      running_[i] = kInvalidJob;
-      if (fleet_.shed_killed_running() && fleet_.try_spend_budget()) {
-        rec_.mark_rejected_running(killed, now);
-        ++fleet_.stats.fault_rejections;
-      } else {
-        redecide(killed, now, /*was_running=*/true);
-      }
-    }
-    v_counter_[i] = 0.0;
-    c_counter_[i] = 0.0;
-
-    for (const DensityKey& key : orphans_) {
-      redecide(key.id, now, /*was_running=*/false);
-    }
-  }
-
-  /// Re-decides one orphan: normal dispatch restricted to active machines,
-  /// or a forced rejection. Skips the weight counters.
-  void redecide(JobId j, Time now, bool was_running) {
-    double lambda = 0.0;
-    const MachineId target =
-        options_.dispatch == DispatchMode::kIndexed
-            ? dispatch_indexed(j, &lambda)
-            : dispatch_linear_scan(j, &lambda);
-    if (target == kInvalidMachine) {
-      if (was_running) {
-        rec_.mark_rejected_running(j, now);
-      } else {
-        rec_.mark_rejected_pending(j, now);
-      }
-      fleet_.note_forced_rejection();
-      return;
-    }
-    rec_.mark_requeued(j, target);  // resets `started` for a killed runner
-    const auto b = static_cast<std::size_t>(target);
-    pending_insert(b, make_key(target, j));
-    ++fleet_.stats.redispatched;
-    if (running_[b] == kInvalidJob) start_next(target, now);
-  }
-
-  const Store& store_;
-  Rec& rec_;
-  EventQueue& events_;
   WeightedFlowOptions options_;
 
   // ---- machine state, structure-of-arrays (indexed by machine id) ----
   std::vector<std::set<DensityKey>> pending_;
-  std::vector<JobId> running_;
   std::vector<Weight> running_weight_;
-  std::vector<Time> running_end_;
-  std::vector<std::uint64_t> completion_event_;
   std::vector<Weight> v_counter_;  ///< Rule 1w weight counters
   std::vector<Weight> c_counter_;  ///< Rule 2w weight counters
   /// Cached lambda inputs (written only for touched machines).
   std::vector<double> pend_n_;
   std::vector<double> pend_min_p_;
   std::vector<double> pend_min_w_;
-
-  // ---- dispatch scratch, reused across arrivals ----
-  std::vector<double> lb_;
-  util::DispatchHeap heap_;
-  FleetState fleet_;
-  bool fleet_speed_ = false;  ///< the plan scripts kSpeedChange events
-  std::vector<DensityKey> orphans_;  ///< handle_fail scratch
 
   std::size_t rule1_rejections_ = 0;
   std::size_t rule2_rejections_ = 0;

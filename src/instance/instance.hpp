@@ -209,22 +209,13 @@ class Instance {
 
   /// Machine-id width of the order table in bits: 16 (m < 65536), 32
   /// (m >= 65536), or 0 when no table exists (generator backend, empty
-  /// instances). Surfaced through api::RunSummary::dispatch_order_width so
+  /// instances) — then dispatch runs the O(m) shadow-row scan instead of
+  /// the indexed idle-machine walk. Surfaced through api::RunSummary::dispatch_order_width so
   /// perf baselines are attributable to the code path that produced them.
   int dispatch_order_width() const {
     if (!p_order_.empty()) return 16;
     if (!p_order32_.empty()) return 32;
     return 0;
-  }
-
-  /// Whether a (p, id) order table exists at either width, i.e. whether
-  /// dispatch runs the indexed idle-machine walk rather than the O(m)
-  /// shadow-row scan. False only for generator instances (the streaming /
-  /// on-demand stores take the order-less sub-path by design) and empty
-  /// instances. Surfaced through api::RunSummary::dispatch_index_active so
-  /// the chosen path is attributable from results alone.
-  bool dispatch_index_active() const {
-    return !p_order_.empty() || !p_order32_.empty();
   }
 
   bool eligible(MachineId i, JobId j) const {

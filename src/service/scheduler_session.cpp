@@ -287,9 +287,9 @@ class SchedulerSession::Impl {
 
     api::RunSummary summary;
     summary.algorithm = algorithm_;
-    // Streamed stores keep no order table, so dispatch_index_active /
-    // dispatch_order_width stay at their defaults (false / 0); the SIMD
-    // tier applies to the streamed dispatch kernels all the same.
+    // Streamed stores keep no order table, so dispatch_order_width stays
+    // at its default 0; the SIMD tier applies to the streamed dispatch
+    // kernels all the same.
     summary.dispatch_simd_tier = util::active_simd_tier();
     host_->finalize(summary);
 

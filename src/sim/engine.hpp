@@ -32,8 +32,9 @@ class SimulationHooks {
 
   /// A fleet-membership change fires (see sim/fleet.hpp). The default
   /// aborts: hooks only receive these when driven with a non-empty
-  /// FleetPlan, and every shipped policy overrides this. A kFail may
-  /// re-dispatch or reject orphaned jobs synchronously.
+  /// FleetPlan, and every shipped policy handles them through PolicyCore
+  /// (sim/policy_core.hpp). A kFail may re-dispatch or reject orphaned jobs
+  /// synchronously.
   virtual void on_fleet(const FleetEvent& event, Time now) {
     (void)now;
     OSCHED_CHECK(false) << "policy does not handle fleet event "

@@ -122,14 +122,16 @@ enum class MachineAvail : std::uint8_t { kActive = 0, kDraining = 1, kDown = 2 }
 /// Per-policy fleet bookkeeping: availability array, the inactive-machine
 /// list the dispatch paths use to mask candidates out of the float-shadow
 /// sweep (O(#inactive) overwrites, zero cost while the fleet is whole), and
-/// the budget/stat counters. Policies own one FleetState and keep it in
-/// sync from their on_fleet handler; every query is branch-cheap and, when
-/// the plan is empty, `active()` is a single constant-true short-circuit so
-/// fleet support never taxes the static-fleet hot paths.
+/// the budget/stat counters. Every policy owns one through PolicyCore
+/// (sim/policy_core.hpp), whose on_fleet feeds it via apply(). Every query
+/// is branch-cheap and, when the plan is empty, `active()` is a single
+/// constant-true short-circuit so fleet support never taxes the
+/// static-fleet hot paths.
 class FleetState {
  public:
   void init(std::size_t num_machines, const FleetPlan& plan) {
     enabled_ = !plan.empty();
+    num_machines_ = num_machines;
     budget_left_ = plan.rejection_budget;
     shed_killed_running_ = plan.shed_killed_running;
     if (!enabled_) return;
@@ -159,9 +161,9 @@ class FleetState {
   bool active(std::size_t i) const {
     return !enabled_ || avail_[i] == MachineAvail::kActive;
   }
-  bool all_active() const { return !enabled_ || inactive_list_.empty(); }
+  /// Machines currently kActive (every machine without a plan).
   std::size_t num_active() const {
-    return !enabled_ ? avail_.size() : avail_.size() - inactive_list_.size();
+    return num_machines_ - inactive_list_.size();
   }
   /// Machines currently kDraining or kDown (the dispatch mask).
   const std::vector<std::uint32_t>& inactive_list() const {
@@ -184,56 +186,38 @@ class FleetState {
     return scaled_list_;
   }
 
-  void on_speed_change(MachineId machine, double multiplier) {
-    const auto i = checked(machine);
-    OSCHED_CHECK(speed_enabled_) << "speed change without a speed plan";
-    OSCHED_CHECK(multiplier > 0.0 &&
-                 multiplier <= std::numeric_limits<double>::max())
-        << "machine " << machine << " speed multiplier " << multiplier
-        << " invalid";
-    const bool was_scaled = mult_[i] != 1.0;
-    mult_[i] = multiplier;
-    const bool is_scaled = multiplier != 1.0;
-    if (is_scaled && !was_scaled) scaled_add(i);
-    if (!is_scaled && was_scaled) scaled_remove(i);
-    ++stats.speed_changes;
-    if (multiplier < 1.0) {
-      ++stats.throttles;
-    } else {
-      ++stats.recoveries;
+  /// Applies one plan event to the availability/speed state and counts it
+  /// in `stats`. Returns true for a kFail: the policy must then orphan the
+  /// machine's queue and decide its running job.
+  bool apply(const FleetEvent& event) {
+    const std::size_t i = checked(event.machine);
+    switch (event.kind) {
+      case FleetEventKind::kJoin:
+        OSCHED_CHECK(avail_[i] != MachineAvail::kActive)
+            << "machine " << event.machine << " joined while active";
+        avail_[i] = MachineAvail::kActive;
+        inactive_remove(i);
+        ++stats.joins;
+        return false;
+      case FleetEventKind::kDrain:
+        OSCHED_CHECK(avail_[i] == MachineAvail::kActive)
+            << "machine " << event.machine << " drained while not active";
+        avail_[i] = MachineAvail::kDraining;
+        inactive_add(i);
+        ++stats.drains;
+        return false;
+      case FleetEventKind::kFail:
+        OSCHED_CHECK(avail_[i] != MachineAvail::kDown)
+            << "machine " << event.machine << " failed while already down";
+        if (avail_[i] == MachineAvail::kActive) inactive_add(i);
+        avail_[i] = MachineAvail::kDown;
+        ++stats.fails;
+        return true;
+      case FleetEventKind::kSpeedChange:
+        set_speed(i, event.speed);
+        return false;
     }
-    if (multiplier < stats.min_speed_multiplier) {
-      stats.min_speed_multiplier = multiplier;
-    }
-  }
-
-  void on_join(MachineId machine) {
-    const auto i = checked(machine);
-    OSCHED_CHECK(avail_[i] != MachineAvail::kActive)
-        << "machine " << machine << " joined while active";
-    avail_[i] = MachineAvail::kActive;
-    inactive_remove(i);
-    ++stats.joins;
-  }
-
-  void on_drain(MachineId machine) {
-    const auto i = checked(machine);
-    OSCHED_CHECK(avail_[i] == MachineAvail::kActive)
-        << "machine " << machine << " drained while not active";
-    avail_[i] = MachineAvail::kDraining;
-    inactive_add(i);
-    ++stats.drains;
-  }
-
-  /// Marks the machine down; the policy clears its queue/running state and
-  /// re-decides the orphans.
-  void on_fail(MachineId machine) {
-    const auto i = checked(machine);
-    OSCHED_CHECK(avail_[i] != MachineAvail::kDown)
-        << "machine " << machine << " failed while already down";
-    if (avail_[i] == MachineAvail::kActive) inactive_add(i);
-    avail_[i] = MachineAvail::kDown;
-    ++stats.fails;
+    return false;
   }
 
   /// Consumes one budget unit if any remains.
@@ -263,6 +247,28 @@ class FleetState {
     return static_cast<std::size_t>(machine);
   }
 
+  void set_speed(std::size_t i, double multiplier) {
+    OSCHED_CHECK(speed_enabled_) << "speed change without a speed plan";
+    OSCHED_CHECK(multiplier > 0.0 &&
+                 multiplier <= std::numeric_limits<double>::max())
+        << "machine " << i << " speed multiplier " << multiplier
+        << " invalid";
+    const bool was_scaled = mult_[i] != 1.0;
+    mult_[i] = multiplier;
+    const bool is_scaled = multiplier != 1.0;
+    if (is_scaled && !was_scaled) scaled_add(i);
+    if (!is_scaled && was_scaled) scaled_remove(i);
+    ++stats.speed_changes;
+    if (multiplier < 1.0) {
+      ++stats.throttles;
+    } else {
+      ++stats.recoveries;
+    }
+    if (multiplier < stats.min_speed_multiplier) {
+      stats.min_speed_multiplier = multiplier;
+    }
+  }
+
   // Swap-remove list with a position map, the same shape as the policies'
   // live-machine list; order never affects outcomes (it only masks).
   void inactive_add(std::size_t i) {
@@ -290,6 +296,7 @@ class FleetState {
     scaled_pos_[i] = 0;
   }
 
+  std::size_t num_machines_ = 0;
   bool enabled_ = false;
   bool speed_enabled_ = false;
   bool shed_killed_running_ = true;

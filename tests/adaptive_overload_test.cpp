@@ -250,6 +250,47 @@ TEST(AdaptiveOverload, EpsilonChargedBudgetAndVictimFollowThePaper) {
   EXPECT_EQ(oracle_summary.schedule.record(1).rejection_time, 1.0);
 }
 
+TEST(AdaptiveOverload, EpsilonChargedVictimForTheWeightedExtension) {
+  // The weighted extension's charged victim is Theorem 1's rule: the
+  // globally largest queued p, ties to the largest id. ε = 0.2 and one
+  // machine, cap 3: arrivals 4 and 5 may each charge one shed
+  // (floor(2·0.2·k)), arrival 6 finds the allowance spent. The weights keep
+  // Rule 1w (arrival weight during j0's run ≤ w0/ε = 5) and Rule 2w
+  // (dispatched weight below 5 × the largest-p job's weight) silent, so
+  // every charged rejection in this feed is a shed.
+  service::SessionOptions charged;
+  charged.run.epsilon = 0.2;
+  charged.live_window_cap = 3;
+  charged.shed_policy = service::ShedPolicy::kEpsilonCharged;
+  service::SchedulerSession session(api::Algorithm::kWeightedExt, 1, charged);
+
+  session.submit(stream_job(0.0, 1.0, {10.0}));  // j0: running
+  session.submit(stream_job(0.0, 1.0, {2.0}));   // j1: lightest pending
+  session.submit(stream_job(0.0, 1.2, {4.0}));   // j2: largest pending p
+  EXPECT_EQ(session.try_submit(stream_job(1.0, 1.0, {2.0})),  // j3
+            service::SubmitOutcome::kAccepted);
+  EXPECT_EQ(session.num_shed(), 1u);  // victim: j2 (p = 4), not light j1
+  EXPECT_EQ(session.try_submit(stream_job(2.0, 0.5, {1.0})),  // j4
+            service::SubmitOutcome::kAccepted);
+  EXPECT_EQ(session.num_shed(), 2u);  // victim: j3 (p tie with j1, larger id)
+  EXPECT_EQ(session.try_submit(stream_job(3.0, 0.5, {1.0})),
+            service::SubmitOutcome::kBackpressure);
+  EXPECT_EQ(session.num_shed(), 2u);
+
+  const api::RunSummary summary = session.drain();
+  EXPECT_EQ(summary.rule1_rejections, 0u);
+  EXPECT_EQ(summary.rule2_rejections, 0u);
+  EXPECT_EQ(summary.report.num_completed, 3u);
+  EXPECT_EQ(summary.report.num_rejected, 2u);
+  EXPECT_EQ(summary.schedule.record(2).fate, JobFate::kRejectedPending);
+  EXPECT_EQ(summary.schedule.record(2).rejection_time, 1.0);
+  EXPECT_EQ(summary.schedule.record(3).fate, JobFate::kRejectedPending);
+  EXPECT_EQ(summary.schedule.record(3).rejection_time, 2.0);
+  EXPECT_TRUE(summary.schedule.record(1).completed());
+  EXPECT_EQ(summary.schedule.record(1).end, 12.0);  // density tie: release
+  EXPECT_EQ(summary.schedule.record(4).end, 13.0);
+}
+
 // Drives `instance` through a session one try_submit at a time (refused
 // jobs are dropped, as a shedding frontend would), advancing the clock at
 // chunk boundaries, and reports everything the overload path decides.

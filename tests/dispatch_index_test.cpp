@@ -228,7 +228,6 @@ TEST(DispatchIndex, OrderTableWidensAtTheUint16IdCeiling) {
     const Instance instance =
         Instance::from_sparse_rows(std::move(jobs), m, std::move(rows));
     const int expect_width = m < 65536 ? 16 : 32;
-    EXPECT_TRUE(instance.dispatch_index_active()) << "m=" << m;
     EXPECT_EQ(instance.dispatch_order_width(), expect_width) << "m=" << m;
     // Exactly one of the width-specific rows exists.
     EXPECT_EQ(instance.p_order_row(0) != nullptr, expect_width == 16)
@@ -246,10 +245,9 @@ TEST(DispatchIndex, OrderTableWidensAtTheUint16IdCeiling) {
     const RejectionFlowResult b = run_rejection_flow(instance, linear);
     expect_same_schedule(a.schedule, b.schedule, "m=" + std::to_string(m));
 
-    // And the facade surfaces activity, width, and a sane SIMD tier.
+    // And the facade surfaces the width and a sane SIMD tier.
     const api::RunSummary summary =
         api::run(api::Algorithm::kTheorem1, instance);
-    EXPECT_TRUE(summary.dispatch_index_active) << "m=" << m;
     EXPECT_EQ(summary.dispatch_order_width, expect_width) << "m=" << m;
     EXPECT_TRUE(util::simd_tier_supported(summary.dispatch_simd_tier))
         << "m=" << m;

@@ -228,40 +228,79 @@ TEST(FleetPlan, ValidateAcceptsRandomSpeedPlansAndCatchesMutations) {
   }
 }
 
-TEST(FleetSemantics, FailRestartsTheKilledRunningJobElsewhere) {
-  // One job, running on the faster machine when it fails mid-execution.
-  // Non-preemptive: the 5 time units of progress are lost; with no shed
-  // budget the job must restart from scratch on the survivor.
-  const Instance instance = two_machine_instance({{0.0, 10.0, 20.0}});
-  ListSchedulerOptions options;  // greedy-spt: picks machine 0 (10 < 20)
-  options.fleet.events = {{5.0, 0, FleetEventKind::kFail}};
-  FleetStats stats;
-  const Schedule schedule = run_list_scheduler(instance, options, &stats);
+TEST(FleetState, NumActiveCountsEveryMachineWithOrWithoutAPlan) {
+  FleetState no_plan;
+  no_plan.init(4, FleetPlan{});
+  EXPECT_FALSE(no_plan.enabled());
+  EXPECT_EQ(no_plan.num_active(), 4u);
 
-  const JobRecord& rec = schedule.record(0);
-  EXPECT_TRUE(rec.completed());
-  EXPECT_EQ(rec.machine, 1);
-  EXPECT_EQ(rec.start, 5.0);   // restarted the instant the fail hit
-  EXPECT_EQ(rec.end, 25.0);    // full p_1j = 20 from scratch
-  EXPECT_EQ(stats.fails, 1u);
-  EXPECT_EQ(stats.redispatched, 1u);
-  EXPECT_EQ(stats.fault_rejections, 0u);
+  FleetPlan plan;
+  plan.initially_down = {2};
+  FleetState fleet;
+  fleet.init(4, plan);
+  EXPECT_TRUE(fleet.enabled());
+  EXPECT_EQ(fleet.num_active(), 3u);
+  EXPECT_FALSE(fleet.active(2));
+
+  // apply() reports exactly the fails (the events that orphan work).
+  EXPECT_FALSE(fleet.apply({1.0, 2, FleetEventKind::kJoin}));
+  EXPECT_EQ(fleet.num_active(), 4u);
+  EXPECT_TRUE(fleet.apply({2.0, 0, FleetEventKind::kFail}));
+  EXPECT_FALSE(fleet.apply({3.0, 1, FleetEventKind::kDrain}));
+  EXPECT_EQ(fleet.num_active(), 2u);
+  EXPECT_EQ(fleet.stats.joins, 1u);
+  EXPECT_EQ(fleet.stats.fails, 1u);
+  EXPECT_EQ(fleet.stats.drains, 1u);
+}
+
+TEST(FleetSemantics, FailRestartsTheKilledRunningJobElsewhere) {
+  // One job, running on machine 0 (the faster one, and the first of two
+  // idle ones) when it fails mid-execution. Non-preemptive: the 5 time
+  // units of progress are lost; with no shed budget every policy must
+  // restart the job from scratch on the survivor.
+  const Instance instance = two_machine_instance({{0.0, 10.0, 20.0}});
+  for (const api::Algorithm algorithm : kFleetCapable) {
+    const std::string name = api::to_string(algorithm);
+    api::RunOptions options;
+    options.fleet.events = {{5.0, 0, FleetEventKind::kFail}};
+    const api::RunSummary summary = api::run(algorithm, instance, options);
+
+    const JobRecord& rec = summary.schedule.record(0);
+    EXPECT_TRUE(rec.completed()) << name;
+    EXPECT_EQ(rec.machine, 1) << name;
+    EXPECT_EQ(rec.start, 5.0) << name;  // restarted the instant the fail hit
+    // The full p_1j = 20 from scratch at the start-time speed: 1 for every
+    // policy but Theorem 2, whose speed scales with the pending weight.
+    EXPECT_EQ(rec.end, 5.0 + 20.0 / rec.speed) << name;
+    if (algorithm != api::Algorithm::kTheorem2) {
+      EXPECT_EQ(rec.end, 25.0) << name;
+    }
+    EXPECT_EQ(summary.fleet.fails, 1u) << name;
+    EXPECT_EQ(summary.fleet.redispatched, 1u) << name;
+    EXPECT_EQ(summary.fleet.fault_rejections, 0u) << name;
+    EXPECT_EQ(summary.fleet.budget_spent, 0u) << name;
+  }
 }
 
 TEST(FleetSemantics, BudgetShedsTheKilledRunningJobInstead) {
   const Instance instance = two_machine_instance({{0.0, 10.0, 20.0}});
-  ListSchedulerOptions options;
-  options.fleet.events = {{5.0, 0, FleetEventKind::kFail}};
-  options.fleet.rejection_budget = 1;  // shed_killed_running defaults on
-  FleetStats stats;
-  const Schedule schedule = run_list_scheduler(instance, options, &stats);
+  for (const api::Algorithm algorithm : kFleetCapable) {
+    const std::string name = api::to_string(algorithm);
+    api::RunOptions options;
+    options.fleet.events = {{5.0, 0, FleetEventKind::kFail}};
+    options.fleet.rejection_budget = 1;  // shed_killed_running defaults on
+    const api::RunSummary summary = api::run(algorithm, instance, options);
 
-  const JobRecord& rec = schedule.record(0);
-  EXPECT_EQ(rec.fate, JobFate::kRejectedRunning);
-  EXPECT_EQ(rec.rejection_time, 5.0);
-  EXPECT_EQ(stats.fault_rejections, 1u);
-  EXPECT_EQ(stats.budget_spent, 1u);
-  EXPECT_EQ(stats.redispatched, 0u);
+    const JobRecord& rec = summary.schedule.record(0);
+    EXPECT_EQ(rec.fate, JobFate::kRejectedRunning) << name;
+    EXPECT_EQ(rec.rejection_time, 5.0) << name;
+    EXPECT_EQ(rec.machine, 0) << name;
+    EXPECT_EQ(summary.fleet.fails, 1u) << name;
+    EXPECT_EQ(summary.fleet.fault_rejections, 1u) << name;
+    EXPECT_EQ(summary.fleet.forced_rejections, 0u) << name;
+    EXPECT_EQ(summary.fleet.budget_spent, 1u) << name;
+    EXPECT_EQ(summary.fleet.redispatched, 0u) << name;
+  }
 }
 
 TEST(FleetSemantics, TotalFleetLossForceRejectsButNeverDeadlocks) {

@@ -118,41 +118,61 @@ TEST(Overload, PlainSubmitAbortsAtSaturation) {
 }
 
 TEST(Overload, ShedEvictsLowestWeightLargestProcessingLargestId) {
-  // Cap 3, budget 2, one machine. j0 runs [0, 10); j1 (w=1, p=2) and
+  // Cap 3, budget 2, one machine. j0 runs from t = 0; j1 (w=1, p=2) and
   // j2 (w=1, p=4) queue behind it. The heavy arrivals at t=1 and t=2 each
   // force one shed: first j2 (weight tie with j1, larger queued p), then
-  // j1. The third heavy arrival finds the budget spent: backpressure.
-  service::SessionOptions options;
-  options.live_window_cap = 3;
-  options.shed_budget = 2;
-  service::SchedulerSession session(api::Algorithm::kGreedySpt, 1, options);
+  // j1. The third heavy arrival finds the budget spent: backpressure. The
+  // victim rule is shared by every policy; ε = 0.05 keeps each policy's
+  // own rejection rules (Rule 1/2, Theorem 2's weight counter, the
+  // immediate-rejection budget) silent on these five arrivals.
+  for (const api::Algorithm algorithm : kStreamable) {
+    const std::string name = api::to_string(algorithm);
+    service::SessionOptions options;
+    options.run.epsilon = 0.05;
+    options.live_window_cap = 3;
+    options.shed_budget = 2;
+    service::SchedulerSession session(algorithm, 1, options);
 
-  session.submit(stream_job(0.0, 5.0, {10.0}));  // j0: running
-  session.submit(stream_job(0.0, 1.0, {2.0}));   // j1
-  session.submit(stream_job(0.0, 1.0, {4.0}));   // j2
-  EXPECT_EQ(session.live_jobs(), 3u);
+    session.submit(stream_job(0.0, 5.0, {10.0}));  // j0: running
+    session.submit(stream_job(0.0, 1.0, {2.0}));   // j1
+    session.submit(stream_job(0.0, 1.0, {4.0}));   // j2
+    EXPECT_EQ(session.live_jobs(), 3u) << name;
 
-  EXPECT_EQ(session.try_submit(stream_job(1.0, 9.0, {1.0})),  // j3
-            service::SubmitOutcome::kAccepted);
-  EXPECT_EQ(session.num_shed(), 1u);
-  EXPECT_EQ(session.try_submit(stream_job(2.0, 9.0, {1.0})),  // j4
-            service::SubmitOutcome::kAccepted);
-  EXPECT_EQ(session.num_shed(), 2u);
-  EXPECT_EQ(session.try_submit(stream_job(3.0, 9.0, {1.0})),
-            service::SubmitOutcome::kBackpressure);
-  EXPECT_EQ(session.num_shed(), 2u);  // a refused submit never sheds
-  EXPECT_EQ(session.num_backpressured(), 1u);
+    EXPECT_EQ(session.try_submit(stream_job(1.0, 9.0, {1.0})),  // j3
+              service::SubmitOutcome::kAccepted)
+        << name;
+    EXPECT_EQ(session.num_shed(), 1u) << name;
+    EXPECT_EQ(session.try_submit(stream_job(2.0, 9.0, {1.0})),  // j4
+              service::SubmitOutcome::kAccepted)
+        << name;
+    EXPECT_EQ(session.num_shed(), 2u) << name;
+    EXPECT_EQ(session.try_submit(stream_job(3.0, 9.0, {1.0})),
+              service::SubmitOutcome::kBackpressure)
+        << name;
+    EXPECT_EQ(session.num_shed(), 2u) << name;  // a refused submit never sheds
+    EXPECT_EQ(session.num_backpressured(), 1u) << name;
 
-  const api::RunSummary summary = session.drain();
-  EXPECT_EQ(summary.report.num_completed, 3u);
-  EXPECT_EQ(summary.report.num_rejected, 2u);
-  EXPECT_EQ(summary.schedule.record(2).fate, JobFate::kRejectedPending);
-  EXPECT_EQ(summary.schedule.record(2).rejection_time, 1.0);  // shed first
-  EXPECT_EQ(summary.schedule.record(1).fate, JobFate::kRejectedPending);
-  EXPECT_EQ(summary.schedule.record(1).rejection_time, 2.0);
-  EXPECT_EQ(summary.schedule.record(0).end, 10.0);
-  EXPECT_EQ(summary.schedule.record(3).end, 11.0);  // SPT after j0
-  EXPECT_EQ(summary.schedule.record(4).end, 12.0);
+    const api::RunSummary summary = session.drain();
+    EXPECT_EQ(summary.report.num_completed, 3u) << name;
+    EXPECT_EQ(summary.report.num_rejected, 2u) << name;
+    EXPECT_EQ(summary.schedule.record(2).fate, JobFate::kRejectedPending)
+        << name;
+    EXPECT_EQ(summary.schedule.record(2).rejection_time, 1.0) << name;
+    EXPECT_EQ(summary.schedule.record(1).fate, JobFate::kRejectedPending)
+        << name;
+    EXPECT_EQ(summary.schedule.record(1).rejection_time, 2.0) << name;
+    for (const JobId j : {0, 3, 4}) {
+      EXPECT_TRUE(summary.schedule.record(j).completed()) << name;
+    }
+    // Theorem 2 runs at a pending-weight-scaled speed; every other policy
+    // runs at speed 1 and serves j3 before j4 (SPT, FIFO and density
+    // order agree here).
+    if (algorithm != api::Algorithm::kTheorem2) {
+      EXPECT_EQ(summary.schedule.record(0).end, 10.0) << name;
+      EXPECT_EQ(summary.schedule.record(3).end, 11.0) << name;
+      EXPECT_EQ(summary.schedule.record(4).end, 12.0) << name;
+    }
+  }
 }
 
 TEST(Overload, ShedSequenceIsFeedInvariantForEveryAlgorithm) {

@@ -275,7 +275,6 @@ TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
     const int expect_width = m < 65536 ? 16 : 32;
     const Instance dense = sparse.with_backend(StorageBackend::kDense);
     for (const Instance* instance : {&sparse, &dense}) {
-      EXPECT_TRUE(instance->dispatch_index_active()) << "m=" << m;
       EXPECT_EQ(instance->dispatch_order_width(), expect_width) << "m=" << m;
     }
     // Both widths remain order-table-equal across backends: the CSR-shaped
@@ -386,10 +385,10 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
 }
 
 TEST(StorageBackend, DispatchIndexFlagTracksTheOrderTable) {
-  // RunSummary::dispatch_index_active surfaces whether the (p, id) order
-  // table backed the run — true for the matrix backends (below the uint16
-  // ceiling; dispatch_index_test covers the boundary), false for the
-  // generator backend, which never builds one.
+  // RunSummary::dispatch_order_width surfaces whether the (p, id) order
+  // table backed the run — 16 for the matrix backends (below the uint16
+  // ceiling; dispatch_index_test covers the boundary), 0 for the generator
+  // backend, which never builds one.
   workload::ClosedFormConfig config;
   config.num_jobs = 60;
   config.num_machines = 6;
@@ -400,13 +399,13 @@ TEST(StorageBackend, DispatchIndexFlagTracksTheOrderTable) {
       workload::make_closed_form_instance(config, StorageBackend::kSparseCsr);
   const Instance gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
-  EXPECT_TRUE(dense.dispatch_index_active());
-  EXPECT_TRUE(sparse.dispatch_index_active());
-  EXPECT_FALSE(gen.dispatch_index_active());
-  EXPECT_TRUE(
-      api::run(api::Algorithm::kGreedySpt, dense).dispatch_index_active);
-  EXPECT_FALSE(
-      api::run(api::Algorithm::kGreedySpt, gen).dispatch_index_active);
+  EXPECT_EQ(dense.dispatch_order_width(), 16);
+  EXPECT_EQ(sparse.dispatch_order_width(), 16);
+  EXPECT_EQ(gen.dispatch_order_width(), 0);
+  EXPECT_EQ(
+      api::run(api::Algorithm::kGreedySpt, dense).dispatch_order_width, 16);
+  EXPECT_EQ(api::run(api::Algorithm::kGreedySpt, gen).dispatch_order_width,
+            0);
 
   // The shared closed form is reachable for streaming handoff (and only
   // from the backend that has one).
