@@ -17,7 +17,7 @@
 //     backpressure — overload is exercised, not just configured.
 //  3. Storage invisibility: dense / sparse-CSR / generator backends running
 //     the same chaos schedule stay byte-identical on the seeded outputs.
-//  4. Checkpoint fidelity: the v2 blob (speed events + overload fields)
+//  4. Checkpoint fidelity: the blob (speed events + overload fields)
 //     restores to a session whose continued run — including its future shed
 //     decisions — reproduces the uninterrupted run exactly.
 //
@@ -187,9 +187,9 @@ MetricRow run_e20_unit(const UnitContext& ctx) {
   const double seconds = timer.elapsed_seconds();
 
   // Checkpoint-cut drill: identical feed, severed at the halfway job and
-  // round-tripped through the v2 wire format — the restored session must
-  // finish the stream (including every remaining shed decision) exactly as
-  // the uninterrupted one did.
+  // round-tripped through a checkpoint — the restored session must finish
+  // the stream (including every remaining shed decision) exactly as the
+  // uninterrupted one did.
   double ckpt_match = 1.0;
   {
     service::SchedulerSession first_half(algorithm, instance.num_machines(),

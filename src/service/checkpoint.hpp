@@ -42,27 +42,9 @@ inline constexpr char kSessionCheckpointMagic[8] = {'O', 'S', 'C', 'K',
                                                     'P', 'T', '0', '1'};
 inline constexpr char kDriverCheckpointMagic[8] = {'O', 'S', 'C', 'K',
                                                    'P', 'D', '0', '1'};
-/// Current write version. Version history (readers accept every version in
-/// [kCheckpointVersionMin, kCheckpointVersion]; the field-by-field deltas
-/// are specified in docs/ARCHITECTURE.md):
-///   1  original session/driver journal format
-///   2  adds a per-fleet-event f64 speed multiplier (kSpeedChange events)
-///      and the session overload-control fields (live_window_cap,
-///      shed_budget); version-1 blobs restore with speed = 1.0 and an
-///      uncapped window
-///   3  adds the session storage backend (u8 after shed_budget) and makes
-///      the job journal's payload follow it: dense rows unchanged, sparse
-///      jobs carry a u32 entry count plus (u32 machine, f64 p) pairs,
-///      generator jobs carry metadata only (restore() is handed the closed
-///      form); version-1/2 blobs restore as dense sessions
-///   4  adds the adaptive overload policy after the backend byte: the shed
-///      policy (u8), then the adaptive-cap configuration (enabled u8,
-///      min_cap u64, max_cap u64, window f64, target_delay f64,
-///      hysteresis u64). Configuration only — estimator contents and the
-///      effective cap are replay-derived. Version-1/2/3 blobs restore
-///      under the neutral defaults (fixed shed rule, tuning disabled)
+/// The one wire version this build writes and reads; restore refuses every
+/// other version (older blobs included) with a diagnostic.
 inline constexpr std::uint32_t kCheckpointVersion = 4;
-inline constexpr std::uint32_t kCheckpointVersionMin = 1;
 
 /// FNV-1a 64-bit over a byte range — the checkpoint trailer's checksum.
 inline std::uint64_t fnv1a64(const void* data, std::size_t size) {
@@ -131,8 +113,9 @@ class CheckpointReader {
     return pos_ < body ? body - pos_ : 0;
   }
 
-  /// Checks the 8-byte magic and the trailing checksum; the cursor ends up
-  /// just past the magic. All subsequent reads stop at the trailer.
+  /// Checks the 8-byte magic, the trailing checksum and the version; the
+  /// cursor ends up just past the version. All subsequent reads stop at the
+  /// trailer.
   void open(const char (&magic)[8], const char* kind) {
     if (blob_.size() < sizeof(magic) + 2 * sizeof(std::uint64_t)) {
       return fail(std::string("checkpoint truncated: ") +
@@ -154,6 +137,12 @@ class CheckpointReader {
       return fail("checkpoint corrupted: checksum mismatch");
     }
     pos_ = sizeof(magic);
+    const std::uint32_t version = u32();
+    if (version != kCheckpointVersion) {
+      fail("unsupported checkpoint version " + std::to_string(version) +
+           " (this build reads version " + std::to_string(kCheckpointVersion) +
+           ")");
+    }
   }
 
   std::uint8_t u8() {

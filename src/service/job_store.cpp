@@ -163,7 +163,7 @@ JobId StreamingJobStore::append(const StreamJob& job) {
   // materialized on the failure path (OSCHED_CHECK streams lazily).
   OSCHED_CHECK(job_ok(job))
       << "invalid streamed job " << num_jobs_ << ": " << validate_job(job);
-  return append_unchecked(job);
+  return append_trusted(job);
 }
 
 void StreamingJobStore::validate_batch(std::span<const StreamJob> jobs) const {
@@ -184,15 +184,7 @@ void StreamingJobStore::validate_batch(std::span<const StreamJob> jobs) const {
   }
 }
 
-JobId StreamingJobStore::append_batch(std::span<const StreamJob> jobs) {
-  if (jobs.empty()) return kInvalidJob;
-  validate_batch(jobs);
-  const auto first = static_cast<JobId>(num_jobs_);
-  for (const StreamJob& job : jobs) append_unchecked(job);
-  return first;
-}
-
-JobId StreamingJobStore::append_unchecked(const StreamJob& job) {
+JobId StreamingJobStore::append_trusted(const StreamJob& job) {
   const std::size_t block_index = num_jobs_ / jobs_per_block_;
   if (block_index == blocks_.size()) {
     blocks_.push_back(std::make_unique<Block>());

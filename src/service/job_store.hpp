@@ -97,12 +97,7 @@ class StreamingJobStore {
 
   /// Appends WITHOUT the validity gate — legal only for jobs a
   /// validate_batch pass (or an explicit job_ok) already accepted.
-  JobId append_trusted(const StreamJob& job) { return append_unchecked(job); }
-
-  /// validate_batch + append_trusted over the whole span: appends the batch
-  /// in one call and returns the FIRST assigned id (kInvalidJob for an
-  /// empty batch).
-  JobId append_batch(std::span<const StreamJob> jobs);
+  JobId append_trusted(const StreamJob& job);
 
   /// Frees every block that lies entirely below `frontier`.
   void retire_below(JobId frontier);
@@ -239,9 +234,6 @@ class StreamingJobStore {
   bool check_job(const StreamJob& job, std::ostringstream* problems) const {
     return check_job_after(job, last_release_, num_jobs_ > 0, problems);
   }
-
-  /// Appends one pre-validated job (the shared tail of append/append_batch).
-  JobId append_unchecked(const StreamJob& job);
 
   struct Block {
     std::vector<Job> jobs;

@@ -14,6 +14,7 @@
 #include "service/checkpoint.hpp"
 #include "service/job_store.hpp"
 #include "service/session_schedule.hpp"
+#include "sim/engine.hpp"
 #include "sim/validator.hpp"
 
 namespace osched::service {
@@ -97,6 +98,8 @@ class ImmediateHost final : public HostBase<IrPolicy, ImmediateRejectionOptions>
   }
 };
 
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
+
 std::unique_ptr<PolicyHost> make_host(api::Algorithm algorithm,
                                       const StreamingJobStore& store,
                                       SessionSchedule& rec, EventQueue& events,
@@ -149,7 +152,9 @@ class SchedulerSession::Impl {
         options_(options),
         store_(num_machines, /*jobs_per_block=*/4096, options.storage,
                options.generator),
-        host_(make_host(algorithm, store_, records_, events_, options.run)) {
+        loop_(&options_.run.fleet),
+        host_(make_host(algorithm, store_, records_, loop_.events(),
+                        options.run)) {
     OSCHED_CHECK(options.retain_records || !options.run.validate)
         << "low-memory sessions keep no schedule to validate; set "
            "run.validate = false (or retain records)";
@@ -164,10 +169,12 @@ class SchedulerSession::Impl {
           << "adaptive cap: min_cap must be >= 1";
       OSCHED_CHECK_GE(tune.max_cap, tune.min_cap)
           << "adaptive cap: max_cap must be >= min_cap";
-      OSCHED_CHECK_GT(tune.window, 0.0)
-          << "adaptive cap: the rate-estimate window must be positive";
-      OSCHED_CHECK_GT(tune.target_delay, 0.0)
-          << "adaptive cap: target_delay must be positive";
+      OSCHED_CHECK(positive_finite(tune.window))
+          << "adaptive cap: the rate-estimate window must be positive and "
+             "finite (got " << tune.window << ")";
+      OSCHED_CHECK(positive_finite(tune.target_delay))
+          << "adaptive cap: target_delay must be positive and finite (got "
+          << tune.target_delay << ")";
       cap_ = std::clamp(options_.live_window_cap, tune.min_cap, tune.max_cap);
     } else {
       cap_ = options_.live_window_cap;
@@ -176,7 +183,7 @@ class SchedulerSession::Impl {
 
   api::Algorithm algorithm() const { return algorithm_; }
   std::size_t num_machines() const { return store_.num_machines(); }
-  Time now() const { return now_; }
+  Time now() const { return loop_.now(); }
   std::size_t num_submitted() const { return store_.num_jobs(); }
   std::size_t num_decided() const { return records_.num_decided(); }
   std::size_t live_jobs() const { return num_submitted() - num_decided(); }
@@ -190,7 +197,7 @@ class SchedulerSession::Impl {
   std::string validate_job(const StreamJob& job) const {
     if (drained_) return "session already drained; ";
     std::string problems = store_.validate_job(job);
-    if (job.release < now_) {
+    if (job.release < now()) {
       problems += "release precedes the session clock (advance() already "
                   "passed it); ";
     }
@@ -209,16 +216,16 @@ class SchedulerSession::Impl {
 
   SubmitOutcome try_submit(const StreamJob& job, JobId* id_out) {
     OSCHED_CHECK(!drained_) << "submit() on a drained session";
-    OSCHED_CHECK_GE(job.release, now_)
+    OSCHED_CHECK_GE(job.release, now())
         << "job released at " << job.release
-        << " submitted after the clock reached " << now_;
+        << " submitted after the clock reached " << now();
     // Events first: completions due by the release seal fates and can free
     // window slots, so they fire whether or not the job is admitted (and
     // the admission decision must see the post-event window, or a full
     // window of already-finished jobs would refuse a perfectly good
-    // arrival). run_events_until never moves the clock past the release,
-    // so a refused job can be resubmitted as-is.
-    run_events_until(job.release);
+    // arrival). fire_until never moves the clock past the release, so a
+    // refused job can be resubmitted as-is.
+    loop_.fire_until(job.release, host_->hooks());
     if (!make_room(job.release)) {
       ++backpressured_;
       return SubmitOutcome::kBackpressure;
@@ -226,8 +233,8 @@ class SchedulerSession::Impl {
     const JobId j = store_.append(job);
     total_weight_ += job.weight;
     records_.ensure_size(static_cast<std::size_t>(j) + 1);
-    now_ = std::max(now_, job.release);
-    host_->hooks().on_arrival(j, now_);
+    loop_.advance_clock(job.release);
+    host_->hooks().on_arrival(j, now());
     note_arrival(job.release);
     max_live_ = std::max(max_live_, live_jobs());
     maybe_fold();
@@ -242,9 +249,9 @@ class SchedulerSession::Impl {
     // remaining releases are non-decreasing, and delivering arrival k only
     // fires events due at or before r_k, so the clock can never overtake a
     // later release.
-    OSCHED_CHECK_GE(jobs.front().release, now_)
+    OSCHED_CHECK_GE(jobs.front().release, now())
         << "job released at " << jobs.front().release
-        << " submitted after the clock reached " << now_;
+        << " submitted after the clock reached " << now();
     store_.validate_batch(jobs);
     const auto first = static_cast<JobId>(store_.num_jobs());
     records_.ensure_size(static_cast<std::size_t>(first) + jobs.size());
@@ -255,16 +262,17 @@ class SchedulerSession::Impl {
     // admission runs BEFORE the append (as try_submit does), so shed
     // decisions are identical however the feed is chunked; mid-batch
     // saturation aborts — backpressure-aware callers feed one at a time.
+    SimulationHooks& hooks = host_->hooks();
     for (const StreamJob& job : jobs) {
-      run_events_until(job.release);
+      loop_.fire_until(job.release, hooks);
       OSCHED_CHECK(make_room(job.release))
           << "live window saturated mid-batch (cap "
           << options_.live_window_cap << ", live " << live_jobs()
           << "); bounded-ingest callers use try_submit()";
       const JobId j = store_.append_trusted(job);
       total_weight_ += job.weight;
-      now_ = std::max(now_, job.release);
-      host_->hooks().on_arrival(j, now_);
+      loop_.advance_clock(job.release);
+      hooks.on_arrival(j, now());
       note_arrival(job.release);
       max_live_ = std::max(max_live_, live_jobs());
     }
@@ -274,16 +282,16 @@ class SchedulerSession::Impl {
 
   void advance(Time to) {
     OSCHED_CHECK(!drained_) << "advance() on a drained session";
-    OSCHED_CHECK_GE(to, now_) << "advance() must not move the clock backwards";
-    run_events_until(to);
-    now_ = std::max(now_, to);
+    OSCHED_CHECK_GE(to, now()) << "advance() must not move the clock backwards";
+    loop_.fire_until(to, host_->hooks());
+    loop_.advance_clock(to);
     maybe_fold();
   }
 
   api::RunSummary drain() {
     OSCHED_CHECK(!drained_) << "drain() called twice";
     drained_ = true;
-    run_events_until(kTimeInfinity);
+    loop_.fire_until(kTimeInfinity, host_->hooks());
 
     api::RunSummary summary;
     summary.algorithm = algorithm_;
@@ -340,7 +348,7 @@ class SchedulerSession::Impl {
       w.f64(event.time);
       w.u32(static_cast<std::uint32_t>(event.machine));
       w.u8(static_cast<std::uint8_t>(event.kind));
-      w.f64(event.speed);  // v2: multiplier (1.0 for membership kinds)
+      w.f64(event.speed);  // multiplier (1.0 for membership kinds)
     }
     w.u64(plan.initially_down.size());
     for (const MachineId machine : plan.initially_down) {
@@ -349,11 +357,11 @@ class SchedulerSession::Impl {
     w.u64(plan.rejection_budget);
     w.u8(plan.shed_killed_running ? 1 : 0);
     w.u64(options_.retire_batch);
-    w.u64(options_.live_window_cap);  // v2: overload control
-    w.u64(options_.shed_budget);      // v2
+    w.u64(options_.live_window_cap);  // overload control
+    w.u64(options_.shed_budget);
     const StorageBackend backend = store_.backend();
-    w.u8(static_cast<std::uint8_t>(backend));  // v3: storage backend
-    // v4: adaptive overload policy. Configuration only — the estimator
+    w.u8(static_cast<std::uint8_t>(backend));
+    // Adaptive overload policy. Configuration only — the estimator
     // contents and the effective cap are pure functions of the accepted
     // journal below, so replay re-derives them (the same reason no shed or
     // rule state is serialized).
@@ -365,13 +373,13 @@ class SchedulerSession::Impl {
     w.f64(tune.window);
     w.f64(tune.target_delay);
     w.u64(tune.hysteresis);
-    w.f64(now_);
+    w.f64(now());
     // The journal proper: every submitted job, in id order. Restore replays
     // these through submit() — policy state is never serialized. The payload
-    // form per job follows the backend (v3): dense writes the m-wide row
-    // exactly as v2 did; sparse writes an entry count plus the eligible
-    // (machine, p) pairs; generator writes the job fields only, since the
-    // closed form is code the restoring caller must supply.
+    // form per job follows the backend: dense writes the m-wide row; sparse
+    // writes an entry count plus the eligible (machine, p) pairs; generator
+    // writes the job fields only, since the closed form is code the
+    // restoring caller must supply.
     w.u64(store_.num_jobs());
     const std::size_t m = store_.num_machines();
     for (std::size_t idx = 0; idx < store_.num_jobs(); ++idx) {
@@ -403,37 +411,6 @@ class SchedulerSession::Impl {
     return w.finish();
   }
 
- private:
-  /// Fires scheduler events AND fleet-plan events due at or before t, in the
-  /// batch engine's exact tie order: scheduler events before fleet events at
-  /// the same instant, and both before any arrival at that instant (submit
-  /// calls this with t = the arrival's release, so a machine failing the
-  /// moment a job arrives is applied first — the job is decided against the
-  /// post-fail fleet, exactly as SimEngine does it).
-  void run_events_until(Time t) {
-    const auto& fleet = options_.run.fleet.events;
-    for (;;) {
-      const auto when = events_.peek_time();
-      const bool fleet_due =
-          next_fleet_ < fleet.size() && fleet[next_fleet_].time <= t;
-      const bool event_due = when.has_value() && *when <= t;
-      if (event_due &&
-          (!fleet_due || *when <= fleet[next_fleet_].time)) {
-        const SimEvent event = events_.pop();
-        now_ = std::max(now_, event.time);
-        host_->hooks().on_event(event, now_);
-      } else if (fleet_due) {
-        const FleetEvent& event = fleet[next_fleet_];
-        now_ = std::max(now_, event.time);
-        host_->hooks().on_fleet(event, now_);
-        ++next_fleet_;
-      } else {
-        break;
-      }
-    }
-  }
-
- public:
   /// Sheds still available under the active ShedPolicy. Fixed mode: the
   /// unspent part of the configured lifetime budget — guarded, not bare
   /// unsigned subtraction: sheds_spent_ <= shed_budget is an invariant
@@ -502,13 +479,22 @@ class SchedulerSession::Impl {
     const AdaptiveCapOptions& tune = options_.adaptive_cap;
     if (!tune.enabled) return;
     recent_.push_back(release);
+    // The newest arrival always counts: with a window below the release's
+    // ulp, release - window rounds to release itself.
     const Time floor_time = release - tune.window;
-    while (recent_.front() <= floor_time) recent_.pop_front();
+    while (recent_.size() > 1 && recent_.front() <= floor_time) {
+      recent_.pop_front();
+    }
     const double rate =
         static_cast<double>(recent_.size()) / tune.window;
-    const auto desired = std::clamp(
-        static_cast<std::size_t>(std::ceil(rate * tune.target_delay)),
-        tune.min_cap, tune.max_cap);
+    // Clamp in double before the cast: a huge target_delay or a tiny window
+    // overflows the size_t conversion (the product may even be +inf).
+    const double target = std::ceil(rate * tune.target_delay);
+    const std::size_t desired =
+        target >= static_cast<double>(tune.max_cap)
+            ? tune.max_cap
+            : std::clamp(static_cast<std::size_t>(target), tune.min_cap,
+                         tune.max_cap);
     // Hysteresis dead-band: hold the cap until the sizing target has moved
     // decisively. Raises and lowers use the same threshold, so the cap
     // trajectory is a deterministic function of the release sequence.
@@ -590,9 +576,7 @@ class SchedulerSession::Impl {
   SessionOptions options_;
   StreamingJobStore store_;
   SessionSchedule records_;
-  EventQueue events_;
-  Time now_ = 0.0;
-  std::size_t next_fleet_ = 0;  ///< cursor into options_.run.fleet.events
+  EventLoop loop_;  ///< event queue, fleet cursor and clock
   bool drained_ = false;
   Weight total_weight_ = 0.0;
   std::size_t max_live_ = 0;
@@ -673,14 +657,6 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   CheckpointReader r(blob);
   r.open(kSessionCheckpointMagic, "session");
   if (!r.ok()) return fail(r.error());
-  const std::uint32_t version = r.u32();
-  if (r.ok() &&
-      (version < kCheckpointVersionMin || version > kCheckpointVersion)) {
-    return fail("unsupported checkpoint version " + std::to_string(version) +
-                " (this build reads versions " +
-                std::to_string(kCheckpointVersionMin) + " through " +
-                std::to_string(kCheckpointVersion) + ")");
-  }
 
   const std::uint32_t algorithm_raw = r.u32();
   const std::uint64_t num_machines = r.u64();
@@ -693,28 +669,22 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   FleetPlan& plan = options.run.fleet;
   const std::uint64_t num_fleet_events = r.u64();
   // Size sanity before any allocation: the count must fit in the bytes that
-  // are actually present (13 bytes per event in v1; v2 appends the f64
-  // speed multiplier for 21).
-  const std::size_t event_bytes = version >= 2 ? 21 : 13;
-  if (r.ok() && num_fleet_events > r.remaining() / event_bytes) {
+  // are actually present (21 per event: time, machine, kind, speed).
+  if (r.ok() && num_fleet_events > r.remaining() / 21) {
     return fail("checkpoint corrupted: fleet event count exceeds blob size");
   }
-  // kSpeedChange entered the format in v2; a v1 blob carrying kind 3 is
-  // damage, not history.
-  const auto max_kind = static_cast<std::uint8_t>(
-      version >= 2 ? FleetEventKind::kSpeedChange : FleetEventKind::kFail);
   plan.events.reserve(static_cast<std::size_t>(num_fleet_events));
   for (std::uint64_t e = 0; r.ok() && e < num_fleet_events; ++e) {
     FleetEvent event;
     event.time = r.f64();
     event.machine = static_cast<MachineId>(r.u32());
     const std::uint8_t kind = r.u8();
-    if (kind > max_kind) {
+    if (kind > static_cast<std::uint8_t>(FleetEventKind::kSpeedChange)) {
       return fail("checkpoint corrupted: unknown fleet event kind " +
                   std::to_string(kind));
     }
     event.kind = static_cast<FleetEventKind>(kind);
-    if (version >= 2) event.speed = r.f64();
+    event.speed = r.f64();
     plan.events.push_back(event);
   }
   const std::uint64_t num_down = r.u64();
@@ -728,28 +698,17 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   plan.rejection_budget = static_cast<std::size_t>(r.u64());
   plan.shed_killed_running = r.u8() != 0;
   options.retire_batch = static_cast<std::size_t>(r.u64());
-  if (version >= 2) {
-    options.live_window_cap = static_cast<std::size_t>(r.u64());
-    options.shed_budget = static_cast<std::size_t>(r.u64());
-  }
-  // Storage backend entered the format in v3; older blobs are dense by
-  // construction (their journal rows ARE the dense matrix).
-  std::uint8_t backend_raw = static_cast<std::uint8_t>(StorageBackend::kDense);
-  if (version >= 3) backend_raw = r.u8();
-  // Adaptive overload policy entered the format in v4; older blobs restore
-  // under the neutral defaults (fixed shed rule, cap tuning disabled).
-  std::uint8_t shed_policy_raw =
-      static_cast<std::uint8_t>(ShedPolicy::kFixedBudget);
-  if (version >= 4) {
-    shed_policy_raw = r.u8();
-    AdaptiveCapOptions& tune = options.adaptive_cap;
-    tune.enabled = r.u8() != 0;
-    tune.min_cap = static_cast<std::size_t>(r.u64());
-    tune.max_cap = static_cast<std::size_t>(r.u64());
-    tune.window = r.f64();
-    tune.target_delay = r.f64();
-    tune.hysteresis = static_cast<std::size_t>(r.u64());
-  }
+  options.live_window_cap = static_cast<std::size_t>(r.u64());
+  options.shed_budget = static_cast<std::size_t>(r.u64());
+  const std::uint8_t backend_raw = r.u8();
+  const std::uint8_t shed_policy_raw = r.u8();
+  AdaptiveCapOptions& tune = options.adaptive_cap;
+  tune.enabled = r.u8() != 0;
+  tune.min_cap = static_cast<std::size_t>(r.u64());
+  tune.max_cap = static_cast<std::size_t>(r.u64());
+  tune.window = r.f64();
+  tune.target_delay = r.f64();
+  tune.hysteresis = static_cast<std::size_t>(r.u64());
   const Time clock = r.f64();
   const std::uint64_t num_jobs = r.u64();
   if (!r.ok()) return fail(r.error());
@@ -785,11 +744,10 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   }
   options.shed_policy = static_cast<ShedPolicy>(shed_policy_raw);
   // Recoverable twins of the constructor's adaptive-cap CHECKs: a forged
-  // or damaged v4 blob must come back as a diagnostic, not an abort.
-  if (options.adaptive_cap.enabled) {
-    const AdaptiveCapOptions& tune = options.adaptive_cap;
+  // or damaged blob must come back as a diagnostic, not an abort.
+  if (tune.enabled) {
     if (tune.min_cap == 0 || tune.max_cap < tune.min_cap ||
-        !(tune.window > 0.0) || !(tune.target_delay > 0.0)) {
+        !positive_finite(tune.window) || !positive_finite(tune.target_delay)) {
       return fail("checkpoint corrupted: invalid adaptive-cap fields "
                   "(min_cap " + std::to_string(tune.min_cap) + ", max_cap " +
                   std::to_string(tune.max_cap) + ", window " +

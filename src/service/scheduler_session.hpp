@@ -9,10 +9,11 @@
 //   api::RunSummary summary = session.drain();   // end of stream
 //
 // submit() delivers the arrival to the policy after firing every internal
-// event (completion) due at or before the job's release — the exact
-// interleaving SimEngine uses — so a streamed run makes bit-identical
-// decisions to the batch run of the same jobs, regardless of how the stream
-// is chunked. tests/streaming_test.cpp pins that down differentially.
+// event (completion) due at or before the job's release — through the same
+// EventLoop (sim/engine.hpp) SimEngine runs — so a streamed run makes
+// bit-identical decisions to the batch run of the same jobs, regardless of
+// how the stream is chunked. tests/streaming_test.cpp pins that down
+// differentially.
 //
 // Memory modes:
 //  * retain_records = true (default): every record and job row is kept; at
@@ -43,7 +44,6 @@
 
 #include "api/scheduler_api.hpp"
 #include "instance/stream_job.hpp"
-#include "sim/event_queue.hpp"
 
 namespace osched::service {
 
@@ -84,13 +84,13 @@ struct AdaptiveCapOptions {
   /// min_cap must be >= 1 and max_cap >= min_cap when enabled.
   std::size_t min_cap = 0;
   std::size_t max_cap = 0;
-  /// Trailing virtual-time width of the rate estimate (> 0): an accepted
-  /// arrival at release r counts while r > latest_release - window.
+  /// Trailing virtual-time width of the rate estimate (finite, > 0): an
+  /// accepted arrival at release r counts while r > latest_release - window.
   double window = 0.0;
   /// Sizing target: desired cap = ceil(observed_rate * target_delay),
   /// clamped to the bounds — the window the session would need for a job
   /// admitted at the observed rate to wait ~target_delay before its slot
-  /// frees (> 0).
+  /// frees (finite, > 0).
   double target_delay = 0.0;
   /// Dead-band: the cap moves only when |desired - current| exceeds this
   /// many slots, so a rate hovering at a sizing boundary cannot flap the
@@ -130,8 +130,8 @@ struct SessionOptions {
   /// Live-window-cap auto-tuning (see AdaptiveCapOptions). When enabled,
   /// live_window_cap seeds the initial cap (clamped into
   /// [min_cap, max_cap]; 0 seeds at min_cap) and the effective cap then
-  /// tracks the observed arrival rate between the bounds. Checkpointed as
-  /// wire v4; v1–v3 blobs restore with tuning disabled.
+  /// tracks the observed arrival rate between the bounds. Checkpointed
+  /// (configuration only; replay re-derives the cap).
   AdaptiveCapOptions adaptive_cap;
   /// Processing-time storage for the session's job store (the streaming
   /// counterpart of Instance's backend trio). kDense keeps the m-wide row
@@ -254,7 +254,7 @@ class SchedulerSession {
   /// (same records, same queues, same future decisions). Damaged input
   /// (truncated, corrupted, wrong version/magic) returns nullptr with a
   /// diagnostic in *error; it never aborts and never reads out of bounds.
-  /// A generator-backed blob (wire v3) journals job metadata only — the
+  /// A generator-backed blob journals job metadata only — the
   /// closed form itself is code, not data — so the caller must supply the
   /// same `generator` the original session ran with; omitting it is a
   /// diagnosed failure, and supplying a DIFFERENT closed form silently

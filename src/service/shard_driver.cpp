@@ -302,15 +302,6 @@ std::unique_ptr<ShardDriver> ShardDriver::restore(
 
   CheckpointReader r(blob);
   r.open(kDriverCheckpointMagic, "shard-driver");
-  if (!r.ok()) return fail(r.error());
-  const std::uint32_t version = r.u32();
-  if (r.ok() &&
-      (version < kCheckpointVersionMin || version > kCheckpointVersion)) {
-    return fail("unsupported checkpoint version " + std::to_string(version) +
-                " (this build reads versions " +
-                std::to_string(kCheckpointVersionMin) + " through " +
-                std::to_string(kCheckpointVersion) + ")");
-  }
   const std::uint64_t num_shards = r.u64();
   if (!r.ok()) return fail(r.error());
   if (num_shards == 0) {

@@ -214,7 +214,7 @@ class ShardDriver {
   /// SchedulerSession::restore) from a checkpoint() blob. `threads` is a
   /// runtime concern, not session state, so it is chosen fresh (same
   /// meaning as ShardDriverOptions::threads). When any shard is
-  /// generator-backed (wire v3), `generator` supplies the shared closed
+  /// generator-backed, `generator` supplies the shared closed
   /// form, exactly as for SchedulerSession::restore — one form for the
   /// whole fleet, matching how SessionOptions applies to every shard.
   /// Damaged input returns nullptr with a diagnostic in *error.

@@ -15,8 +15,8 @@
 #pragma once
 
 #include "instance/instance.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fleet.hpp"
+#include "util/event_queue.hpp"
 
 namespace osched {
 
@@ -79,76 +79,90 @@ class SimulationHooks {
   virtual std::size_t charged_rejections() const { return 0; }
 };
 
-template <class Store>
-class SimEngineFor {
+/// The one merge of scheduler events with fleet-plan events. It owns the
+/// event queue, the fleet cursor and the clock; SimEngineFor (batch) and
+/// service::SchedulerSession (streaming) both drive it, so the two deliver
+/// identical call sequences by construction.
+///
+/// Tie order at equal timestamps: scheduler events, then fleet events,
+/// then arrivals. Events-before-arrivals matches the paper's convention
+/// (see the header comment); fleet-before-arrivals means a job arriving
+/// the instant a machine fails is decided against the post-fail fleet,
+/// which is the only order under which "never dispatch to a down machine"
+/// can hold. Drivers keep the arrival side of that order by calling
+/// fire_until(release) before delivering an arrival.
+class EventLoop {
  public:
-  /// `plan` (optional, not owned, must outlive the engine) adds fleet
-  /// membership events to the merge. A null/empty plan compiles down to the
-  /// original two-way merge.
-  explicit SimEngineFor(const Store& store, const FleetPlan* plan = nullptr)
-      : store_(store), plan_(plan) {}
+  /// `plan` (optional, not owned, must outlive the loop) adds fleet
+  /// membership events to the merge.
+  explicit EventLoop(const FleetPlan* plan = nullptr) : plan_(plan) {}
 
   EventQueue& events() { return events_; }
   Time now() const { return now_; }
 
-  /// Runs to quiescence: all arrivals delivered, fleet plan exhausted, and
-  /// the event queue drained. Statically typed so the policy's handlers
-  /// inline into the loop (the batch entry points call this with the
-  /// concrete policy type); the virtual-dispatch form below serves
-  /// type-erased callers.
-  ///
-  /// Tie order at equal timestamps: scheduler events, then fleet events,
-  /// then arrivals. Events-before-arrivals matches the paper's convention
-  /// (see the header comment); fleet-before-arrivals means a job arriving
-  /// the instant a machine fails is decided against the post-fail fleet,
-  /// which is the only order under which "never dispatch to a down
-  /// machine" can hold.
+  /// Fires every scheduler event and fleet event due at or before t, in
+  /// time order. The clock follows the fired events and never passes t.
+  /// Statically typed so the policy's handlers inline into the loop.
   template <class Hooks>
-  void run(Hooks& hooks) {
-    std::size_t next_arrival = 0;
-    std::size_t next_fleet = 0;
-    const std::size_t n = store_.num_jobs();
+  void fire_until(Time t, Hooks& hooks) {
     const std::size_t nf = plan_ ? plan_->events.size() : 0;
-
     for (;;) {
-      const Time arrival_time =
-          next_arrival < n
-              ? store_.job(static_cast<JobId>(next_arrival)).release
-              : kTimeInfinity;
       const Time fleet_time =
-          next_fleet < nf ? plan_->events[next_fleet].time : kTimeInfinity;
+          next_fleet_ < nf ? plan_->events[next_fleet_].time : kTimeInfinity;
       const auto event_time = events_.peek_time();
-
-      if (next_arrival >= n && next_fleet >= nf && !event_time.has_value())
-        break;
-
-      if (event_time.has_value() && *event_time <= fleet_time &&
-          *event_time <= arrival_time) {
+      if (event_time.has_value() && *event_time <= t &&
+          *event_time <= fleet_time) {
         const SimEvent event = events_.pop();
         OSCHED_CHECK_GE(event.time, now_ - kTimeEps) << "event in the past";
         now_ = std::max(now_, event.time);
         hooks.on_event(event, now_);
-      } else if (next_fleet < nf && fleet_time <= arrival_time) {
-        const FleetEvent& event = plan_->events[next_fleet];
+      } else if (next_fleet_ < nf && fleet_time <= t) {
+        const FleetEvent& event = plan_->events[next_fleet_];
         now_ = std::max(now_, event.time);
         hooks.on_fleet(event, now_);
-        ++next_fleet;
+        ++next_fleet_;
       } else {
-        OSCHED_CHECK_GE(arrival_time, now_ - kTimeEps) << "arrival in the past";
-        now_ = std::max(now_, arrival_time);
-        hooks.on_arrival(static_cast<JobId>(next_arrival), now_);
-        ++next_arrival;
+        return;
       }
     }
   }
 
-  void run(SimulationHooks& hooks) { run<SimulationHooks>(hooks); }
+  /// Moves the clock to t — an arrival's release, or a session's advance()
+  /// target — once fire_until(t) has fired everything due by then.
+  void advance_clock(Time t) {
+    OSCHED_CHECK_GE(t, now_ - kTimeEps) << "arrival in the past";
+    now_ = std::max(now_, t);
+  }
+
+ private:
+  const FleetPlan* plan_ = nullptr;
+  std::size_t next_fleet_ = 0;
+  EventQueue events_;
+  Time now_ = 0.0;
+};
+
+template <class Store>
+class SimEngineFor : public EventLoop {
+ public:
+  explicit SimEngineFor(const Store& store, const FleetPlan* plan = nullptr)
+      : EventLoop(plan), store_(store) {}
+
+  /// Runs to quiescence: all arrivals delivered, fleet plan exhausted, and
+  /// the event queue drained.
+  template <class Hooks>
+  void run(Hooks& hooks) {
+    const std::size_t n = store_.num_jobs();
+    for (std::size_t j = 0; j < n; ++j) {
+      const Time release = store_.job(static_cast<JobId>(j)).release;
+      fire_until(release, hooks);
+      advance_clock(release);
+      hooks.on_arrival(static_cast<JobId>(j), now());
+    }
+    fire_until(kTimeInfinity, hooks);
+  }
 
  private:
   const Store& store_;
-  const FleetPlan* plan_ = nullptr;
-  EventQueue events_;
-  Time now_ = 0.0;
 };
 
 using SimEngine = SimEngineFor<Instance>;

@@ -13,9 +13,8 @@
 // a churn-heavy run never carries a tombstone backlog.
 //
 // Ordering is (time, insertion sequence) — identical to the binary-heap
-// implementation it replaces (sim/event_queue.hpp keeps that one as
-// HeapEventQueue), which tests/event_queue_diff_test.cpp pins down with a
-// lockstep fuzz differential. Handles are generation-stamped slots with the
+// implementation it replaced, which tests/event_queue_diff_test.cpp keeps
+// as its reference and pins down with a lockstep fuzz differential. Handles are generation-stamped slots with the
 // same encoding and the same double-cancel/stale-handle CHECKs as the heap
 // version.
 #pragma once
@@ -214,3 +213,10 @@ class TournamentEventQueue {
 };
 
 }  // namespace osched::util
+
+namespace osched {
+
+/// The simulation drivers' event queue (see sim/engine.hpp).
+using EventQueue = util::TournamentEventQueue;
+
+}  // namespace osched

@@ -14,9 +14,9 @@
 //    schedule still validates — the sheds are booked as paper rejections;
 //  * determinism — adaptive cap moves and ε-charged sheds are pure
 //    functions of the accepted arrivals: per-job and chunked feeds agree,
-//    checkpoint cuts restore to the uninterrupted run, wire v4 round-trips
-//    the new configuration while v3 blobs restore under neutral defaults
-//    and forged v4 fields come back as diagnostics;
+//    checkpoint cuts restore to the uninterrupted run, the checkpoint
+//    round-trips the configuration and forged fields come back as
+//    diagnostics;
 //  * fairness — the shard driver's deficit-round-robin admission bounds a
 //    hot tenant to 2×quantum staged ops per flush round, never starves a
 //    cold sibling, and the whole try_* surface (StageOutcome) stays
@@ -24,7 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/scheduler_api.hpp"
@@ -430,39 +432,39 @@ TEST(AdaptiveOverload, CheckpointCutReproducesEveryCapAndShedDecision) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v4 compatibility.
+// Cap sizing at the numeric edges and forged checkpoint fields.
 
-TEST(AdaptiveOverload, Version3BlobsRestoreWithNeutralDefaults) {
-  // A pre-PR-9 blob — hand-written exactly as the v3 writer emitted it —
-  // must restore under the fixed shed rule with tuning disabled: the
-  // allowance is the journalled shed_budget and the cap stays pinned.
-  service::CheckpointWriter w;
-  w.bytes(service::kSessionCheckpointMagic, 8);
-  w.u32(3);
-  w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-  w.u64(1);     // machines
-  w.f64(0.2);   // epsilon
-  w.f64(2.0);   // alpha
-  w.u64(8);     // speed_levels
-  w.f64(0.5);   // start_grid
-  w.u8(1);      // validate
-  w.u64(0);     // no fleet events
-  w.u64(0);     // initially_down
-  w.u64(0);     // rejection_budget
-  w.u8(1);      // shed_killed_running
-  w.u64(8192);  // retire_batch
-  w.u64(5);     // live_window_cap
-  w.u64(3);     // shed_budget
-  w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
-  // No shed policy / adaptive fields in v3.
-  w.f64(0.0);  // clock
-  w.u64(0);    // empty job journal
-
-  std::string error;
-  auto restored = service::SchedulerSession::restore(w.finish(), &error);
-  ASSERT_NE(restored, nullptr) << error;
-  EXPECT_EQ(restored->current_window_cap(), 5u);
-  EXPECT_EQ(restored->shed_allowance(), 3u);  // fixed budget, nothing spent
+TEST(AdaptiveOverload, HugeSizingTargetSaturatesAtMaxCap) {
+  // ceil(rate * target_delay) overflows size_t for a huge target_delay (or,
+  // through the rate, a tiny window; the product may reach +inf). The
+  // desired cap must saturate at max_cap, including max_cap = SIZE_MAX.
+  struct Case {
+    double window;
+    double target_delay;
+    std::size_t max_cap;
+  };
+  const Case cases[] = {
+      {10.0, 1e300, 64},
+      {10.0, std::numeric_limits<double>::max(), 64},
+      {1e-300, 1e300, 64},
+      {10.0, 1e300, std::numeric_limits<std::size_t>::max()},
+  };
+  for (const Case& c : cases) {
+    service::SessionOptions options;
+    options.adaptive_cap.enabled = true;
+    options.adaptive_cap.min_cap = 2;
+    options.adaptive_cap.max_cap = c.max_cap;
+    options.adaptive_cap.window = c.window;
+    options.adaptive_cap.target_delay = c.target_delay;
+    service::SchedulerSession session(api::Algorithm::kGreedySpt, 1, options);
+    // Unit jobs one apart: each completes as the next arrives, so the
+    // window never saturates.
+    for (int k = 0; k < 5; ++k) {
+      session.submit(stream_job(static_cast<Time>(k), 1.0, {1.0}));
+    }
+    EXPECT_EQ(session.current_window_cap(), c.max_cap)
+        << "window " << c.window << ", target_delay " << c.target_delay;
+  }
 }
 
 TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
@@ -523,6 +525,27 @@ TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
     finish_empty(w);
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
     EXPECT_NE(error.find("invalid adaptive-cap fields"), std::string::npos)
+        << error;
+  }
+  // Non-finite estimator fields: the constructor requires both finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> non_finite[] = {
+      {inf, 1.0}, {nan, 1.0}, {1.0, inf}, {1.0, nan}};
+  for (const auto& [window, target_delay] : non_finite) {
+    CheckpointWriter w;
+    begin_v4(w);
+    w.u8(0);   // fixed policy
+    w.u8(1);   // tuning enabled
+    w.u64(2);  // min_cap
+    w.u64(64);  // max_cap
+    w.f64(window);
+    w.f64(target_delay);
+    w.u64(0);
+    finish_empty(w);
+    EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
+    EXPECT_NE(error.find("invalid adaptive-cap fields"), std::string::npos)
+        << "window " << window << ", target_delay " << target_delay << ": "
         << error;
   }
 }

@@ -79,6 +79,43 @@ void expect_identical(const api::RunSummary& expected,
       << context;
 }
 
+// Hand-written wire-v4 session blobs for the forged-field cases. A blob is
+// write_v4_head, the fleet events (u64 count + events), write_v4_overload,
+// the backend byte, write_v4_fixed_policy, then the clock and job journal.
+void write_v4_head(service::CheckpointWriter& w, std::uint64_t machines) {
+  w.bytes(service::kSessionCheckpointMagic, 8);
+  w.u32(4);  // the layout below is version 4's
+  w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
+  w.u64(machines);
+  w.f64(0.2);  // epsilon
+  w.f64(2.0);  // alpha
+  w.u64(8);    // speed_levels
+  w.f64(0.5);  // start_grid
+  w.u8(0);     // validate off
+}
+
+void write_v4_overload(service::CheckpointWriter& w,
+                       std::uint64_t live_window_cap,
+                       std::uint64_t shed_budget) {
+  w.u64(0);     // initially_down
+  w.u64(0);     // rejection_budget
+  w.u8(1);      // shed_killed_running
+  w.u64(8192);  // retire_batch
+  w.u64(live_window_cap);
+  w.u64(shed_budget);
+}
+
+/// The fixed shed rule with cap tuning disabled.
+void write_v4_fixed_policy(service::CheckpointWriter& w) {
+  w.u8(0);     // ShedPolicy::kFixedBudget
+  w.u8(0);     // tuning disabled
+  w.u64(0);    // min_cap
+  w.u64(0);    // max_cap
+  w.f64(0.0);  // window
+  w.f64(0.0);  // target_delay
+  w.u64(0);    // hysteresis
+}
+
 TEST(Checkpoint, MidStreamRoundTripEveryAlgorithm) {
   const Instance instance = make_workload(base_seed(), 300, 5);
   for (const api::Algorithm algorithm : kStreamable) {
@@ -187,149 +224,57 @@ TEST(Checkpoint, CarriesTheFleetPlanAndItsCursor) {
             reference.fleet.min_speed_multiplier);
 }
 
-TEST(Checkpoint, RestoresVersion1BlobsWithNeutralDefaults) {
-  // PR 7 bumped the wire version to 2 (per-event speed multipliers plus the
-  // overload fields). A version-1 blob — hand-written here exactly as the
-  // PR-6 writer emitted it — must still restore: membership events parse at
-  // their 13-byte v1 size, every multiplier defaults to 1.0, and the live
-  // window stays uncapped.
-  const Instance instance = make_workload(base_seed() + 5, 40, 3);
-  api::RunOptions run;
-  const Time t25 = instance.job(static_cast<JobId>(9)).release;
-  const Time t50 = instance.job(static_cast<JobId>(19)).release;
-  run.fleet.events = {{t25, 0, FleetEventKind::kFail},
-                      {t50, 0, FleetEventKind::kJoin}};
-  run.fleet.rejection_budget = 1;
-  service::SessionOptions options;
-  options.run = run;
-
-  const std::size_t cut = 20;
-  service::CheckpointWriter w;
-  w.bytes(service::kSessionCheckpointMagic, 8);
-  w.u32(1);  // version 1
-  w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-  w.u64(instance.num_machines());
-  w.f64(run.epsilon);
-  w.f64(run.alpha);
-  w.u64(run.speed_levels);
-  w.f64(run.start_grid);
-  w.u8(run.validate ? 1 : 0);
-  w.u64(run.fleet.events.size());
-  for (const FleetEvent& event : run.fleet.events) {
-    w.f64(event.time);
-    w.u32(static_cast<std::uint32_t>(event.machine));
-    w.u8(static_cast<std::uint8_t>(event.kind));  // no speed field in v1
-  }
-  w.u64(0);  // initially_down
-  w.u64(run.fleet.rejection_budget);
-  w.u8(1);  // shed_killed_running
-  w.u64(service::SessionOptions{}.retire_batch);
-  // No live_window_cap / shed_budget in v1.
-  w.f64(instance.job(static_cast<JobId>(cut - 1)).release);  // clock
-  w.u64(cut);
-  StreamJob job;
-  for (std::size_t idx = 0; idx < cut; ++idx) {
-    fill_stream_job(instance, static_cast<JobId>(idx), 0.0, &job);
-    w.f64(job.release);
-    w.f64(job.weight);
-    w.f64(job.deadline);
-    for (const Work p : job.processing) w.f64(p);
-  }
-
-  std::string error;
-  auto restored = service::SchedulerSession::restore(w.finish(), &error);
-  ASSERT_NE(restored, nullptr) << error;
-  EXPECT_EQ(restored->num_submitted(), cut);
-  feed(*restored, instance, cut, instance.num_jobs());
-
-  service::SchedulerSession uninterrupted(api::Algorithm::kGreedySpt,
-                                          instance.num_machines(), options);
-  feed(uninterrupted, instance, 0, instance.num_jobs());
-  expect_identical(uninterrupted.drain(), restored->drain(), "v1 blob");
-}
-
-TEST(Checkpoint, ForgedSpeedAndVersionSkewAreDiagnosed) {
+TEST(Checkpoint, ForgedFleetAndOverloadFieldsAreDiagnosed) {
   using service::CheckpointWriter;
-  // Shared tail after the fleet events: down-list, budget, shed flag,
-  // retire batch, (v2: overload fields,) clock, empty job journal.
-  const auto finish_body = [](CheckpointWriter& w, bool v2) {
-    w.u64(0);     // initially_down
-    w.u64(0);     // rejection_budget
-    w.u8(1);      // shed_killed_running
-    w.u64(8192);  // retire_batch
-    if (v2) {
-      w.u64(0);  // live_window_cap
-      w.u64(0);  // shed_budget
-    }
+  // Shared tail after the fleet events: a dense session with no overload
+  // control, then the clock and an empty job journal.
+  const auto finish_body = [](CheckpointWriter& w) {
+    write_v4_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
+    w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    write_v4_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
   };
 
   std::string error;
   {
-    // A v2 blob whose speed multiplier is invalid: recoverable, and the
-    // diagnostic comes from the fleet-plan validator.
+    // A speed multiplier the fleet-plan validator refuses: recoverable, and
+    // the diagnostic comes from the validator.
     CheckpointWriter w;
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(2);
-    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-    w.u64(2);    // machines
-    w.f64(0.2);  // epsilon
-    w.f64(2.0);  // alpha
-    w.u64(8);    // speed_levels
-    w.f64(0.5);  // start_grid
-    w.u8(0);     // validate off
+    write_v4_head(w, /*machines=*/2);
     w.u64(1);
     w.f64(1.0);  // event time
     w.u32(0);    // machine
     w.u8(3);     // kSpeedChange
     w.f64(-1.0);  // forged multiplier
-    finish_body(w, /*v2=*/true);
+    finish_body(w);
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
     EXPECT_NE(error.find("invalid fleet plan"), std::string::npos) << error;
   }
   {
-    // kSpeedChange entered the format in v2 — kind 3 inside a version-1
-    // blob is damage, not history.
+    // A fleet event kind past kSpeedChange is damage.
     CheckpointWriter w;
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(1);
-    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-    w.u64(2);
-    w.f64(0.2);
-    w.f64(2.0);
-    w.u64(8);
-    w.f64(0.5);
-    w.u8(0);
+    write_v4_head(w, /*machines=*/2);
     w.u64(1);
     w.f64(1.0);
     w.u32(0);
-    w.u8(3);  // v1 events have no speed byte tail — and no kind 3
-    finish_body(w, /*v2=*/false);
+    w.u8(4);  // no such kind
+    w.f64(1.0);
+    finish_body(w);
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
-    EXPECT_NE(error.find("fleet event kind 3"), std::string::npos) << error;
+    EXPECT_NE(error.find("unknown fleet event kind 4"), std::string::npos)
+        << error;
   }
   {
     // Overload fields inconsistent with the journal: cap 1 with no shed
     // budget cannot have accepted a second live job, so the replay's
     // backpressure is reported as corruption, not an abort.
     CheckpointWriter w;
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(2);
-    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-    w.u64(1);    // one machine
-    w.f64(0.2);
-    w.f64(2.0);
-    w.u64(8);
-    w.f64(0.5);
-    w.u8(0);
-    w.u64(0);    // no fleet events
-    w.u64(0);    // initially_down
-    w.u64(0);    // rejection_budget
-    w.u8(1);     // shed_killed_running
-    w.u64(8192); // retire_batch
-    w.u64(1);    // live_window_cap: one live job
-    w.u64(0);    // shed_budget: none
+    write_v4_head(w, /*machines=*/1);
+    w.u64(0);  // no fleet events
+    write_v4_overload(w, /*live_window_cap=*/1, /*shed_budget=*/0);
+    w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    write_v4_fixed_policy(w);
     w.f64(1.0);  // clock
     w.u64(2);    // two journaled jobs, both live at the cut — impossible
     for (const double release : {0.0, 1.0}) {
@@ -398,14 +343,27 @@ TEST(Checkpoint, WrongMagicVersionAndForgedFieldsAreDiagnosed) {
     EXPECT_NE(error.find("magic"), std::string::npos) << error;
   }
 
-  // Right magic, future version: must name both versions.
-  {
-    CheckpointWriter w;
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(99);
-    w.u64(0);
-    EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
-    EXPECT_NE(error.find("version 99"), std::string::npos) << error;
+  // Right magic, any version but the current one — older blobs included:
+  // refused, and the diagnostic names both versions. Same for the driver.
+  for (const std::uint32_t version : {1u, 2u, 3u, 5u, 99u}) {
+    const auto blob = [version](const char (&magic)[8]) {
+      CheckpointWriter w;
+      w.bytes(magic, 8);
+      w.u32(version);
+      w.u64(0);
+      return w.finish();
+    };
+    const std::string expected =
+        "unsupported checkpoint version " + std::to_string(version) +
+        " (this build reads version 4)";
+    EXPECT_EQ(service::SchedulerSession::restore(
+                  blob(service::kSessionCheckpointMagic), &error),
+              nullptr);
+    EXPECT_EQ(error, expected);
+    EXPECT_EQ(service::ShardDriver::restore(
+                  blob(service::kDriverCheckpointMagic), 1, &error),
+              nullptr);
+    EXPECT_EQ(error, expected);
   }
 
   // Structurally valid header whose machine count is an allocation bomb.
@@ -573,33 +531,21 @@ TEST(Checkpoint, CompactBackendBlobTruncationIsDiagnosedNotUB) {
 
 TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
   using service::CheckpointWriter;
-  // The v3 header through the overload fields, for a 1-machine kGreedySpt
+  // The v4 header through the overload fields, for a 1-machine kGreedySpt
   // session — each case below appends a differently damaged tail.
-  const auto begin_v3 = [](CheckpointWriter& w) {
-    w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(3);
-    w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
-    w.u64(1);     // machines
-    w.f64(0.2);   // epsilon
-    w.f64(2.0);   // alpha
-    w.u64(8);     // speed_levels
-    w.f64(0.5);   // start_grid
-    w.u8(0);      // validate off
-    w.u64(0);     // no fleet events
-    w.u64(0);     // initially_down
-    w.u64(0);     // rejection_budget
-    w.u8(1);      // shed_killed_running
-    w.u64(8192);  // retire_batch
-    w.u64(0);     // live_window_cap
-    w.u64(0);     // shed_budget
+  const auto begin = [](CheckpointWriter& w) {
+    write_v4_head(w, /*machines=*/1);
+    w.u64(0);  // no fleet events
+    write_v4_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
   };
 
   std::string error;
   {
     // A backend id the trio does not name.
     CheckpointWriter w;
-    begin_v3(w);
+    begin(w);
     w.u8(7);     // forged backend
+    write_v4_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
@@ -610,8 +556,9 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // A sparse job declaring more entries than the blob holds: the count is
     // bounds-checked before any allocation or read.
     CheckpointWriter w;
-    begin_v3(w);
+    begin(w);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
+    write_v4_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -629,8 +576,9 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // A dense journal is fixed-stride, so surplus bytes are caught by the
     // up-front size check.
     CheckpointWriter w;
-    begin_v3(w);
+    begin(w);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    write_v4_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -646,8 +594,9 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     // The sparse journal's stride is data-dependent, so its surplus check
     // runs after replay: bytes left over are damage, not padding.
     CheckpointWriter w;
-    begin_v3(w);
+    begin(w);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
+    write_v4_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release

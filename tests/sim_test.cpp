@@ -3,12 +3,12 @@
 // validator.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "instance/builders.hpp"
 #include "instance/power.hpp"
 #include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/schedule.hpp"
 #include "sim/validator.hpp"
 
@@ -115,6 +115,16 @@ class RecordingHooks : public SimulationHooks {
   void on_event(const SimEvent& event, Time now) override {
     log.push_back({'E', event.job, now});
   }
+  void on_fleet(const FleetEvent& event, Time now) override {
+    log.push_back({'F', static_cast<JobId>(event.machine), now});
+  }
+
+  /// The log's kinds in delivery order, e.g. "AEA".
+  std::string kinds() const {
+    std::string out;
+    for (const Entry& entry : log) out += entry.kind;
+    return out;
+  }
 
   void schedule_completion_at(JobId job, Time t) { schedule_on_arrival_[job] = t; }
 
@@ -154,6 +164,22 @@ TEST(SimEngine, EventBeforeArrivalAtSameTime) {
   EXPECT_EQ(hooks.log[2].kind, 'A');
   EXPECT_DOUBLE_EQ(hooks.log[1].time, 5.0);
   EXPECT_DOUBLE_EQ(hooks.log[2].time, 5.0);
+}
+
+TEST(SimEngine, EventThenFleetThenArrivalAtSameTime) {
+  // A completion, a fleet event and an arrival share t = 5: the event loop
+  // fires the completion, then the fleet event, then delivers the arrival.
+  const Instance instance = single_machine_instance({{0.0, 1.0}, {5.0, 1.0}});
+  FleetPlan plan;
+  plan.events = {{5.0, 0, FleetEventKind::kSpeedChange, 2.0}};
+  SimEngine engine(instance, &plan);
+  RecordingHooks hooks(engine);
+  hooks.schedule_completion_at(0, 5.0);
+  engine.run(hooks);
+  EXPECT_EQ(hooks.kinds(), "AEFA");
+  for (std::size_t k = 1; k < hooks.log.size(); ++k) {
+    EXPECT_DOUBLE_EQ(hooks.log[k].time, 5.0) << "entry " << k;
+  }
 }
 
 // ---------------------------------------------------------------- Schedule

@@ -148,9 +148,9 @@ TEST(StreamingDifferential, BatchSubmitMatchesPerJobSubmitExactly) {
   }
 }
 
-TEST(StreamingSession, StoreAppendBatchMatchesPerJobAppend) {
-  // The store-level whole-batch append (validate_batch + append_trusted in
-  // one call) must reproduce per-job append exactly: same ids, same rows,
+TEST(StreamingSession, StoreTrustedAppendMatchesPerJobAppend) {
+  // The session's batch path — one validate_batch pass, then append_trusted
+  // per job — must reproduce per-job append exactly: same ids, same rows,
   // same adjacency.
   const Instance instance =
       make_workload(Family::kRestricted, base_seed() + 9, 64, 4);
@@ -159,8 +159,11 @@ TEST(StreamingSession, StoreAppendBatchMatchesPerJobAppend) {
     fill_stream_job(instance, static_cast<JobId>(idx), 0.0, &jobs[idx]);
   }
   service::StreamingJobStore batched(instance.num_machines());
-  EXPECT_EQ(batched.append_batch(std::span<const StreamJob>()), kInvalidJob);
-  EXPECT_EQ(batched.append_batch(std::span<const StreamJob>(jobs)), 0);
+  batched.validate_batch(std::span<const StreamJob>());
+  batched.validate_batch(std::span<const StreamJob>(jobs));
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    EXPECT_EQ(batched.append_trusted(jobs[idx]), static_cast<JobId>(idx));
+  }
   EXPECT_EQ(batched.num_jobs(), jobs.size());
   service::StreamingJobStore single(instance.num_machines());
   for (const StreamJob& job : jobs) single.append(job);
