@@ -4,33 +4,6 @@
 
 namespace osched {
 
-ObjectiveReport evaluate(const Schedule& schedule, const Instance& instance,
-                         const PowerFunction* power) {
-  ObjectiveReport report;
-  report.num_jobs = instance.num_jobs();
-  report.num_completed = schedule.num_completed();
-  report.num_rejected = schedule.num_rejected();
-  if (report.num_jobs > 0) {
-    report.rejected_fraction = static_cast<double>(report.num_rejected) /
-                               static_cast<double>(report.num_jobs);
-  }
-  const Weight total_weight = instance.total_weight();
-  if (total_weight > 0.0) {
-    report.rejected_weight_fraction =
-        schedule.rejected_weight(instance) / total_weight;
-  }
-  report.total_flow = schedule.total_flow(instance, /*include_rejected=*/true);
-  report.completed_flow = schedule.total_flow(instance, /*include_rejected=*/false);
-  report.total_weighted_flow =
-      schedule.total_weighted_flow(instance, /*include_rejected=*/true);
-  report.max_flow = schedule.max_flow(instance, /*include_rejected=*/true);
-  report.makespan = schedule.makespan();
-  if (power != nullptr) {
-    report.energy = compute_energy(schedule, instance, *power);
-  }
-  return report;
-}
-
 std::string to_string(const ObjectiveReport& report) {
   std::ostringstream out;
   out << "jobs=" << report.num_jobs << " completed=" << report.num_completed

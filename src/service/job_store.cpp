@@ -364,66 +364,4 @@ Work StreamingJobStore::min_processing(JobId j) const {
   return best;
 }
 
-Instance StreamingJobStore::take_instance() {
-  OSCHED_CHECK_EQ(begin_id_, 0)
-      << "cannot materialize an Instance after retirement";
-  std::vector<Job> jobs;
-  jobs.reserve(num_jobs_);
-  // Submissions were release-ordered with dense ids, so every Instance
-  // constructor's stable (release, id) sort is the identity permutation and
-  // streamed ids keep their meaning. The materialized instance keeps the
-  // store's backend: a compact session's drain never builds the n×m matrix.
-  if (backend_ == StorageBackend::kGenerator) {
-    for (std::size_t idx = 0; idx < num_jobs_; ++idx) {
-      jobs.push_back(job(static_cast<JobId>(idx)));
-    }
-    std::shared_ptr<const RowGenerator> generator = generator_;
-    begin_id_ = static_cast<JobId>(num_jobs_);
-    for (auto& block : blocks_) release_block(block);
-    return Instance::from_generator(std::move(jobs), num_machines_,
-                                    std::move(generator));
-  }
-  if (backend_ == StorageBackend::kSparseCsr) {
-    std::vector<std::vector<SparseEntry>> rows(num_jobs_);
-    for (std::size_t idx = 0; idx < num_jobs_; ++idx) {
-      const auto j = static_cast<JobId>(idx);
-      jobs.push_back(job(j));
-      const EligibleMachines eligible = eligible_machines(j);
-      const Work* values = csr_values(j);
-      rows[idx].reserve(eligible.size());
-      for (std::size_t e = 0; e < eligible.size(); ++e) {
-        rows[idx].push_back(SparseEntry{eligible.begin()[e], values[e]});
-      }
-      if (offset_of(j) + 1 == jobs_per_block_) {
-        release_block(blocks_[idx / jobs_per_block_]);
-        begin_id_ = static_cast<JobId>(idx + 1);
-      }
-    }
-    begin_id_ = static_cast<JobId>(num_jobs_);
-    for (auto& block : blocks_) release_block(block);
-    return Instance::from_sparse_rows(std::move(jobs), num_machines_,
-                                      std::move(rows));
-  }
-  std::vector<std::vector<Work>> processing(num_machines_);
-  for (auto& row : processing) row.reserve(num_jobs_);
-  for (std::size_t idx = 0; idx < num_jobs_; ++idx) {
-    const auto j = static_cast<JobId>(idx);
-    jobs.push_back(job(j));
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      processing[i].push_back(
-          processing_unchecked(static_cast<MachineId>(i), j));
-    }
-    // Hand back each fully-copied block immediately: copied-so-far plus
-    // blocks-still-held stays ~one instance worth of memory, instead of
-    // ending with two complete copies live at once.
-    if (offset_of(j) + 1 == jobs_per_block_) {
-      release_block(blocks_[idx / jobs_per_block_]);
-      begin_id_ = static_cast<JobId>(idx + 1);
-    }
-  }
-  begin_id_ = static_cast<JobId>(num_jobs_);
-  for (auto& block : blocks_) release_block(block);
-  return Instance(std::move(jobs), std::move(processing));
-}
-
 }  // namespace osched::service

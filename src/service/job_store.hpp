@@ -203,8 +203,8 @@ class StreamingJobStore {
   }
 
   /// kSparseCsr only: job j's stored values, aligned entry-for-entry with
-  /// eligible_machines(j). The checkpoint writer and take_instance() read
-  /// rows through this instead of m probes.
+  /// eligible_machines(j). The checkpoint writer reads rows through this
+  /// instead of m probes.
   const Work* csr_values(JobId j) const {
     OSCHED_CHECK(backend_ == StorageBackend::kSparseCsr);
     const Block& b = block_of(j);
@@ -212,16 +212,6 @@ class StreamingJobStore {
   }
 
   Work min_processing(JobId j) const;
-
-  /// Builds a batch Instance holding every appended job — under the SAME
-  /// storage backend as the store, so a sparse or generator session's drain
-  /// never materializes the n×m matrix — RELEASING each store block as soon
-  /// as it is copied. Peak memory stays ~one copy of the data, but the
-  /// store is empty afterwards (every read aborts). Only legal while
-  /// nothing has been retired; retention-mode sessions call it at drain
-  /// time, after the policy's last store read, to run the batch validator
-  /// and objective evaluation over the streamed run.
-  Instance take_instance();
 
  private:
   /// The one validation predicate behind job_ok/validate_job/append: null

@@ -303,18 +303,17 @@ class SchedulerSession::Impl {
 
     if (options_.retain_records) {
       Schedule schedule = records_.to_schedule();
-      // Destructive: the policy made its last store read before drain, and
-      // the session is finished after this call.
-      const Instance instance = store_.take_instance();
+      // The store holds every job (nothing retires in this mode), and the
+      // validator and evaluate read it in place.
       if (options_.run.validate) {
         // Same validator invocation as api::run for these algorithms (none
         // of the streamable policies uses parallel execution or deadlines).
-        check_schedule(schedule, instance, ValidationOptions{});
+        check_schedule(schedule, store_, ValidationOptions{});
       }
       const PolynomialPower power(options_.run.alpha);
       const PowerFunction* report_power =
           algorithm_ == api::Algorithm::kTheorem2 ? &power : nullptr;
-      summary.report = evaluate(schedule, instance, report_power);
+      summary.report = evaluate(schedule, store_, report_power);
       summary.schedule = std::move(schedule);
     } else {
       fold_to(records_.decided_frontier());

@@ -18,8 +18,9 @@
 // Memory modes:
 //  * retain_records = true (default): every record and job row is kept; at
 //    drain() the session validates the schedule and computes the objective
-//    report with the same code paths as api::run — the RunSummary is
-//    byte-identical to the batch one.
+//    report with the same code as api::run, reading the job store in place
+//    (no Instance is built) — the RunSummary is byte-identical to the batch
+//    one. The store's blocks are freed with the session.
 //  * retain_records = false: once a job's fate is sealed and the decided
 //    frontier passes it, its record, job row and per-job policy state are
 //    folded into running aggregates and released — the footprint tracks

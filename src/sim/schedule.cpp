@@ -86,57 +86,6 @@ void Schedule::mark_requeued(JobId j, MachineId machine) {
   record_requeued(record(j), j, machine);
 }
 
-Time Schedule::flow_time(JobId j, const Instance& instance) const {
-  const JobRecord& rec = record(j);
-  const Time release = instance.job(j).release;
-  switch (rec.fate) {
-    case JobFate::kCompleted:
-      return rec.end - release;
-    case JobFate::kRejectedRunning:
-    case JobFate::kRejectedPending:
-      return rec.rejection_time - release;
-    default:
-      OSCHED_CHECK(false) << "flow_time of unfinished job " << j << " (fate="
-                          << to_string(rec.fate) << ")";
-      return 0.0;
-  }
-}
-
-Time Schedule::total_flow(const Instance& instance, bool include_rejected) const {
-  Time total = 0.0;
-  for (std::size_t j = 0; j < records_.size(); ++j) {
-    const JobRecord& rec = records_[j];
-    if (rec.completed() || (include_rejected && rec.rejected())) {
-      total += flow_time(static_cast<JobId>(j), instance);
-    }
-  }
-  return total;
-}
-
-Time Schedule::total_weighted_flow(const Instance& instance,
-                                   bool include_rejected) const {
-  Time total = 0.0;
-  for (std::size_t j = 0; j < records_.size(); ++j) {
-    const JobRecord& rec = records_[j];
-    if (rec.completed() || (include_rejected && rec.rejected())) {
-      total += instance.job(static_cast<JobId>(j)).weight *
-               flow_time(static_cast<JobId>(j), instance);
-    }
-  }
-  return total;
-}
-
-Time Schedule::max_flow(const Instance& instance, bool include_rejected) const {
-  Time worst = 0.0;
-  for (std::size_t j = 0; j < records_.size(); ++j) {
-    const JobRecord& rec = records_[j];
-    if (rec.completed() || (include_rejected && rec.rejected())) {
-      worst = std::max(worst, flow_time(static_cast<JobId>(j), instance));
-    }
-  }
-  return worst;
-}
-
 std::size_t Schedule::num_completed() const {
   std::size_t count = 0;
   for (const JobRecord& rec : records_) count += rec.completed() ? 1 : 0;
@@ -149,16 +98,6 @@ std::size_t Schedule::num_rejected() const {
   return count;
 }
 
-Weight Schedule::rejected_weight(const Instance& instance) const {
-  Weight total = 0.0;
-  for (std::size_t j = 0; j < records_.size(); ++j) {
-    if (records_[j].rejected()) {
-      total += instance.job(static_cast<JobId>(j)).weight;
-    }
-  }
-  return total;
-}
-
 Time Schedule::makespan() const {
   Time latest = 0.0;
   for (const JobRecord& rec : records_) {
@@ -167,60 +106,49 @@ Time Schedule::makespan() const {
   return latest;
 }
 
-namespace {
-
-Energy machine_energy(const Schedule& schedule, const Instance& instance,
-                      MachineId machine, const PowerFunction& power) {
-  // Sweep over speed-change breakpoints. Each started execution on this
-  // machine contributes +speed at its start and -speed at its end; the
-  // energy is the integral of power(sum of active speeds).
-  std::map<Time, Speed> delta;  // time -> speed change
-  for (std::size_t j = 0; j < schedule.num_jobs(); ++j) {
-    const JobRecord& rec = schedule.record(static_cast<JobId>(j));
-    if (rec.machine != machine || !rec.started) continue;
-    if (rec.end <= rec.start) continue;  // zero-length (rejected at start)
-    delta[rec.start] += rec.speed;
-    delta[rec.end] -= rec.speed;
-  }
-  (void)instance;
-
-  Energy total = 0.0;
-  Speed current = 0.0;
-  Time prev = 0.0;
-  bool first = true;
-  for (const auto& [time, change] : delta) {
-    if (!first && current > 0.0) {
-      total += power.power(current) * (time - prev);
-    }
-    current += change;
-    // Clamp tiny negative drift from float cancellation.
-    if (current < 0.0 && current > -1e-9) current = 0.0;
-    OSCHED_CHECK_GE(current, 0.0) << "negative speed profile on machine " << machine;
-    prev = time;
-    first = false;
-  }
-  return total;
-}
-
-}  // namespace
-
-Energy compute_energy(const Schedule& schedule, const Instance& instance,
-                      const PowerFunction& power) {
-  Energy total = 0.0;
-  for (std::size_t i = 0; i < instance.num_machines(); ++i) {
-    total += machine_energy(schedule, instance, static_cast<MachineId>(i), power);
-  }
-  return total;
-}
-
-Energy compute_energy(const Schedule& schedule, const Instance& instance,
+Energy profile_energy(const Schedule& schedule,
                       const std::vector<const PowerFunction*>& powers) {
-  OSCHED_CHECK_EQ(powers.size(), instance.num_machines());
+  const std::size_t m = powers.size();
+  std::vector<const JobRecord*> runs;
+  for (const JobRecord& rec : schedule.records()) {
+    if (rec.started && rec.end > rec.start &&  // zero-length: no energy
+        rec.machine >= 0 && static_cast<std::size_t>(rec.machine) < m) {
+      runs.push_back(&rec);
+    }
+  }
+  // Each machine's sweep sees its records in job order: the order its
+  // breakpoint map is built in, and so the order its sums round in.
+  std::vector<std::size_t> begin;
+  const std::vector<const JobRecord*> by_machine = group_by_machine(
+      runs, m, [](const JobRecord* rec) { return rec->machine; }, &begin);
+
   Energy total = 0.0;
-  for (std::size_t i = 0; i < instance.num_machines(); ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     OSCHED_CHECK(powers[i] != nullptr);
-    total +=
-        machine_energy(schedule, instance, static_cast<MachineId>(i), *powers[i]);
+    // Sweep over speed-change breakpoints. Each execution contributes
+    // +speed at its start and -speed at its end; the machine's energy is
+    // the integral of power(sum of active speeds).
+    std::map<Time, Speed> delta;  // time -> speed change
+    for (std::size_t k = begin[i]; k < begin[i + 1]; ++k) {
+      delta[by_machine[k]->start] += by_machine[k]->speed;
+      delta[by_machine[k]->end] -= by_machine[k]->speed;
+    }
+    Energy energy = 0.0;
+    Speed current = 0.0;
+    Time prev = 0.0;
+    bool first = true;
+    for (const auto& [time, change] : delta) {
+      if (!first && current > 0.0) {
+        energy += powers[i]->power(current) * (time - prev);
+      }
+      current += change;
+      // Clamp tiny negative drift from float cancellation.
+      if (current < 0.0 && current > -1e-9) current = 0.0;
+      OSCHED_CHECK_GE(current, 0.0) << "negative speed profile on machine " << i;
+      prev = time;
+      first = false;
+    }
+    total += energy;
   }
   return total;
 }

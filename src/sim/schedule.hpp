@@ -8,6 +8,7 @@
 // produce a bad objective value, but not a silently infeasible schedule.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "instance/instance.hpp"
@@ -102,23 +103,59 @@ class Schedule {
   /// Re-dispatch of a pending job after a machine failure (fleet mode).
   void mark_requeued(JobId j, MachineId machine);
 
-  // ---- Objective queries (require the paired instance) ----
+  // ---- Objective queries ----
+  //
+  // `jobs` is the paired job data: an Instance, or any source with its
+  // job(j) accessor (a retained session evaluates over its job store).
 
   /// Flow time of one job: completion − release for completed jobs,
   /// rejection − release for rejected jobs (the paper's convention: a
   /// rejected job pays for the time it spent in the system).
-  Time flow_time(JobId j, const Instance& instance) const;
+  template <typename Jobs>
+  Time flow_time(JobId j, const Jobs& jobs) const {
+    const JobRecord& rec = record(j);
+    OSCHED_CHECK(rec.terminal()) << "flow_time of unfinished job " << j
+                                 << " (fate=" << to_string(rec.fate) << ")";
+    return (rec.completed() ? rec.end : rec.rejection_time) -
+           jobs.job(j).release;
+  }
 
   /// Sum of flow times. When include_rejected is false only completed jobs
   /// contribute (useful for comparing against no-rejection baselines).
-  Time total_flow(const Instance& instance, bool include_rejected = true) const;
-  Time total_weighted_flow(const Instance& instance,
-                           bool include_rejected = true) const;
-  Time max_flow(const Instance& instance, bool include_rejected = true) const;
+  template <typename Jobs>
+  Time total_flow(const Jobs& jobs, bool include_rejected = true) const {
+    Time total = 0.0;
+    for_counted(include_rejected,
+                [&](JobId j) { total += flow_time(j, jobs); });
+    return total;
+  }
+  template <typename Jobs>
+  Time total_weighted_flow(const Jobs& jobs,
+                           bool include_rejected = true) const {
+    Time total = 0.0;
+    for_counted(include_rejected, [&](JobId j) {
+      total += jobs.job(j).weight * flow_time(j, jobs);
+    });
+    return total;
+  }
+  template <typename Jobs>
+  Time max_flow(const Jobs& jobs, bool include_rejected = true) const {
+    Time worst = 0.0;
+    for_counted(include_rejected,
+                [&](JobId j) { worst = std::max(worst, flow_time(j, jobs)); });
+    return worst;
+  }
 
   std::size_t num_completed() const;
   std::size_t num_rejected() const;
-  Weight rejected_weight(const Instance& instance) const;
+  template <typename Jobs>
+  Weight rejected_weight(const Jobs& jobs) const {
+    Weight total = 0.0;
+    for (std::size_t j = 0; j < records_.size(); ++j) {
+      if (records_[j].rejected()) total += jobs.job(static_cast<JobId>(j)).weight;
+    }
+    return total;
+  }
 
   /// Latest completion/interruption time across machines.
   Time makespan() const;
@@ -126,20 +163,66 @@ class Schedule {
   const std::vector<JobRecord>& records() const { return records_; }
 
  private:
+  /// Calls f(j), in id order, for every job the objective sums count:
+  /// completed jobs, plus rejected ones when include_rejected.
+  template <typename F>
+  void for_counted(bool include_rejected, F&& f) const {
+    for (std::size_t j = 0; j < records_.size(); ++j) {
+      const JobRecord& rec = records_[j];
+      if (rec.completed() || (include_rejected && rec.rejected())) {
+        f(static_cast<JobId>(j));
+      }
+    }
+  }
+
   std::vector<JobRecord> records_;
 };
+
+/// Stable counting sort by machine: returns `items` grouped so that machine
+/// i's items, in their input order, fill [(*begin)[i], (*begin)[i + 1]).
+/// machine_of(item) must lie in [0, num_machines).
+template <typename T, typename MachineOf>
+std::vector<T> group_by_machine(const std::vector<T>& items,
+                                std::size_t num_machines, MachineOf machine_of,
+                                std::vector<std::size_t>* begin) {
+  const auto slot = [&](const T& item) {
+    return static_cast<std::size_t>(machine_of(item));
+  };
+  begin->assign(num_machines + 1, 0);
+  for (const T& item : items) ++(*begin)[slot(item) + 1];
+  for (std::size_t i = 0; i < num_machines; ++i) (*begin)[i + 1] += (*begin)[i];
+  std::vector<T> grouped(items.size());
+  std::vector<std::size_t> cursor(begin->begin(), begin->end() - 1);
+  for (const T& item : items) grouped[cursor[slot(item)]++] = item;
+  return grouped;
+}
 
 /// Total energy of a schedule in the speed-scaling model: per machine, the
 /// speed profile is the SUM of the speeds of concurrently executing jobs
 /// (Theorem 3's model allows parallel execution on one machine; Theorems 1/2
 /// never overlap, in which case this reduces to a per-segment sum), and the
-/// energy is the integral of power(profile).
-Energy compute_energy(const Schedule& schedule, const Instance& instance,
-                      const PowerFunction& power);
+/// energy is the integral of powers[i](profile) on machine i. The machine
+/// count is powers.size(). One pass over the records, whatever the machine
+/// count.
+Energy profile_energy(const Schedule& schedule,
+                      const std::vector<const PowerFunction*>& powers);
+
+/// profile_energy with one power function on every machine of `jobs` (an
+/// Instance, or any source with its num_machines() accessor).
+template <typename Jobs>
+Energy compute_energy(const Schedule& schedule, const Jobs& jobs,
+                      const PowerFunction& power) {
+  return profile_energy(
+      schedule, std::vector<const PowerFunction*>(jobs.num_machines(), &power));
+}
 
 /// Per-machine variant with machine-specific power functions (size must
-/// equal instance.num_machines()).
-Energy compute_energy(const Schedule& schedule, const Instance& instance,
-                      const std::vector<const PowerFunction*>& powers);
+/// equal jobs.num_machines()).
+template <typename Jobs>
+Energy compute_energy(const Schedule& schedule, const Jobs& jobs,
+                      const std::vector<const PowerFunction*>& powers) {
+  OSCHED_CHECK_EQ(powers.size(), jobs.num_machines());
+  return profile_energy(schedule, powers);
+}
 
 }  // namespace osched

@@ -1,159 +1,69 @@
 #include "sim/validator.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace osched {
 
-namespace {
+namespace validator_detail {
 
-struct Interval {
-  Time begin;
-  Time end;
-  JobId job;
-};
+std::string count_mismatch(std::size_t records, std::size_t jobs) {
+  std::ostringstream msg;
+  msg << "job count mismatch: schedule has " << records
+      << " records, instance has " << jobs << " jobs";
+  return msg.str();
+}
 
-}  // namespace
+std::string job_violation(JobId j, JobFate fate, const char* what) {
+  std::ostringstream msg;
+  msg << "job " << j << " (" << to_string(fate) << "): " << what;
+  return msg.str();
+}
 
-std::vector<std::string> validate_schedule(const Schedule& schedule,
-                                           const Instance& instance,
-                                           const ValidationOptions& options) {
-  std::vector<std::string> violations;
-  auto violation = [&violations](const std::string& msg) {
-    violations.push_back(msg);
-  };
+std::string duration_mismatch(JobId j, Time actual, Time required) {
+  std::ostringstream msg;
+  msg << job_violation(j, JobFate::kCompleted, "")
+      << "non-preemptive duration mismatch: ran " << actual << ", needs "
+      << required;
+  return msg.str();
+}
 
-  OSCHED_CHECK_EQ(schedule.num_jobs(), instance.num_jobs());
-  const double tol = options.tolerance;
+std::string deadline_miss(JobId j, Time deadline, Time end) {
+  std::ostringstream msg;
+  msg << job_violation(j, JobFate::kCompleted, "") << "misses deadline "
+      << deadline << " (ends " << end << ")";
+  return msg.str();
+}
 
-  std::vector<std::vector<Interval>> busy(instance.num_machines());
+void report_overlaps(const std::vector<Interval>& busy,
+                     std::size_t num_machines, double tol,
+                     std::vector<std::string>& violations) {
+  // std::sort is not stable: among equal starts, the pair an overlap names
+  // depends on input order. Grouping keeps each machine's intervals in job
+  // order, so the messages depend on nothing else.
+  std::vector<std::size_t> begin;
+  std::vector<Interval> sorted = group_by_machine(
+      busy, num_machines, [](const Interval& iv) { return iv.machine; },
+      &begin);
 
-  for (std::size_t idx = 0; idx < schedule.num_jobs(); ++idx) {
-    const auto j = static_cast<JobId>(idx);
-    const JobRecord& rec = schedule.record(j);
-    const Job& job = instance.job(j);
-    std::ostringstream tag;
-    tag << "job " << j << " (" << to_string(rec.fate) << "): ";
-
-    if (rec.fate == JobFate::kUnscheduled || rec.fate == JobFate::kPending) {
-      if (options.require_all_decided) {
-        violation(tag.str() + "left undecided at end of run");
-      }
-      continue;
-    }
-
-    // A job rejected at its arrival instant, before any dispatch, carries no
-    // machine (immediate-rejection policies, Lemma 1 setting): only the
-    // timing is checkable.
-    if (rec.fate == JobFate::kRejectedPending && rec.machine == kInvalidMachine) {
-      if (rec.started) violation(tag.str() + "queue-rejected but started");
-      if (rec.rejection_time < job.release - tol) {
-        violation(tag.str() + "rejected before release");
-      }
-      continue;
-    }
-
-    // Dispatched machine must exist and be eligible.
-    if (rec.machine < 0 ||
-        static_cast<std::size_t>(rec.machine) >= instance.num_machines()) {
-      violation(tag.str() + "invalid machine index");
-      continue;
-    }
-    if (!instance.eligible(rec.machine, j)) {
-      violation(tag.str() + "assigned to ineligible machine");
-      continue;
-    }
-
-    if (rec.fate == JobFate::kRejectedPending) {
-      if (rec.started) violation(tag.str() + "queue-rejected but started");
-      if (rec.rejection_time < job.release - tol) {
-        violation(tag.str() + "rejected before release");
-      }
-      continue;
-    }
-
-    // Completed or rejected-running: must have started.
-    if (!rec.started) {
-      violation(tag.str() + "finished without starting");
-      continue;
-    }
-    if (rec.start < job.release - tol) {
-      violation(tag.str() + "started before release");
-    }
-    if (rec.speed <= 0.0) {
-      violation(tag.str() + "non-positive speed");
-      continue;
-    }
-    if (rec.end < rec.start - tol) {
-      violation(tag.str() + "ends before it starts");
-    }
-
-    if (rec.fate == JobFate::kCompleted) {
-      const Work p = instance.processing(rec.machine, j);
-      const Time required = p / rec.speed;
-      const Time actual = rec.end - rec.start;
-      if (std::abs(actual - required) > tol * std::max(1.0, required)) {
+  for (std::size_t i = 0; i < num_machines; ++i) {
+    std::sort(sorted.begin() + begin[i], sorted.begin() + begin[i + 1],
+              [](const Interval& a, const Interval& b) {
+                return a.begin < b.begin;
+              });
+    for (std::size_t k = begin[i] + 1; k < begin[i + 1]; ++k) {
+      const Interval& prev = sorted[k - 1];
+      const Interval& next = sorted[k];
+      if (next.begin < prev.end - tol) {
         std::ostringstream msg;
-        msg << tag.str() << "non-preemptive duration mismatch: ran " << actual
-            << ", needs " << required;
-        violation(msg.str());
-      }
-      if (options.require_deadlines && job.has_deadline() &&
-          rec.end > job.deadline + tol) {
-        std::ostringstream msg;
-        msg << tag.str() << "misses deadline " << job.deadline << " (ends "
-            << rec.end << ")";
-        violation(msg.str());
-      }
-    } else {  // kRejectedRunning
-      if (std::abs(rec.rejection_time - rec.end) > tol) {
-        violation(tag.str() + "interruption time disagrees with end time");
-      }
-      // An interrupted job must not have exceeded its full processing need
-      // (otherwise it should have completed).
-      const Work p = instance.processing(rec.machine, j);
-      if (rec.end - rec.start > p / rec.speed + tol) {
-        violation(tag.str() + "ran longer than its processing requirement");
-      }
-    }
-
-    if (rec.end > rec.start) {
-      busy[static_cast<std::size_t>(rec.machine)].push_back(
-          Interval{rec.start, rec.end, j});
-    }
-  }
-
-  // Machine capacity: at most one job at a time unless the model allows
-  // parallel speed-added execution.
-  if (!options.allow_parallel_execution) {
-    for (std::size_t i = 0; i < busy.size(); ++i) {
-      auto& intervals = busy[i];
-      std::sort(intervals.begin(), intervals.end(),
-                [](const Interval& a, const Interval& b) {
-                  return a.begin < b.begin;
-                });
-      for (std::size_t k = 1; k < intervals.size(); ++k) {
-        if (intervals[k].begin < intervals[k - 1].end - tol) {
-          std::ostringstream msg;
-          msg << "machine " << i << ": jobs " << intervals[k - 1].job << " and "
-              << intervals[k].job << " overlap ([" << intervals[k - 1].begin
-              << "," << intervals[k - 1].end << ") vs [" << intervals[k].begin
-              << "," << intervals[k].end << "))";
-          violation(msg.str());
-        }
+        msg << "machine " << i << ": jobs " << prev.job << " and " << next.job
+            << " overlap ([" << prev.begin << "," << prev.end << ") vs ["
+            << next.begin << "," << next.end << "))";
+        violations.push_back(msg.str());
       }
     }
   }
-
-  return violations;
 }
 
-void check_schedule(const Schedule& schedule, const Instance& instance,
-                    const ValidationOptions& options) {
-  const auto violations = validate_schedule(schedule, instance, options);
-  OSCHED_CHECK(violations.empty())
-      << violations.size() << " violations; first: " << violations.front();
-}
+}  // namespace validator_detail
 
 }  // namespace osched

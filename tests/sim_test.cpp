@@ -463,5 +463,190 @@ TEST(Validator, CompletedJobStillRequiresAMachine) {
   EXPECT_NE(violations[0].find("invalid machine"), std::string::npos);
 }
 
+// Exact text of every violation class. The substring tests above survive a
+// reworded message; these pin each message byte for byte, so a validator
+// rewrite cannot drift the diagnostics callers and logs depend on.
+
+using Violations = std::vector<std::string>;
+
+/// Job 0 (release 0, p = 3) as one record on machine 0, job 1 (release 1,
+/// p = 2) completed feasibly after it at [3, 5).
+Schedule with_job0(const JobRecord& rec0) {
+  Schedule schedule(2);
+  schedule.record(0) = rec0;
+  schedule.mark_dispatched(1, 0);
+  schedule.mark_started(1, 3.0, 1.0);
+  schedule.mark_completed(1, 5.0);
+  return schedule;
+}
+
+JobRecord record(JobFate fate, MachineId machine, bool started, Time start,
+                 Time end, Speed speed = 1.0, Time rejection_time = 0.0) {
+  JobRecord rec;
+  rec.fate = fate;
+  rec.machine = machine;
+  rec.started = started;
+  rec.start = start;
+  rec.end = end;
+  rec.speed = speed;
+  rec.rejection_time = rejection_time;
+  return rec;
+}
+
+TEST(ValidatorMessages, Undecided) {
+  const Instance instance = two_job_instance();
+  Schedule schedule(2);
+  schedule.mark_dispatched(1, 0);
+  EXPECT_EQ(validate_schedule(schedule, instance),
+            (Violations{"job 0 (unscheduled): left undecided at end of run",
+                        "job 1 (pending): left undecided at end of run"}));
+}
+
+TEST(ValidatorMessages, JobCountMismatchIsReturnedNotAborted) {
+  // A schedule sized for another instance is one violation naming both
+  // counts; no per-job check runs (job 0's bogus record is not reported).
+  const Instance instance = two_job_instance();
+  Schedule short_schedule(1);
+  short_schedule.record(0).fate = JobFate::kCompleted;
+  EXPECT_EQ(validate_schedule(short_schedule, instance),
+            (Violations{"job count mismatch: schedule has 1 records, "
+                        "instance has 2 jobs"}));
+  EXPECT_EQ(validate_schedule(Schedule(3), instance),
+            (Violations{"job count mismatch: schedule has 3 records, "
+                        "instance has 2 jobs"}));
+  EXPECT_DEATH(check_schedule(Schedule(3), instance), "job count mismatch");
+}
+
+TEST(ValidatorMessages, QueueRejections) {
+  const Instance instance = two_job_instance();
+  // Rejected at arrival, no machine.
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kRejectedPending, kInvalidMachine,
+                                 true, 0.0, 0.0)),
+                instance),
+            (Violations{"job 0 (rejected-pending): queue-rejected but started"}));
+  const Instance late = single_machine_instance({{2.0, 3.0}, {3.0, 2.0}});
+  Schedule schedule(2);
+  schedule.mark_rejected_pending(0, 1.0);
+  schedule.mark_dispatched(1, 0);
+  schedule.mark_rejected_pending(1, 2.5);
+  EXPECT_EQ(validate_schedule(schedule, late),
+            (Violations{"job 0 (rejected-pending): rejected before release",
+                        "job 1 (rejected-pending): rejected before release"}));
+  // Dispatched, then queue-rejected: same texts from the machine branch.
+  EXPECT_EQ(validate_schedule(with_job0(record(JobFate::kRejectedPending, 0,
+                                               true, 0.0, 0.0)),
+                              instance),
+            (Violations{"job 0 (rejected-pending): queue-rejected but started"}));
+}
+
+TEST(ValidatorMessages, MachineClasses) {
+  const Instance instance = two_job_instance();
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, 1, true, 0.0, 3.0)),
+                instance),
+            (Violations{"job 0 (completed): invalid machine index"}));
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, -2, true, 0.0, 3.0)),
+                instance),
+            (Violations{"job 0 (completed): invalid machine index"}));
+  InstanceBuilder builder(2);
+  builder.add_job(0.0, {kTimeInfinity, 2.0});
+  builder.add_job(1.0, {2.0, 2.0});
+  const Instance restricted = builder.build();
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, 0, true, 0.0, 2.0)),
+                restricted),
+            (Violations{"job 0 (completed): assigned to ineligible machine"}));
+}
+
+TEST(ValidatorMessages, ExecutionClasses) {
+  const Instance instance = two_job_instance();
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, 0, false, 0.0, 3.0)),
+                instance),
+            (Violations{"job 0 (completed): finished without starting"}));
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, 0, true, 0.0, 3.0, 0.0)),
+                instance),
+            (Violations{"job 0 (completed): non-positive speed"}));
+  EXPECT_EQ(validate_schedule(with_job0(record(JobFate::kRejectedRunning, 0,
+                                               true, 2.0, 1.5, 1.0, 1.5)),
+                              instance),
+            (Violations{"job 0 (rejected-running): ends before it starts"}));
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, 0, true, 0.0, 2.5)),
+                instance),
+            (Violations{"job 0 (completed): non-preemptive duration mismatch: "
+                        "ran 2.5, needs 3"}));
+  EXPECT_EQ(validate_schedule(
+                with_job0(record(JobFate::kCompleted, 0, true, 0.0, 1.5, 2.0)),
+                instance),
+            Violations{});
+  EXPECT_EQ(validate_schedule(with_job0(record(JobFate::kRejectedRunning, 0,
+                                               true, 0.0, 1.0, 1.0, 2.0)),
+                              instance),
+            (Violations{"job 0 (rejected-running): interruption time "
+                        "disagrees with end time"}));
+  EXPECT_EQ(validate_schedule(with_job0(record(JobFate::kRejectedRunning, 0,
+                                               true, 0.0, 3.0 + 1e-3, 1.0,
+                                               3.0 + 1e-3)),
+                              instance),
+            (Violations{"job 0 (rejected-running): ran longer than its "
+                        "processing requirement",
+                        "machine 0: jobs 0 and 1 overlap ([0,3.001) vs [3,5))"}));
+}
+
+TEST(ValidatorMessages, StartedBeforeRelease) {
+  const Instance instance = two_job_instance();
+  Schedule schedule(2);
+  schedule.mark_dispatched(1, 0);
+  schedule.mark_started(1, 0.25, 1.0);  // release is 1.0
+  schedule.mark_completed(1, 2.25);
+  schedule.mark_dispatched(0, 0);
+  schedule.mark_started(0, 2.25, 1.0);
+  schedule.mark_completed(0, 5.25);
+  EXPECT_EQ(validate_schedule(schedule, instance),
+            (Violations{"job 1 (completed): started before release"}));
+}
+
+TEST(ValidatorMessages, DeadlineMiss) {
+  InstanceBuilder builder(1);
+  builder.add_identical_job(0.0, 2.0, 1.0, /*deadline=*/3.5);
+  const Instance instance = builder.build();
+  Schedule schedule(1);
+  schedule.mark_dispatched(0, 0);
+  schedule.mark_started(0, 2.0, 1.0);
+  schedule.mark_completed(0, 4.0);
+  ValidationOptions options;
+  options.require_deadlines = true;
+  EXPECT_EQ(validate_schedule(schedule, instance, options),
+            (Violations{"job 0 (completed): misses deadline 3.5 (ends 4)"}));
+}
+
+TEST(ValidatorMessages, OverlapsInStartOrderPerMachine) {
+  // Three jobs on machine 1, recorded out of start order, plus a clean job
+  // on machine 0: every adjacent overlapping pair is named in start order.
+  InstanceBuilder builder(2);
+  builder.add_identical_job(0.0, 4.0);
+  builder.add_identical_job(0.0, 4.0);
+  builder.add_identical_job(0.0, 4.0);
+  builder.add_identical_job(0.0, 1.0);
+  const Instance instance = builder.build();
+  Schedule schedule(4);
+  const Time starts[] = {5.0, 0.0, 2.0};
+  for (JobId j = 0; j < 3; ++j) {
+    schedule.mark_dispatched(j, 1);
+    schedule.mark_started(j, starts[j], 1.0);
+    schedule.mark_completed(j, starts[j] + 4.0);
+  }
+  schedule.mark_dispatched(3, 0);
+  schedule.mark_started(3, 0.0, 1.0);
+  schedule.mark_completed(3, 1.0);
+  EXPECT_EQ(validate_schedule(schedule, instance),
+            (Violations{"machine 1: jobs 1 and 2 overlap ([0,4) vs [2,6))",
+                        "machine 1: jobs 2 and 0 overlap ([2,6) vs [5,9))"}));
+}
+
 }  // namespace
 }  // namespace osched

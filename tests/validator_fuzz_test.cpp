@@ -8,18 +8,27 @@
 // THAT class (substring-matched against its message) — then fuzzes random
 // mutation sequences and asserts nothing slips through clean.
 //
+// Every mutated schedule is also validated over the equivalent streaming
+// job store (the source a retained session's drain validates from) and over
+// the same jobs under the other storage backends; all of them must return
+// the identical violation vector.
+//
 // Seed rotation: OSCHED_FUZZ_SEED (decimal env var) reseeds the whole test;
 // CI derives it from the run id and logs it, so every CI run explores fresh
 // mutations and any failure is reproducible locally.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/scheduler_api.hpp"
 #include "fuzz_seed.hpp"
+#include "instance/stream_job.hpp"
+#include "service/job_store.hpp"
 #include "sim/validator.hpp"
 #include "util/rng.hpp"
+#include "workload/generated_family.hpp"
 #include "workload/generators.hpp"
 
 namespace osched {
@@ -63,6 +72,55 @@ JobId random_completed(util::Rng& rng, const Schedule& schedule) {
   }
 }
 
+/// Streams `instance` into a store of its own backend, as a session's
+/// submits do. Small blocks, so the jobs span several of them.
+std::unique_ptr<service::StreamingJobStore> store_of(const Instance& instance) {
+  const bool generated = instance.backend() == StorageBackend::kGenerator;
+  auto store = std::make_unique<service::StreamingJobStore>(
+      instance.num_machines(), /*jobs_per_block=*/64, instance.backend(),
+      generated ? instance.shared_generator() : nullptr);
+  StreamJob job;
+  for (std::size_t idx = 0; idx < instance.num_jobs(); ++idx) {
+    const auto j = static_cast<JobId>(idx);
+    if (generated) {
+      fill_stream_job_meta(instance.job(j), 0.0, &job);
+    } else {
+      fill_stream_job(instance, j, 0.0, &job);
+    }
+    store->append(job);
+  }
+  return store;
+}
+
+/// The same jobs and p values as a dense instance, stored sparse-CSR.
+Instance sparse_twin(const Instance& dense) {
+  std::vector<std::vector<SparseEntry>> rows(dense.num_jobs());
+  for (std::size_t idx = 0; idx < dense.num_jobs(); ++idx) {
+    const auto j = static_cast<JobId>(idx);
+    for (const MachineId i : dense.eligible_machines(j)) {
+      rows[idx].push_back(SparseEntry{i, dense.processing(i, j)});
+    }
+  }
+  return Instance::from_sparse_rows(dense.jobs(), dense.num_machines(),
+                                    std::move(rows));
+}
+
+/// validate_schedule over `instance`, checked against the store of the same
+/// backend and, for a dense instance, against its sparse-CSR twin and that
+/// twin's store: every source must report the identical violations.
+std::vector<std::string> validate_everywhere(
+    const Schedule& schedule, const Instance& instance,
+    const ValidationOptions& options = {}) {
+  const auto expected = validate_schedule(schedule, instance, options);
+  EXPECT_EQ(validate_schedule(schedule, *store_of(instance), options), expected);
+  if (instance.backend() == StorageBackend::kDense) {
+    const Instance sparse = sparse_twin(instance);
+    EXPECT_EQ(validate_schedule(schedule, sparse, options), expected);
+    EXPECT_EQ(validate_schedule(schedule, *store_of(sparse), options), expected);
+  }
+  return expected;
+}
+
 bool any_violation_contains(const std::vector<std::string>& violations,
                             const std::string& needle) {
   for (const std::string& v : violations) {
@@ -76,7 +134,7 @@ bool any_violation_contains(const std::vector<std::string>& violations,
 TEST(ValidatorFuzz, CleanSchedulesStayClean) {
   for (std::uint64_t s = 0; s < 3; ++s) {
     const Feasible run = feasible_run(base_seed() + s, api::Algorithm::kTheorem1);
-    EXPECT_TRUE(validate_schedule(run.schedule, run.instance).empty());
+    EXPECT_TRUE(validate_everywhere(run.schedule, run.instance).empty());
   }
 }
 
@@ -102,7 +160,7 @@ TEST(ValidatorFuzz, OverlappingIntervalsAreReported) {
     rec.start = run.schedule.record(a).start;  // same machine, same moment
     rec.end = rec.start + duration;
     if (rec.start < run.instance.job(b).release) continue;  // keep one class
-    const auto violations = validate_schedule(run.schedule, run.instance);
+    const auto violations = validate_everywhere(run.schedule, run.instance);
     ASSERT_FALSE(violations.empty());
     EXPECT_TRUE(any_violation_contains(violations, "overlap"))
         << violations.front();
@@ -120,7 +178,7 @@ TEST(ValidatorFuzz, StartBeforeReleaseIsReported) {
     const Time duration = rec.end - rec.start;
     rec.start = job.release - rng.uniform(0.5, 2.0) - 1e-3;
     rec.end = rec.start + duration;  // duration intact: isolate the class
-    const auto violations = validate_schedule(run.schedule, run.instance);
+    const auto violations = validate_everywhere(run.schedule, run.instance);
     ASSERT_FALSE(violations.empty());
     EXPECT_TRUE(any_violation_contains(violations, "before release"))
         << violations.front();
@@ -143,7 +201,7 @@ TEST(ValidatorFuzz, IneligibleMachineIsReported) {
     if (target == kInvalidMachine) continue;  // fully eligible job
     ++mutated;
     run.schedule.record(j).machine = target;
-    const auto violations = validate_schedule(run.schedule, run.instance);
+    const auto violations = validate_everywhere(run.schedule, run.instance);
     ASSERT_FALSE(violations.empty());
     EXPECT_TRUE(any_violation_contains(violations, "ineligible machine"))
         << violations.front();
@@ -157,14 +215,14 @@ TEST(ValidatorFuzz, DroppedDecisionIsReported) {
     Feasible run = feasible_run(base_seed() + 40, api::Algorithm::kTheorem1);
     const auto j = static_cast<JobId>(rng.index(run.schedule.num_jobs()));
     run.schedule.record(j) = JobRecord{};  // as if the scheduler lost it
-    const auto violations = validate_schedule(run.schedule, run.instance);
+    const auto violations = validate_everywhere(run.schedule, run.instance);
     ASSERT_FALSE(violations.empty());
     EXPECT_TRUE(any_violation_contains(violations, "undecided"))
         << violations.front();
     // The drop is only a violation because the run claims to be complete:
     ValidationOptions mid_run;
     mid_run.require_all_decided = false;
-    EXPECT_TRUE(validate_schedule(run.schedule, run.instance, mid_run).empty());
+    EXPECT_TRUE(validate_everywhere(run.schedule, run.instance, mid_run).empty());
   }
 }
 
@@ -195,7 +253,7 @@ TEST(ValidatorFuzz, DeadlineViolationIsReported) {
     rec.start = job.deadline + rng.uniform(0.0, 3.0);
     rec.end = rec.start + duration;
     ++mutated;
-    const auto violations = validate_schedule(schedule, instance, options);
+    const auto violations = validate_everywhere(schedule, instance, options);
     ASSERT_FALSE(violations.empty());
     EXPECT_TRUE(any_violation_contains(violations, "misses deadline"))
         << violations.front();
@@ -210,7 +268,7 @@ TEST(ValidatorFuzz, DurationMismatchIsReported) {
     const JobId j = random_completed(rng, run.schedule);
     JobRecord& rec = run.schedule.record(j);
     rec.end += rng.uniform(0.5, 3.0);  // claims to have run too long
-    const auto violations = validate_schedule(run.schedule, run.instance);
+    const auto violations = validate_everywhere(run.schedule, run.instance);
     ASSERT_FALSE(violations.empty());
     EXPECT_TRUE(any_violation_contains(violations, "duration mismatch"))
         << violations.front();
@@ -253,12 +311,82 @@ TEST(ValidatorFuzz, RandomMutationsNeverPassClean) {
     }
     if (!expect_catch) continue;
     ++checked;
-    const auto violations = validate_schedule(schedule, original.instance);
+    const auto violations = validate_everywhere(schedule, original.instance);
     EXPECT_FALSE(violations.empty())
         << "mutation of job " << j << " passed the validator clean (trial "
         << trial << ")";
   }
   EXPECT_GT(checked, 150);
+}
+
+// ---- Store vs Instance on every backend, stacked random mutations. ----
+
+TEST(ValidatorFuzz, StoresAndBackendsReportIdenticalViolations) {
+  // A fully eligible closed-form family, so the generator backend can hold
+  // it too. All three instances carry the same jobs and p values bit for
+  // bit; validate_everywhere adds each one's store (and the dense one's
+  // sparse twin).
+  workload::ClosedFormConfig config;
+  config.num_jobs = 300;
+  config.num_machines = 6;
+  config.seed = base_seed() + 80;
+  config.load = 1.3;
+  const Instance dense =
+      workload::make_closed_form_instance(config, StorageBackend::kDense);
+  const Instance sparse =
+      workload::make_closed_form_instance(config, StorageBackend::kSparseCsr);
+  const Instance generated =
+      workload::make_closed_form_instance(config, StorageBackend::kGenerator);
+  const Schedule original = api::run(api::Algorithm::kTheorem1, dense).schedule;
+
+  util::Rng rng(util::derive_seed(base_seed(), 100));
+  int caught = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Schedule schedule = original;
+    const std::size_t mutations = 1 + rng.index(3);
+    for (std::size_t k = 0; k < mutations; ++k) {
+      const JobId j = random_completed(rng, schedule);
+      JobRecord& rec = schedule.record(j);
+      switch (rng.index(8)) {
+        case 0:  // earlier start: duration, release and overlap classes
+          rec.start -= rng.uniform(0.1, 5.0);
+          break;
+        case 1:  // truncated execution
+          rec.end -= (rec.end - rec.start) * rng.uniform(0.2, 0.9);
+          break;
+        case 2:
+          rec.started = false;
+          break;
+        case 3:
+          rec.machine = static_cast<MachineId>(config.num_machines +
+                                               rng.index(3));
+          break;
+        case 4:
+          rec.speed = 0.0;
+          break;
+        case 5:  // lost decision
+          rec = JobRecord{};
+          break;
+        case 6: {  // moved onto another job's machine and start
+          const JobRecord& other = schedule.record(random_completed(rng, schedule));
+          const Time duration = rec.end - rec.start;
+          rec.machine = other.machine;
+          rec.start = other.start;
+          rec.end = rec.start + duration;
+          break;
+        }
+        default:  // interrupted at a time that disagrees with its end
+          rec.fate = JobFate::kRejectedRunning;
+          rec.rejection_time = rec.end + rng.uniform(0.5, 2.0);
+          break;
+      }
+    }
+    const auto expected = validate_everywhere(schedule, dense);
+    EXPECT_EQ(validate_everywhere(schedule, sparse), expected);
+    EXPECT_EQ(validate_everywhere(schedule, generated), expected);
+    caught += expected.empty() ? 0 : 1;
+  }
+  EXPECT_GT(caught, 50);
 }
 
 }  // namespace
