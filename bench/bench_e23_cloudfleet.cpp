@@ -1,9 +1,9 @@
 // E23 — huge-m cloud-fleet soak (registered scenario "e23_cloudfleet").
 //
-// The perf tier behind the huge-m frontier work: uint32 order tables past
-// the uint16 id ceiling, the explicitly vectorized dispatch kernels
-// (util/simd_argmin.hpp), and NUMA-aware shard workers. One closed-form
-// cloud fleet is exercised three ways:
+// The perf tier behind the huge-m frontier work: the explicitly vectorized
+// dispatch kernels (util/simd_argmin.hpp), order-less dispatch past the
+// uint16 order table's id ceiling, and NUMA-aware shard workers. One
+// closed-form cloud fleet is exercised three ways:
 //
 //  1. Dispatch sweep, m = 64 -> 262144 on the GENERATOR backend (no n x m
 //     matrix ever exists; the closed form synthesizes rows on demand).
@@ -12,14 +12,14 @@
 //     "never meaningfully superlinear" (kMaxDenseExponent) — the
 //     regression tripwire for the vectorized lower-bound fill.
 //  2. A huge-m SPARSE cell at m = 262144 with ~64 eligible machines per
-//     job: the uint32 (p, id) order table keeps per-job work O(row), so
-//     throughput stays near the small-m cells' — the uint32-order-table
-//     acceptance cell (tier_order_width == 32 is asserted). Because this
-//     cell's per-job row work matches the dense m=64 cell (~64 entries
-//     each) while m grows 4096x, the pair isolates MACHINE-SELECTION
-//     cost, and the verdict asserts its scaling exponent stays below
-//     kMaxScalingExponent — the "fleet frontier" property. A pure-O(m)
-//     selection sweep (the pre-index shadow scan at huge m) fails this.
+//     job. No order table exists at this m (uint16 ids cannot name the
+//     machines), so the idle argmin walks the ~64 eligible entries. The
+//     per-job cost is still Theta(m): SparseStoreView decompresses every
+//     dispatched row into an m-wide tile (the +infinity fill dominates).
+//     The cell's stored row work matches the dense m=64 cell (~64 entries
+//     each) while m grows 4096x, and the verdict asserts the throughput
+//     scaling exponent between the two stays below kMaxScalingExponent —
+//     the "fleet frontier" property.
 //  3. Streamed fleet serving at m = 4096: one generator-backed session
 //     (metadata-only submissions) vs its batch twin — byte-identical
 //     deterministic outputs asserted — plus an S=8 ShardDriver under
@@ -28,7 +28,7 @@
 //     from the "sharded" / "stream t1" label pair.
 //
 // Every case reports its dispatch tier (tier_simd: 0 scalar / 1 avx2 /
-// 2 avx512; tier_order_width: 0 / 16 / 32) so a perf number is always
+// 2 avx512; tier_order_width: 0 / 16) so a perf number is always
 // attributable to the code path that produced it. Tier metrics are
 // hardware-shaped, NOT determinism inputs: compare_bench.py reports tier
 // changes informationally instead of failing the diff (all tiers are
@@ -85,7 +85,7 @@ enum class Mode {
   kSharded,     ///< ShardDriver: 8 generator tenants, NUMA interleave
   kBatch,       ///< api::run on the same generator instance (stream twin)
   kDispatch,    ///< batch dispatch sweep cell (generator backend)
-  kDispatchSparse,  ///< huge-m sparse cell: uint32 order table, O(row) jobs
+  kDispatchSparse,  ///< huge-m sparse cell: ~64 eligible machines per job
 };
 
 double peak_rss_mib() {
@@ -113,7 +113,7 @@ workload::ClosedFormConfig fleet_config(std::uint64_t seed, std::size_t n,
 }
 
 /// The tier attribution every case carries. Order width comes from the
-/// summary (0 for generator/streamed stores, 16/32 for matrix backends);
+/// summary (16 for matrix backends below 65536 machines, else 0);
 /// the SIMD tier is process-wide.
 void set_tier_metrics(MetricRow& row, const api::RunSummary& summary) {
   row.set("tier_simd", static_cast<double>(summary.dispatch_simd_tier));
@@ -261,8 +261,8 @@ MetricRow run_dispatch_case(const UnitContext& ctx, std::size_t n,
   workload::ClosedFormConfig config =
       fleet_config(util::derive_seed(ctx.scenario_seed, 91), n, m);
   if (sparse) {
-    // ~64 eligible machines per job regardless of m: per-job dispatch work
-    // is O(row), and the order table carries uint32 ids at this m.
+    // ~64 eligible machines per job regardless of m: the stored row is
+    // O(eligible), but the view's tile fill is Theta(m) per job.
     config.eligibility =
         std::min(1.0, 64.0 / static_cast<double>(m));
   }
@@ -311,8 +311,8 @@ Scenario make_e23() {
   scenario.name = "e23_cloudfleet";
   scenario.description =
       "huge-m cloud fleet: generator dispatch sweep m=64..262144 with "
-      "sublinear-in-m verdict, uint32-order-table sparse cell, streamed vs "
-      "batch twin, NUMA-interleaved shard fleet";
+      "sublinear-in-m verdict, huge-m sparse cell, streamed vs batch twin, "
+      "NUMA-interleaved shard fleet";
   scenario.tags = {"perf", "streaming", "storage", "slow"};
   scenario.repetitions = 1;
   const struct {
@@ -331,9 +331,9 @@ Scenario make_e23() {
       {"dispatch gen m=1024 n=20000", Mode::kDispatch, 20000, 1024},
       {"dispatch gen m=16384 n=20000", Mode::kDispatch, 20000, 16384},
       {"dispatch gen m=262144 n=5000", Mode::kDispatch, 5000, 262144},
-      // The uint32 order-table cell: huge m, bounded eligibility.
-      {"dispatch sparse order32 m=262144 n=20000", Mode::kDispatchSparse,
-       20000, 262144},
+      // Huge m, bounded eligibility.
+      {"dispatch sparse m=262144 n=20000", Mode::kDispatchSparse, 20000,
+       262144},
   };
   for (const auto& cell : cells) {
     scenario.grid.push_back(CaseSpec(cell.label)
@@ -355,28 +355,19 @@ Scenario make_e23() {
                                   std::to_string(b)};
       }
     }
-    // Gate 2: the huge-m sparse cell really ran the uint32 order table.
-    const auto& order32 =
-        report.case_result("dispatch sparse order32 m=262144 n=20000");
-    if (order32.metric("tier_order_width").mean() != 32.0) {
-      return Verdict{false,
-                     "sparse m=262144 cell expected tier_order_width 32, got " +
-                         std::to_string(
-                             order32.metric("tier_order_width").mean())};
-    }
-    // Gate 3: sublinear MACHINE SELECTION. A dense generator row is
+    // Gate 2: sublinear MACHINE SELECTION. A dense generator row is
     // synthesized per job and is itself Theta(m), so the dense endpoints
     // can never separate selection cost from row materialization. The
     // two cells below hold per-job row work constant (~64 entries each:
     // dense m=64, and sparse m=262144 with eligibility 64/m) while m
-    // grows 4096x — any throughput gap is selection-side cost. With
-    // selection cost ~ m^e, thr(64)/thr(262144) ~ 4096^e; assert
-    // e < kMaxScalingExponent.
+    // grows 4096x — the throughput gap is selection cost plus the sparse
+    // view's m-wide tile fill. With that cost ~ m^e,
+    // thr(64)/thr(262144) ~ 4096^e; assert e < kMaxScalingExponent.
     const double thr_small =
         report.case_result("dispatch gen m=64 n=20000")
             .metric("jobs_per_sec").mean();
     const double thr_select =
-        report.case_result("dispatch sparse order32 m=262144 n=20000")
+        report.case_result("dispatch sparse m=262144 n=20000")
             .metric("jobs_per_sec").mean();
     const double thr_dense_large =
         report.case_result("dispatch gen m=262144 n=5000")
@@ -396,7 +387,7 @@ Scenario make_e23() {
                          std::to_string(thr_select) + "), cap " +
                          std::to_string(kMaxScalingExponent)};
     }
-    // Gate 4: the dense sweep may approach linear (row synthesis is
+    // Gate 3: the dense sweep may approach linear (row synthesis is
     // Theta(m)) but must never go meaningfully SUPERlinear — that would
     // mean the dispatch layer regressed, not the generator.
     const double dense_exponent =
@@ -411,7 +402,7 @@ Scenario make_e23() {
     std::snprintf(note, sizeof(note),
                   "streamed == batch bit-for-bit; selection exponent %.3f "
                   "(cap %.2f), dense sweep exponent %.3f (cap %.2f) over "
-                  "4096x m; order32 cell active",
+                  "4096x m",
                   exponent, kMaxScalingExponent, dense_exponent,
                   kMaxDenseExponent);
     return Verdict{true, note};

@@ -10,7 +10,7 @@ Compares a baseline report against a current one, metric by metric:
   faster or smaller is never a regression.
 * Metrics prefixed "tier_" describe WHICH code path produced the numbers
   (e23's dispatch tiers: tier_simd 0/1/2 = scalar/avx2/avx512,
-  tier_order_width 0/16/32) — hardware- and env-shaped (cpuid,
+  tier_order_width 0/16) — hardware- and env-shaped (cpuid,
   OSCHED_SIMD), not scheduling outputs, and bit-identical across tiers by
   the simd_argmin contract. Differences are reported as informational
   notes, never as regressions or mismatches.

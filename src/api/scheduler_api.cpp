@@ -70,7 +70,6 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
                const RunOptions& options) {
   RunSummary summary;
   summary.algorithm = algorithm;
-  summary.dispatch_order_width = instance.dispatch_order_width();
   summary.dispatch_simd_tier = util::active_simd_tier();
 
   // Per-algorithm validation/report knobs.
@@ -88,6 +87,8 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
       summary.rule1_rejections = result.rule1_rejections;
       summary.rule2_rejections = result.rule2_rejections;
       summary.fleet = result.fleet;
+      // Theorem 1's dispatch is the only reader of the order table.
+      summary.dispatch_order_width = instance.dispatch_order_width();
       break;
     }
     case Algorithm::kTheorem2: {

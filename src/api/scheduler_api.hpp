@@ -87,13 +87,13 @@ struct RunSummary {
   std::size_t rule2_rejections = 0;
   /// Fleet-membership counters (all zero for an empty RunOptions::fleet).
   FleetStats fleet;
-  /// Machine-id width of the order table in bits: 16 (m < 65536), 32
-  /// (m >= 65536, the huge-m tier), 0 when no table exists (generator
-  /// instances, streamed sessions — dispatch then ran the O(m) shadow-row
-  /// scan instead of the indexed idle-machine walk). The "order16"/"order32"
-  /// half of the dispatch tier; perf baselines record it so a number
-  /// produced by one code path is never compared against another path
-  /// unknowingly.
+  /// Machine-id width of the order table Theorem 1's dispatch walked: 16
+  /// when the instance has one (dense or sparse, m < 65536), 0 when it has
+  /// none (generator instances, m >= 65536, streamed sessions — dispatch
+  /// then derived the idle argmin from the row) and for every other
+  /// algorithm, none of which reads the table. Perf baselines record it so
+  /// a number produced by one code path is never compared against another
+  /// path unknowingly.
   int dispatch_order_width = 0;
   /// SIMD tier the dispatch kernels ran at (util::active_simd_tier():
   /// scalar / avx2 / avx512 — cpuid-dispatched, cappable via OSCHED_SIMD).

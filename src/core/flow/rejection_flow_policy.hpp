@@ -281,16 +281,16 @@ class RejectionFlowPolicy final
                              const EligibleMachines& eligible,
                              double* best_lambda_out) {
     const std::size_t count = eligible.size();
-    // uint16 or uint32 machine ids depending on the store's order width
-    // (m >= 65536 selects the wide table) — the walk is width-agnostic.
-    const auto* order = store_.p_order_row(j);
+    // nullptr when the store has no table: streaming and generator stores,
+    // and batch instances at m >= 65536 (uint16 ids cannot name them).
+    const std::uint16_t* order = store_.p_order_row(j);
     const Work* rowd = store_.processing_row(j);
     const bool dense = count == store_.num_machines();
 
     // Overlap the cold double-row loads: the head of the order (the likely
     // idle hit) and every live contender's entry fetch in parallel. (The
-    // order table exists only for batch stores; streaming rows were just
-    // appended and are cache-hot without help.)
+    // order table exists only for batch stores below 65536 machines;
+    // streaming rows were just appended and are cache-hot without help.)
     if (order != nullptr) __builtin_prefetch(rowd + order[0], 0, 0);
     for (const std::uint32_t i : live_list_) {
       __builtin_prefetch(rowd + i, 0, 0);
@@ -336,9 +336,10 @@ class RejectionFlowPolicy final
       }
     } else if (dense && speed_is_one_ && !fleet_speed_ && !fleet_.enabled()) {
       // No precomputed order, no fleet mask, no speed scaling (the huge-m
-      // generator/streaming steady state — the O(m) loop e23 sizes): the
-      // effective p IS the double row entry and every machine is a
-      // candidate when idle, so the exact idle argmin vectorizes — per
+      // steady state of generator, streaming and m >= 65536 stores — the
+      // O(m) loop e23 sizes): the effective p IS the double row entry and
+      // every machine is a candidate when idle, so the exact idle argmin
+      // vectorizes — per
       // lane the scalar division-then-add, min-reduce plus first-index
       // semantics, bit-identical to the scalar loop below (which stays the
       // reference for the masked/scaled cases).
@@ -349,10 +350,11 @@ class RejectionFlowPolicy final
         best_machine = static_cast<MachineId>(idle.index);
       }
     } else {
-      // No precomputed order (streaming store, generator tile), or the
-      // table is unsound under active speed multipliers: derive the idle
-      // argmin from the DOUBLE row directly. Rows without an order table
-      // are the just-appended / just-synthesized ones — already cache-hot —
+      // No precomputed order (streaming or generator store, m >= 65536
+      // batch instance), or the table is unsound under active speed
+      // multipliers: derive the idle argmin from the DOUBLE row directly.
+      // Rows without an order table are mostly the just-appended /
+      // just-decompressed / just-synthesized ones — already cache-hot —
       // so the float shadow's halved memory traffic buys nothing here, and
       // skipping it keeps the lazily-filled shadow
       // (service::StreamingJobStore) untouched on this path entirely. The

@@ -148,7 +148,6 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
   instance.eligible_offsets_.assign(n + 1, 0);
   instance.eligible_flat_.reserve(nnz);
   instance.csr_p_.reserve(nnz);
-  instance.csr_bounds_.reserve(nnz);
   for (std::size_t j = 0; j < n; ++j) {
     check_job_fields(instance.jobs_[j], j, problems);
     const std::vector<SparseEntry>& row = rows[perm[j]];
@@ -172,7 +171,6 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
       }
       instance.eligible_flat_.push_back(entry.machine);
       instance.csr_p_.push_back(entry.p);
-      instance.csr_bounds_.push_back(float_lower(entry.p));
     }
     if (num_machines > 0 && row.empty()) {
       problems << "job " << j << " has no eligible machine; ";
@@ -249,12 +247,12 @@ Instance Instance::with_backend(StorageBackend target) const {
 std::size_t Instance::store_bytes() const {
   auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
   return bytes(jobs_) + bytes(processing_) + bytes(bounds_) + bytes(csr_p_) +
-         bytes(csr_bounds_) + bytes(identity_machines_) + bytes(p_order_) +
-         bytes(p_order32_) + bytes(eligible_flat_) + bytes(eligible_offsets_);
+         bytes(identity_machines_) + bytes(p_order_) + bytes(eligible_flat_) +
+         bytes(eligible_offsets_);
 }
 
-template <class IdT, class EntryP>
-void Instance::build_p_order_into(std::vector<IdT>& table, EntryP&& entry_p) {
+template <class EntryP>
+void Instance::build_p_order(EntryP&& entry_p) {
   // Per-job (p, id)-sorted eligible machines for the dispatch index's
   // idle-machine walk. Sorting runs over PACKED (p bit pattern, id) keys:
   // the bit patterns of non-negative IEEE doubles order exactly like the
@@ -263,36 +261,25 @@ void Instance::build_p_order_into(std::vector<IdT>& table, EntryP&& entry_p) {
   // adjacency entry's p value — one builder, so the dense and CSR order
   // tables can't drift. Construction is batched per job: the sort scratch
   // is one row's keys (capacity = the widest adjacency row, reused across
-  // jobs), so huge-m builds never hold more than the finished table plus
-  // one row of keys.
+  // jobs), so a build never holds more than the finished table plus one
+  // row of keys. Ids are uint16, so at m >= 65536 no table is built and
+  // dispatch takes its order-less sub-path.
+  if (num_machines_ >= 65536u) return;
   const std::size_t n = jobs_.size();
-  table.resize(eligible_flat_.size());
-  std::vector<detail::POrderKeyT<IdT>> keys;
+  p_order_.resize(eligible_flat_.size());
+  std::vector<detail::POrderKey> keys;
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t begin = eligible_offsets_[j];
     const std::size_t end = eligible_offsets_[j + 1];
     keys.clear();
     for (std::size_t k = begin; k < end; ++k) {
-      const auto id = static_cast<IdT>(eligible_flat_[k]);
-      keys.push_back(detail::POrderKeyT<IdT>::make(entry_p(j, k, id), id));
+      const auto id = static_cast<std::uint16_t>(eligible_flat_[k]);
+      keys.push_back(detail::POrderKey::make(entry_p(j, k, id), id));
     }
     std::sort(keys.begin(), keys.end());
     for (std::size_t k = begin; k < end; ++k) {
-      table[k] = keys[k - begin].id;
+      p_order_[k] = keys[k - begin].id;
     }
-  }
-}
-
-template <class EntryP>
-void Instance::build_p_order(EntryP&& entry_p) {
-  // Narrowest id width that fits the machine count: uint16 keeps the table
-  // at 2 bytes per adjacency entry for the common fleet sizes; uint32 is
-  // the huge-m tier — the indexed idle-machine walk stays active instead of
-  // degrading to the O(m) shadow sweep (the pre-uint32 behavior, retired).
-  if (num_machines_ >= 65536u) {
-    build_p_order_into(p_order32_, entry_p);
-  } else {
-    build_p_order_into(p_order_, entry_p);
   }
 }
 

@@ -8,11 +8,13 @@
 //  * kDense     — one flat job-major buffer (a job's p_ij across machines is
 //                 contiguous, the access pattern of the dispatch scans) plus
 //                 a rounded-down float32 shadow and a per-job (p, id) machine
-//                 order. Today's hot-path layout, unchanged.
-//  * kSparseCsr — eligible entries only: p, float shadow and (p, id) order
-//                 are stored per job over the eligibility adjacency, so a
+//                 order (uint16 ids, built below 65536 machines). Today's
+//                 hot-path layout, unchanged.
+//  * kSparseCsr — eligible entries only: p and the (p, id) order are stored
+//                 per job over the eligibility adjacency, so a
 //                 restricted-assignment family at eligibility q costs ~q of
-//                 the dense bytes instead of all of them.
+//                 the dense bytes instead of all of them. The float shadow
+//                 is derived per row when a view decompresses it.
 //  * kGenerator — no matrix at all: p_ij is synthesized on demand from a
 //                 workload family's closed form (RowGenerator). Fully
 //                 eligible by contract; huge-m sweeps never materialize n×m.
@@ -55,7 +57,7 @@ struct EligibleMachines {
 /// never changes any scheduling outcome — only memory footprint and the
 /// constant factors of the accessors.
 enum class StorageBackend {
-  kDense,      ///< flat job-major n×m buffer (+ shadow + order tables)
+  kDense,      ///< flat job-major n×m buffer (+ shadow + order table)
   kSparseCsr,  ///< eligible entries only, CSR over the adjacency
   kGenerator,  ///< p_ij synthesized on demand from a closed form
 };
@@ -185,38 +187,23 @@ class Instance {
     return bounds_.data() + static_cast<std::size_t>(j) * num_machines_;
   }
 
-  /// Job j's eligible machines sorted by (p_ij, machine id) ascending —
-  /// precomputed at construction for the dense and sparse backends (the
-  /// table is CSR-shaped either way). Ids are stored at the narrowest width
-  /// that fits the machine count: uint16 below 65536 machines (this
-  /// accessor), uint32 at and above (p_order32_row). nullptr when THIS
-  /// width's table does not exist — generator backend (sorting would
-  /// materialize the row work the backend avoids), empty instances, or the
-  /// other width being selected.
+  /// Job j's eligible machines sorted by (p_ij, machine id) ascending, as
+  /// uint16 ids — precomputed at construction for the dense and sparse
+  /// backends (the table is CSR-shaped either way). nullptr when there is
+  /// no table: generator backend (sorting would materialize the row work
+  /// the backend avoids), empty instances, and m >= 65536 (ids no longer
+  /// fit uint16).
   const std::uint16_t* p_order_row(JobId j) const {
     if (p_order_.empty()) return nullptr;
     return p_order_.data() + eligible_offsets_[static_cast<std::size_t>(j)];
   }
 
-  /// The wide (uint32-id) twin of p_order_row, selected automatically at
-  /// m >= 65536 — machine ids there exceed uint16, and the huge-m tier
-  /// keeps the indexed idle-machine walk instead of degrading to the O(m)
-  /// shadow sweep.
-  const std::uint32_t* p_order32_row(JobId j) const {
-    if (p_order32_.empty()) return nullptr;
-    return p_order32_.data() + eligible_offsets_[static_cast<std::size_t>(j)];
-  }
-
-  /// Machine-id width of the order table in bits: 16 (m < 65536), 32
-  /// (m >= 65536), or 0 when no table exists (generator backend, empty
-  /// instances) — then dispatch runs the O(m) shadow-row scan instead of
-  /// the indexed idle-machine walk. Surfaced through api::RunSummary::dispatch_order_width so
+  /// Machine-id width of the order table in bits: 16 when it exists, 0 when
+  /// it does not (see p_order_row) — then dispatch derives the idle argmin
+  /// from the row instead of the indexed idle-machine walk. Surfaced
+  /// through api::RunSummary::dispatch_order_width for Theorem 1 runs so
   /// perf baselines are attributable to the code path that produced them.
-  int dispatch_order_width() const {
-    if (!p_order_.empty()) return 16;
-    if (!p_order32_.empty()) return 32;
-    return 0;
-  }
+  int dispatch_order_width() const { return p_order_.empty() ? 0 : 16; }
 
   bool eligible(MachineId i, JobId j) const {
     return processing(i, j) < kTimeInfinity;
@@ -269,10 +256,8 @@ class Instance {
   std::string validate() const;
 
  private:
-  template <class OrderT>
-  friend class DenseStoreViewT;
-  template <class OrderT>
-  friend class SparseStoreViewT;
+  friend class DenseStoreView;
+  friend class SparseStoreView;
   friend class GeneratorStoreView;
 
   /// Shared per-job field validation (release/weight/deadline), identical
@@ -283,11 +268,7 @@ class Instance {
 
   /// Build the per-job (p, id)-sorted machine order over the adjacency
   /// (CSR-shaped for every backend that has one; entry_p reads one entry's
-  /// p value) into `table`, at whichever id width IdT names. The width is
-  /// selected by build_p_order: uint16 below 65536 machines, uint32 at and
-  /// above.
-  template <class IdT, class EntryP>
-  void build_p_order_into(std::vector<IdT>& table, EntryP&& entry_p);
+  /// p value) into p_order_. Builds nothing at m >= 65536.
   template <class EntryP>
   void build_p_order(EntryP&& entry_p);
   void build_p_order_dense();
@@ -309,7 +290,6 @@ class Instance {
 
   // ---- sparse-CSR backend (aligned with eligible_flat_ slices) ----
   std::vector<Work> csr_p_;
-  std::vector<float> csr_bounds_;
 
   // ---- generator backend ----
   std::shared_ptr<const RowGenerator> generator_;
@@ -319,11 +299,8 @@ class Instance {
 
   // ---- shared tables (dense + sparse) ----
   /// Per-job eligible machines sorted by (p_ij, id); eligible_offsets_
-  /// slicing. Exactly one of the two widths is populated: uint16 ids below
-  /// 65536 machines (2 bytes per adjacency entry, the compact default),
-  /// uint32 ids at and above (the huge-m tier).
+  /// slicing. Empty at m >= 65536 (see p_order_row).
   std::vector<std::uint16_t> p_order_;
-  std::vector<std::uint32_t> p_order32_;
   /// Eligible-machine ids grouped by job; eligible_offsets_[j]..[j+1) is
   /// job j's slice of eligible_flat_.
   std::vector<MachineId> eligible_flat_;

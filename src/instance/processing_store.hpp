@@ -16,13 +16,18 @@
 //    WAS the dense store, so RejectionFlowPolicy<DenseStoreView, ...> is
 //    the same hot path as the pre-refactor
 //    RejectionFlowPolicy<Instance, ...> instantiation.
-//  * SparseStoreView    — CSR entries decompressed on demand into a small
-//    direct-mapped tile of dense rows (the policies read machine-indexed
-//    rows). The tiles are the view's working set: two rows per dispatch
-//    (current job + lookahead), reused across arrivals, so the DRAM
-//    footprint stays O(eligible entries) while the row reads stay O(1).
+//  * SparseStoreView    — CSR entries decompressed on demand into the
+//    shared row-tile cache (instance/row_tile.hpp; the policies read
+//    machine-indexed rows). The tiles are the view's working set: two rows
+//    per dispatch (current job + lookahead), reused across arrivals, so the
+//    DRAM footprint stays O(eligible entries) while the row reads stay
+//    O(1). Point lookups read through the tiles too.
 //  * GeneratorStoreView — rows synthesized from the closed form into the
-//    same tile shape; the n×m matrix never exists.
+//    same tile cache; the n×m matrix never exists.
+//
+// p_order_row is the Instance's uint16 (p, id) table, or nullptr where
+// there is none (generator backend, m >= 65536); dispatch then derives the
+// idle argmin from the row itself.
 //
 // A view borrows its Instance: keep the Instance alive for the view's
 // lifetime, and use one view per run (the tiles are deliberately not
@@ -30,49 +35,22 @@
 // scratch). with_store_view() is the batch entry points' dispatcher.
 #pragma once
 
-#include <array>
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
-#include <limits>
-#include <type_traits>
-#include <vector>
 
 #include "instance/instance.hpp"
+#include "instance/row_tile.hpp"
 
 namespace osched {
 
-namespace store_detail {
-
-/// The Instance order table matching OrderT's width (uint16 below 65536
-/// machines, uint32 at and above — exactly one is populated); nullptr when
-/// that width's table is absent. Called from the friended view templates,
-/// so the uint16/uint32 instantiations differ only in the pointer type.
-template <class OrderT>
-const OrderT* order_table(const std::vector<std::uint16_t>& narrow,
-                          const std::vector<std::uint32_t>& wide) {
-  if constexpr (std::is_same_v<OrderT, std::uint16_t>) {
-    return narrow.empty() ? nullptr : narrow.data();
-  } else {
-    static_assert(std::is_same_v<OrderT, std::uint32_t>,
-                  "order tables come in uint16 and uint32 widths only");
-    return wide.empty() ? nullptr : wide.data();
-  }
-}
-
-}  // namespace store_detail
-
-/// OrderT is the (p, id) order table's machine-id type: std::uint16_t for
-/// m < 65536 (the compact default, alias DenseStoreView), std::uint32_t at
-/// and above (alias DenseStoreView32 — the huge-m tier). with_store_view
-/// instantiates whichever width the instance built.
-template <class OrderT>
-class DenseStoreViewT {
+class DenseStoreView {
  public:
-  explicit DenseStoreViewT(const Instance& instance)
+  explicit DenseStoreView(const Instance& instance)
       : instance_(&instance),
         p_(instance.processing_.data()),
         bounds_(instance.bounds_.data()),
-        order_(store_detail::order_table<OrderT>(instance.p_order_,
-                                                 instance.p_order32_)),
+        order_(instance.p_order_.empty() ? nullptr : instance.p_order_.data()),
         eligible_(instance.eligible_flat_.data()),
         offsets_(instance.eligible_offsets_.data()),
         m_(instance.num_machines()) {
@@ -97,7 +75,7 @@ class DenseStoreViewT {
   const float* bounds_row(JobId j) const {
     return bounds_ + static_cast<std::size_t>(j) * m_;
   }
-  const OrderT* p_order_row(JobId j) const {
+  const std::uint16_t* p_order_row(JobId j) const {
     if (order_ == nullptr) return nullptr;
     return order_ + offsets_[static_cast<std::size_t>(j)];
   }
@@ -115,44 +93,22 @@ class DenseStoreViewT {
   const Instance* instance_;
   const Work* p_;
   const float* bounds_;
-  const OrderT* order_;
+  const std::uint16_t* order_;
   const MachineId* eligible_;
   const std::size_t* offsets_;
   std::size_t m_;
 };
 
-using DenseStoreView = DenseStoreViewT<std::uint16_t>;
-using DenseStoreView32 = DenseStoreViewT<std::uint32_t>;
-
-namespace store_detail {
-
-/// One decompressed/synthesized dense row (machine-indexed, m entries of p
-/// plus the float_lower shadow) tagged with the job it holds. Four
-/// direct-mapped slots (j & 3): a dispatch touches rows j and j+1, which
-/// land in different slots, and re-touching either is a hit.
-struct RowTile {
-  JobId id = kInvalidJob;
-  std::vector<Work> p;
-  std::vector<float> bounds;
-};
-
-inline constexpr std::size_t kTileSlots = 4;
-
-}  // namespace store_detail
-
-/// Same OrderT convention as DenseStoreViewT (aliases SparseStoreView /
-/// SparseStoreView32).
-template <class OrderT>
-class SparseStoreViewT {
+class SparseStoreView {
  public:
-  explicit SparseStoreViewT(const Instance& instance)
+  explicit SparseStoreView(const Instance& instance)
       : instance_(&instance),
         csr_p_(instance.csr_p_.data()),
-        order_(store_detail::order_table<OrderT>(instance.p_order_,
-                                                 instance.p_order32_)),
+        order_(instance.p_order_.empty() ? nullptr : instance.p_order_.data()),
         eligible_(instance.eligible_flat_.data()),
         offsets_(instance.eligible_offsets_.data()),
-        m_(instance.num_machines()) {
+        m_(instance.num_machines()),
+        tiles_(m_) {
     OSCHED_CHECK(instance.backend() == StorageBackend::kSparseCsr);
   }
 
@@ -170,7 +126,7 @@ class SparseStoreViewT {
   }
   const Work* processing_row(JobId j) const { return tile(j).p.data(); }
   const float* bounds_row(JobId j) const { return tile(j).bounds.data(); }
-  const OrderT* p_order_row(JobId j) const {
+  const std::uint16_t* p_order_row(JobId j) const {
     if (order_ == nullptr) return nullptr;
     return order_ + offsets_[static_cast<std::size_t>(j)];
   }
@@ -185,42 +141,22 @@ class SparseStoreViewT {
   Work min_processing(JobId j) const { return instance_->min_processing(j); }
 
  private:
-  const store_detail::RowTile& tile(JobId j) const {
-    store_detail::RowTile& slot =
-        tiles_[static_cast<std::size_t>(j) % store_detail::kTileSlots];
-    if (slot.id != j) fill(slot, j);
-    return slot;
-  }
-
-  void fill(store_detail::RowTile& slot, JobId j) const {
-    // Ineligible entries read as +infinity / FLT_MAX — exactly the values
-    // the dense buffers hold for them (float_lower(inf) == FLT_MAX), so a
-    // policy sweeping the row sees bit-identical inputs.
-    slot.p.assign(m_, kTimeInfinity);
-    slot.bounds.assign(m_, std::numeric_limits<float>::max());
+  const RowTileCache::Row& tile(JobId j) const {
+    if (const RowTileCache::Row* hit = tiles_.find(j)) return *hit;
     const auto idx = static_cast<std::size_t>(j);
     const std::size_t begin = offsets_[idx];
-    const std::size_t end = offsets_[idx + 1];
-    const float* csr_bounds = instance_->csr_bounds_.data();
-    for (std::size_t k = begin; k < end; ++k) {
-      const auto i = static_cast<std::size_t>(eligible_[k]);
-      slot.p[i] = csr_p_[k];
-      slot.bounds[i] = csr_bounds[k];
-    }
-    slot.id = j;
+    return tiles_.fill_sparse(j, eligible_ + begin, csr_p_ + begin,
+                              offsets_[idx + 1] - begin);
   }
 
   const Instance* instance_;
   const Work* csr_p_;
-  const OrderT* order_;
+  const std::uint16_t* order_;
   const MachineId* eligible_;
   const std::size_t* offsets_;
   std::size_t m_;
-  mutable std::array<store_detail::RowTile, store_detail::kTileSlots> tiles_;
+  mutable RowTileCache tiles_;
 };
-
-using SparseStoreView = SparseStoreViewT<std::uint16_t>;
-using SparseStoreView32 = SparseStoreViewT<std::uint32_t>;
 
 class GeneratorStoreView {
  public:
@@ -228,7 +164,8 @@ class GeneratorStoreView {
       : instance_(&instance),
         generator_(&instance.generator()),
         identity_(instance.identity_machines_.data()),
-        m_(instance.num_machines()) {}
+        m_(instance.num_machines()),
+        tiles_(m_) {}
 
   std::size_t num_jobs() const { return instance_->num_jobs(); }
   std::size_t num_machines() const { return m_; }
@@ -256,60 +193,37 @@ class GeneratorStoreView {
     return processing(i, j) < kTimeInfinity;
   }
   Work min_processing(JobId j) const {
-    const store_detail::RowTile& t = tile(j);
+    const RowTileCache::Row& t = tile(j);
     Work best = kTimeInfinity;
     for (std::size_t i = 0; i < m_; ++i) best = std::min(best, t.p[i]);
     return best;
   }
 
  private:
-  const store_detail::RowTile& tile(JobId j) const {
-    store_detail::RowTile& slot =
-        tiles_[static_cast<std::size_t>(j) % store_detail::kTileSlots];
-    if (slot.id != j) {
-      slot.p.resize(m_);
-      slot.bounds.resize(m_);
-      generator_->fill_row(j, m_, slot.p.data());
-      for (std::size_t i = 0; i < m_; ++i) {
-        slot.bounds[i] = float_lower(slot.p[i]);
-      }
-      slot.id = j;
-    }
-    return slot;
+  const RowTileCache::Row& tile(JobId j) const {
+    if (const RowTileCache::Row* hit = tiles_.find(j)) return *hit;
+    return tiles_.fill_generated(j, *generator_);
   }
 
   const Instance* instance_;
   const RowGenerator* generator_;
   const MachineId* identity_;
   std::size_t m_;
-  mutable std::array<store_detail::RowTile, store_detail::kTileSlots> tiles_;
+  mutable RowTileCache tiles_;
 };
 
-/// Runs `fn` with the view matching `instance.backend()` AND the order
-/// table's id width (uint16 below 65536 machines, uint32 at and above).
-/// The batch entry points route through this so each (backend, width)
-/// combination gets its own full template instantiation of the policy +
-/// engine — the dense uint16 one being the pre-refactor hot path,
-/// unchanged. An instance with no order table at all (only the generator
-/// backend, whose view ignores the width) takes the uint16 branch, whose
-/// view then serves nullptr rows exactly as before.
+/// Runs `fn` with the view matching `instance.backend()`. The batch entry
+/// points route through this so each backend gets its own full template
+/// instantiation of the policy + engine — the dense one being the
+/// pre-refactor hot path, unchanged.
 template <class Fn>
 decltype(auto) with_store_view(const Instance& instance, Fn&& fn) {
-  const bool wide = instance.dispatch_order_width() == 32;
   switch (instance.backend()) {
     case StorageBackend::kDense: {
-      if (wide) {
-        const DenseStoreView32 view(instance);
-        return fn(view);
-      }
       const DenseStoreView view(instance);
       return fn(view);
     }
     case StorageBackend::kSparseCsr: {
-      if (wide) {
-        const SparseStoreView32 view(instance);
-        return fn(view);
-      }
       const SparseStoreView view(instance);
       return fn(view);
     }

@@ -1,0 +1,94 @@
+// The m-wide row-tile cache shared by every compact store.
+//
+// The policies read machine-indexed rows (processing_row / bounds_row). A
+// sparse-CSR or generator store has no such row in memory, so it builds one
+// on demand: exact doubles plus their float_lower shadow, filled together
+// into one of four direct-mapped slots (slot = j % 4). A dispatch touches
+// rows j and j+1, which land in different slots, so the row-j pointers it
+// holds survive the lookahead fill; rows j..j+3 can be held at once.
+//
+// Ineligible machines read as +infinity / FLT_MAX — exactly the values a
+// dense buffer holds for them (float_lower(inf) == FLT_MAX) — so a policy
+// sweeping a tile sees the same bits it would see over a dense row.
+//
+// The cache only fills and finds rows. Each owner keeps its own rule for
+// when a hit may be served (the streaming store also refuses rows whose
+// block was retired) and for point lookups (see each owner's comments).
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <limits>
+#include <vector>
+
+#include "instance/instance.hpp"
+
+namespace osched {
+
+class RowTileCache {
+ public:
+  struct Row {
+    JobId id = kInvalidJob;
+    std::vector<Work> p;
+    std::vector<float> bounds;
+  };
+
+  explicit RowTileCache(std::size_t num_machines) : m_(num_machines) {}
+
+  /// Row j if its slot holds it, else nullptr.
+  const Row* find(JobId j) const {
+    const Row& slot = slots_[slot_of(j)];
+    return slot.id == j ? &slot : nullptr;
+  }
+
+  /// Synthesizes row j from the closed form into its slot.
+  const Row& fill_generated(JobId j, const RowGenerator& generator) {
+    Row& slot = claim(j);
+    Work* p = slot.p.data();
+    float* bounds = slot.bounds.data();
+    generator.fill_row(j, m_, p);
+    for (std::size_t i = 0; i < m_; ++i) bounds[i] = float_lower(p[i]);
+    return slot;
+  }
+
+  /// Decompresses a CSR row into its slot: `count` eligible entries, with
+  /// machine ids in `machines` and their p values in `p`.
+  const Row& fill_sparse(JobId j, const MachineId* machines, const Work* p,
+                         std::size_t count) {
+    Row& slot = claim(j);
+    std::fill(slot.p.begin(), slot.p.end(), kTimeInfinity);
+    std::fill(slot.bounds.begin(), slot.bounds.end(),
+              std::numeric_limits<float>::max());
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto i = static_cast<std::size_t>(machines[k]);
+      slot.p[i] = p[k];
+      slot.bounds[i] = float_lower(p[k]);
+    }
+    return slot;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 4;
+
+  static std::size_t slot_of(JobId j) {
+    return static_cast<std::size_t>(j) % kSlots;
+  }
+
+  /// Row j's slot, sized to m (allocated on first use, so an owner that
+  /// never reads a tile never pays for one) and tagged with j.
+  Row& claim(JobId j) {
+    Row& slot = slots_[slot_of(j)];
+    if (slot.p.size() != m_) {
+      slot.p.resize(m_);
+      slot.bounds.resize(m_);
+    }
+    slot.id = j;
+    return slot;
+  }
+
+  std::size_t m_;
+  std::array<Row, kSlots> slots_;
+};
+
+}  // namespace osched

@@ -1,7 +1,6 @@
 #include "service/job_store.hpp"
 
 #include <algorithm>
-#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -15,7 +14,8 @@ StreamingJobStore::StreamingJobStore(
     : num_machines_(num_machines),
       jobs_per_block_(jobs_per_block),
       backend_(backend),
-      generator_(std::move(generator)) {
+      generator_(std::move(generator)),
+      tiles_(num_machines) {
   OSCHED_CHECK_GT(num_machines, 0u);
   OSCHED_CHECK_GT(jobs_per_block, 0u);
   if (backend_ == StorageBackend::kGenerator) {
@@ -269,38 +269,21 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
   return id;
 }
 
-const StreamingJobStore::RowTile& StreamingJobStore::tile(JobId j) const {
-  RowTile& slot = tiles_[static_cast<std::size_t>(j) % kTileSlots];
+const RowTileCache::Row& StreamingJobStore::tile(JobId j) const {
   // The fast path must still honor the retirement abort: a slot can hold a
   // row whose block was retired since, and serving it would hide the
   // use-after-retire the dense path traps.
-  if (slot.id == j && j >= begin_id_) return slot;
+  const RowTileCache::Row* hit = tiles_.find(j);
+  if (hit != nullptr && j >= begin_id_) return *hit;
   const Block& b = block_of(j);
-  if (slot.p.size() != num_machines_) {
-    slot.p.resize(num_machines_);
-    slot.bounds.resize(num_machines_);
-  }
   if (backend_ == StorageBackend::kGenerator) {
-    generator_->fill_row(j, num_machines_, slot.p.data());
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      slot.bounds[i] = float_lower(slot.p[i]);
-    }
-  } else {
-    // CSR: infinity everywhere, then scatter the stored entries. FLT_MAX is
-    // float_lower(kTimeInfinity) — the same encoding the dense shadow uses.
-    std::fill(slot.p.begin(), slot.p.end(), kTimeInfinity);
-    std::fill(slot.bounds.begin(), slot.bounds.end(), FLT_MAX);
-    const std::size_t offset = offset_of(j);
-    const MachineId* cols = b.eligible.data();
-    for (std::uint32_t e = b.eligible_offsets[offset];
-         e < b.eligible_offsets[offset + 1]; ++e) {
-      const auto i = static_cast<std::size_t>(cols[e]);
-      slot.p[i] = b.csr_p[e];
-      slot.bounds[i] = float_lower(b.csr_p[e]);
-    }
+    return tiles_.fill_generated(j, *generator_);
   }
-  slot.id = j;
-  return slot;
+  const std::size_t offset = offset_of(j);
+  const std::uint32_t begin = b.eligible_offsets[offset];
+  return tiles_.fill_sparse(j, b.eligible.data() + begin,
+                            b.csr_p.data() + begin,
+                            b.eligible_offsets[offset + 1] - begin);
 }
 
 void StreamingJobStore::fill_bounds(const Block& block,

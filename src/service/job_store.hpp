@@ -23,11 +23,11 @@
 //                 METADATA-ONLY (release/weight/deadline; both payload
 //                 vectors empty).
 // The m-wide row accessors (processing_row / bounds_row) that the indexed
-// dispatch path needs are served, for the compact backends, from a 4-slot
-// direct-mapped row-tile cache (slot = j % 4) — the same shape as the batch
-// Sparse/GeneratorStoreView, sized so that the dispatch's row-j + lookahead
-// row-j+1 pointers never collide. Point lookups (processing_unchecked) NEVER
-// go through the tiles: policies probe arbitrary pending ids mid-dispatch
+// dispatch path needs are served, for the compact backends, from the
+// 4-slot RowTileCache (instance/row_tile.hpp) the batch Sparse/
+// GeneratorStoreView use too, so the dispatch's row-j + lookahead row-j+1
+// pointers never collide. Point lookups (processing_unchecked) NEVER go
+// through the tiles: policies probe arbitrary pending ids mid-dispatch
 // while holding tile row pointers, so those reads use a per-row binary
 // search (CSR) or the closed form (generator) instead.
 //
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "instance/instance.hpp"
+#include "instance/row_tile.hpp"
 #include "instance/stream_job.hpp"
 #include "util/check.hpp"
 
@@ -239,21 +239,9 @@ class StreamingJobStore {
     std::vector<Work> csr_p;
   };
 
-  /// One decompressed row of a compact backend: exact doubles plus the
-  /// float_lower shadow, filled together.
-  struct RowTile {
-    JobId id = kInvalidJob;
-    std::vector<Work> p;
-    std::vector<float> bounds;
-  };
-  /// Direct-mapped (slot = j % kTileSlots): consecutive ids land in
-  /// different slots, so the dispatch's held row-j pointer survives the
-  /// row-j+1 lookahead fill.
-  static constexpr std::size_t kTileSlots = 4;
-
   /// Serves row j from its tile slot, filling it from the block (CSR) or
   /// the closed form (generator) on a miss.
-  const RowTile& tile(JobId j) const;
+  const RowTileCache::Row& tile(JobId j) const;
 
   /// Extends the block's shadow through row `offset` (see bounds_row).
   void fill_bounds(const Block& block, std::size_t offset) const;
@@ -298,9 +286,8 @@ class StreamingJobStore {
   Time last_release_ = 0.0;
   /// blocks_[b] covers ids [b*B, (b+1)*B); retired blocks are null.
   std::vector<std::unique_ptr<Block>> blocks_;
-  /// Compact-backend row cache (see RowTile). Mutable: serving a row is
-  /// logically const.
-  mutable std::array<RowTile, kTileSlots> tiles_;
+  /// Compact-backend row cache. Mutable: serving a row is logically const.
+  mutable RowTileCache tiles_;
   mutable std::size_t matrix_bytes_ = 0;
   mutable std::size_t matrix_peak_bytes_ = 0;
 };

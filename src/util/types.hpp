@@ -112,28 +112,23 @@ namespace detail {
 /// Packed sort key for the per-job (p, id) machine orders: the IEEE bit
 /// pattern of a non-negative double orders exactly like its value, so one
 /// integer compare replaces a double compare plus an id tie-break chase.
-/// IdT is the order table's machine-id width — uint16 below 65536 machines
-/// (2-byte entries, the compact default), uint32 at and above it (the
-/// huge-m tier; same ordering semantics, wider ids).
-template <class IdT>
-struct POrderKeyT {
+/// Machine ids are uint16: order tables exist only below 65536 machines.
+struct POrderKey {
   std::uint64_t pbits = 0;
-  IdT id = 0;
+  std::uint16_t id = 0;
 
-  static POrderKeyT make(double p, IdT machine) {
-    POrderKeyT key;
+  static POrderKey make(double p, std::uint16_t machine) {
+    POrderKey key;
     std::memcpy(&key.pbits, &p, sizeof(key.pbits));
     key.id = machine;
     return key;
   }
 
-  bool operator<(const POrderKeyT& other) const {
+  bool operator<(const POrderKey& other) const {
     if (pbits != other.pbits) return pbits < other.pbits;
     return id < other.id;
   }
 };
-
-using POrderKey = POrderKeyT<std::uint16_t>;
 
 }  // namespace detail
 

@@ -199,13 +199,13 @@ TEST(DispatchIndex, Theorem2IndexedEqualsLinearScan) {
   }
 }
 
-// The order table stores machine ids as uint16 below m = 65536 and widens
-// to uint32 at the boundary — construction never skips it. This pins the
-// exact cutover (65535 → width 16, 65536/65537 → width 32), proves both
-// widths make bit-identical decisions against the exhaustive scan, and
-// checks the facade surfaces the width. Sparse rows keep the 65537-machine
-// instances tiny (memory is O(eligible entries), not n×m).
-TEST(DispatchIndex, OrderTableWidensAtTheUint16IdCeiling) {
+// The order table stores machine ids as uint16, so it exists only below
+// m = 65536. This pins the exact cutover (65535 → width 16, 65536/65537 →
+// no table, width 0), proves dispatch with and without the table makes
+// bit-identical decisions against the exhaustive scan, and checks the
+// facade surfaces the width. Sparse rows keep the 65537-machine instances
+// tiny (memory is O(eligible entries), not n×m).
+TEST(DispatchIndex, OrderTableEndsAtTheUint16IdCeiling) {
   for (const std::size_t m :
        {std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
     std::vector<Job> jobs;
@@ -227,15 +227,12 @@ TEST(DispatchIndex, OrderTableWidensAtTheUint16IdCeiling) {
     }
     const Instance instance =
         Instance::from_sparse_rows(std::move(jobs), m, std::move(rows));
-    const int expect_width = m < 65536 ? 16 : 32;
+    const int expect_width = m < 65536 ? 16 : 0;
     EXPECT_EQ(instance.dispatch_order_width(), expect_width) << "m=" << m;
-    // Exactly one of the width-specific rows exists.
     EXPECT_EQ(instance.p_order_row(0) != nullptr, expect_width == 16)
         << "m=" << m;
-    EXPECT_EQ(instance.p_order32_row(0) != nullptr, expect_width == 32)
-        << "m=" << m;
 
-    // Either side of the boundary, indexed dispatch (uint16 or uint32
+    // Either side of the boundary, indexed dispatch (with or without the
     // table) stays bit-identical to the exhaustive scan.
     RejectionFlowOptions indexed;
     indexed.epsilon = 0.5;
@@ -255,9 +252,10 @@ TEST(DispatchIndex, OrderTableWidensAtTheUint16IdCeiling) {
 }
 
 // The same three boundary cells through the WEIGHTED policy (a second,
-// independent instantiation of the uint32 store views), dense rows this
-// time so the order table covers every id from 0 to m-1 contiguously.
-// Dense at m = 65537 would be 65537 doubles per job, so n is kept tiny.
+// independent instantiation of the store views), dense rows this time so
+// the order table, where it exists, covers every id from 0 to m-1
+// contiguously. Dense at m = 65537 would be 65537 doubles per job, so n is
+// kept tiny.
 TEST(DispatchIndex, WeightedExtCrossesTheWidthBoundaryIdentically) {
   for (const std::size_t m :
        {std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
@@ -270,7 +268,7 @@ TEST(DispatchIndex, WeightedExtCrossesTheWidthBoundaryIdentically) {
       jobs.push_back(job);
     }
     // Machine-major matrix; deterministic, collision-rich sizes: many exact
-    // ties so the (p, id) tie-break in both order widths is exercised.
+    // ties so the (p, id) tie-break is exercised with and without a table.
     std::vector<std::vector<Work>> processing(m, std::vector<Work>(4));
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t k = 0; k < 4; ++k) {
@@ -278,7 +276,7 @@ TEST(DispatchIndex, WeightedExtCrossesTheWidthBoundaryIdentically) {
       }
     }
     const Instance instance(std::move(jobs), std::move(processing));
-    EXPECT_EQ(instance.dispatch_order_width(), m < 65536 ? 16 : 32)
+    EXPECT_EQ(instance.dispatch_order_width(), m < 65536 ? 16 : 0)
         << "m=" << m;
 
     WeightedFlowOptions indexed;

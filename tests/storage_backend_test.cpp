@@ -6,15 +6,19 @@
 // (same schedule under a zero-tolerance diff, same counters, same
 // certificates, double for double) over all backends of the same workload,
 // for every family, eligibility density, machine count and seed. Plus the
-// CSR edge cases (single-eligible-machine jobs, the uint16 → uint32
-// order-width boundary at m = 65535/65536/65537), the façade accessor
-// equivalences the checkers/metrics rely on, and the generated family's
-// materialize-vs-synthesize bit equality.
+// CSR edge cases (single-eligible-machine jobs, the uint16 order table's
+// ceiling at m = 65535/65536/65537), the façade accessor equivalences the
+// checkers/metrics rely on, the row-tile lifetime contract, and the
+// generated family's materialize-vs-synthesize bit equality.
 //
 // The rotating OSCHED_FUZZ_SEED hook lets CI explore fresh instances every
 // run, reproducibly. `ctest -L backend-matrix` selects this wall.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,8 @@
 #include "fuzz_seed.hpp"
 #include "instance/builders.hpp"
 #include "instance/processing_store.hpp"
+#include "instance/stream_job.hpp"
+#include "service/job_store.hpp"
 #include "sim/schedule_io.hpp"
 #include "workload/generated_family.hpp"
 #include "workload/generators.hpp"
@@ -175,6 +181,104 @@ TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
   }
 }
 
+// ---------------------------------------------- the row-tile lifetime
+
+/// The contract the dispatch relies on: a held processing_row(j) /
+/// bounds_row(j) pair keeps reading row j while rows j+1..j+3 are fetched
+/// and other ids are point-probed. `probe_radius` is how far from j the
+/// point probes reach: 3 for the batch views (their point lookups read
+/// through the tiles, so only the three neighbour slots are safe) and
+/// further for the streaming store, whose point lookups never touch a tile.
+/// `reference` is the dense materialization: ineligible machines must read
+/// +infinity and FLT_MAX bit for bit. Returns how many held entries were
+/// ineligible.
+template <class Store>
+std::size_t expect_held_rows_survive(const Store& store, const Instance& reference,
+                              std::size_t probe_radius,
+                              const std::string& context) {
+  const std::size_t n = reference.num_jobs();
+  const std::size_t m = reference.num_machines();
+  std::size_t ineligible = 0;
+  for (std::size_t j = 0; j + 3 < n; ++j) {
+    const auto job = static_cast<JobId>(j);
+    const Work* held_p = store.processing_row(job);
+    const float* held_bounds = store.bounds_row(job);
+    for (std::size_t k = 1; k <= 3; ++k) {
+      store.processing_row(static_cast<JobId>(j + k));
+      store.bounds_row(static_cast<JobId>(j + k));
+    }
+    const std::size_t lo = j >= probe_radius ? j - probe_radius : 0;
+    const std::size_t hi = std::min(n, j + probe_radius + 1);
+    for (std::size_t other = lo; other < hi; ++other) {
+      if (other == j) continue;
+      const auto probe = static_cast<JobId>(other);
+      for (std::size_t i = 0; i < m; ++i) {
+        store.processing_unchecked(static_cast<MachineId>(i), probe);
+      }
+      store.min_processing(probe);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const Work want = reference.processing(static_cast<MachineId>(i), job);
+      if (!(want < kTimeInfinity)) {
+        ++ineligible;
+        EXPECT_EQ(held_bounds[i], std::numeric_limits<float>::max())
+            << context << " job " << j << " machine " << i;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(held_p[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << context << " job " << j << " machine " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(held_bounds[i]),
+                std::bit_cast<std::uint32_t>(float_lower(want)))
+          << context << " job " << j << " machine " << i;
+    }
+  }
+  return ineligible;
+}
+
+TEST(StorageBackend, HeldTileRowsSurviveNeighbourFillsAndProbes) {
+  // Restricted family for the CSR users (about 3/4 of the machines
+  // ineligible), fully eligible for the generator users. Small blocks put
+  // the streaming stores' rows across several blocks.
+  workload::ClosedFormConfig config;
+  config.num_jobs = 40;
+  config.num_machines = 32;
+  config.seed = base_seed() + 211;
+  config.eligibility = 0.25;
+  const Instance restricted_dense =
+      workload::make_closed_form_instance(config, StorageBackend::kDense);
+  const Instance restricted_sparse =
+      workload::make_closed_form_instance(config, StorageBackend::kSparseCsr);
+  config.eligibility = 1.0;
+  const Instance full_dense =
+      workload::make_closed_form_instance(config, StorageBackend::kDense);
+  const Instance full_gen =
+      workload::make_closed_form_instance(config, StorageBackend::kGenerator);
+
+  EXPECT_GT(expect_held_rows_survive(SparseStoreView(restricted_sparse),
+                                     restricted_dense, 3, "sparse view"),
+            0u);
+  expect_held_rows_survive(GeneratorStoreView(full_gen), full_dense, 3,
+                           "generator view");
+
+  service::StreamingJobStore sparse_store(config.num_machines, 8,
+                                          StorageBackend::kSparseCsr);
+  service::StreamingJobStore gen_store(config.num_machines, 8,
+                                       StorageBackend::kGenerator,
+                                       full_gen.shared_generator());
+  StreamJob job;
+  for (std::size_t j = 0; j < config.num_jobs; ++j) {
+    fill_stream_job(restricted_sparse, static_cast<JobId>(j), 0.0, &job);
+    sparse_store.append(job);
+    fill_stream_job_meta(full_gen.job(static_cast<JobId>(j)), 0.0, &job);
+    gen_store.append(job);
+  }
+  EXPECT_GT(expect_held_rows_survive(sparse_store, restricted_dense, 9,
+                                     "sparse streaming store"),
+            0u);
+  expect_held_rows_survive(gen_store, full_dense, 9,
+                           "generator streaming store");
+}
+
 // ------------------------------------------------- the dual-check template
 
 TEST(StorageBackend, FlowDualCheckerAgreesAcrossBackends) {
@@ -247,9 +351,9 @@ TEST(StorageBackend, SingleEligibleMachineJobs) {
 }
 
 TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
-  // m = 65535 is the last machine count with uint16 order-table ids;
-  // 65536/65537 widen to uint32. Every cell must build the table at the
-  // right width in BOTH matrix backends and agree with dense bit for bit.
+  // m = 65535 is the last machine count with uint16 order-table ids; at
+  // 65536/65537 neither matrix backend builds a table. Every cell must make
+  // the same call in BOTH matrix backends and agree with dense bit for bit.
   for (const std::size_t m :
        {std::size_t{65535}, std::size_t{65536}, std::size_t{65537}}) {
     std::vector<Job> jobs;
@@ -272,33 +376,30 @@ TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
     const Instance sparse =
         Instance::from_sparse_rows(jobs, m, std::move(rows));
     ASSERT_TRUE(sparse.validate().empty()) << sparse.validate();
-    const int expect_width = m < 65536 ? 16 : 32;
+    const int expect_width = m < 65536 ? 16 : 0;
     const Instance dense = sparse.with_backend(StorageBackend::kDense);
     for (const Instance* instance : {&sparse, &dense}) {
       EXPECT_EQ(instance->dispatch_order_width(), expect_width) << "m=" << m;
     }
-    // Both widths remain order-table-equal across backends: the CSR-shaped
+    // Where the table exists it is equal across backends: the CSR-shaped
     // tables must rank the same machines identically.
     for (std::size_t j = 0; j < 6; ++j) {
       const auto job = static_cast<JobId>(j);
       const std::size_t count = sparse.eligible_machines(job).size();
-      if (expect_width == 16) {
-        const std::uint16_t* oa = dense.p_order_row(job);
-        const std::uint16_t* ob = sparse.p_order_row(job);
-        ASSERT_TRUE(oa != nullptr && ob != nullptr) << "m=" << m;
-        for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(oa[k], ob[k]);
-      } else {
-        const std::uint32_t* oa = dense.p_order32_row(job);
-        const std::uint32_t* ob = sparse.p_order32_row(job);
-        ASSERT_TRUE(oa != nullptr && ob != nullptr) << "m=" << m;
-        for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(oa[k], ob[k]);
+      const std::uint16_t* oa = dense.p_order_row(job);
+      const std::uint16_t* ob = sparse.p_order_row(job);
+      if (expect_width == 0) {
+        EXPECT_TRUE(oa == nullptr && ob == nullptr) << "m=" << m;
+        continue;
       }
+      ASSERT_TRUE(oa != nullptr && ob != nullptr) << "m=" << m;
+      for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(oa[k], ob[k]);
     }
     expect_same_summary(api::run(api::Algorithm::kTheorem1, sparse),
                         api::run(api::Algorithm::kTheorem1, dense),
                         "width boundary m=" + std::to_string(m));
-    // And the indexed table (either width) stays bit-identical to the
-    // exhaustive linear scan, the mode with no order table at all.
+    // And indexed dispatch (with or without the table) stays bit-identical
+    // to the exhaustive linear scan, the mode with no order table at all.
     RejectionFlowOptions indexed;
     indexed.epsilon = 0.5;
     RejectionFlowOptions linear = indexed;
@@ -310,9 +411,9 @@ TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
 }
 
 TEST(StorageBackend, OrderWidthBoundaryGeneratorAgrees) {
-  // The generator backend never builds an order table — at the huge-m
-  // boundary its order-less dispatch must still match the dense twin's
-  // uint32-indexed dispatch decision for decision. Fully eligible closed
+  // Neither the generator backend nor a dense instance at m = 65536 builds
+  // an order table — both take the order-less dispatch, through different
+  // views, and must match decision for decision. Fully eligible closed
   // form, tiny n so the dense materialization stays a few megabytes.
   workload::ClosedFormConfig config;
   config.num_jobs = 6;
@@ -323,7 +424,7 @@ TEST(StorageBackend, OrderWidthBoundaryGeneratorAgrees) {
   const Instance dense =
       workload::make_closed_form_instance(config, StorageBackend::kDense);
   EXPECT_EQ(gen.dispatch_order_width(), 0);
-  EXPECT_EQ(dense.dispatch_order_width(), 32);
+  EXPECT_EQ(dense.dispatch_order_width(), 0);
   expect_same_summary(api::run(api::Algorithm::kTheorem1, gen),
                       api::run(api::Algorithm::kTheorem1, dense),
                       "generator at the width boundary");
@@ -386,9 +487,10 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
 
 TEST(StorageBackend, DispatchIndexFlagTracksTheOrderTable) {
   // RunSummary::dispatch_order_width surfaces whether the (p, id) order
-  // table backed the run — 16 for the matrix backends (below the uint16
-  // ceiling; dispatch_index_test covers the boundary), 0 for the generator
-  // backend, which never builds one.
+  // table backed a Theorem 1 run — 16 for the matrix backends (below the
+  // uint16 ceiling; dispatch_index_test covers the boundary), 0 for the
+  // generator backend, which never builds one. Every other algorithm
+  // reports 0: none of them reads the table.
   workload::ClosedFormConfig config;
   config.num_jobs = 60;
   config.num_machines = 6;
@@ -402,10 +504,15 @@ TEST(StorageBackend, DispatchIndexFlagTracksTheOrderTable) {
   EXPECT_EQ(dense.dispatch_order_width(), 16);
   EXPECT_EQ(sparse.dispatch_order_width(), 16);
   EXPECT_EQ(gen.dispatch_order_width(), 0);
-  EXPECT_EQ(
-      api::run(api::Algorithm::kGreedySpt, dense).dispatch_order_width, 16);
-  EXPECT_EQ(api::run(api::Algorithm::kGreedySpt, gen).dispatch_order_width,
+  EXPECT_EQ(api::run(api::Algorithm::kTheorem1, dense).dispatch_order_width,
+            16);
+  EXPECT_EQ(api::run(api::Algorithm::kTheorem1, gen).dispatch_order_width,
             0);
+  for (const api::Algorithm algorithm : kAlgorithms) {
+    if (algorithm == api::Algorithm::kTheorem1) continue;
+    EXPECT_EQ(api::run(algorithm, dense).dispatch_order_width, 0)
+        << api::to_string(algorithm);
+  }
 
   // The shared closed form is reachable for streaming handoff (and only
   // from the backend that has one).
