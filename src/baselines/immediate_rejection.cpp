@@ -11,21 +11,18 @@ ImmediateRejectionResult run_immediate_rejection(
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    ImmediateRejectionPolicy<Store, Schedule> policy(view, schedule,
-                                                     engine.events(), options);
-    engine.run(policy);
+  const InstanceView view(instance);
+  SimEngineFor<InstanceView> engine(view, &options.fleet);
+  Schedule schedule(view.num_jobs());
+  ImmediateRejectionPolicy<InstanceView, Schedule> policy(
+      view, schedule, engine.events(), options);
+  engine.run(policy);
 
-    ImmediateRejectionResult result;
-    result.schedule = std::move(schedule);
-    result.rejections = policy.rejections();
-    result.fleet = policy.fleet_stats();
-    return result;
-  });
+  ImmediateRejectionResult result;
+  result.schedule = std::move(schedule);
+  result.rejections = policy.rejections();
+  result.fleet = policy.fleet_stats();
+  return result;
 }
 
 }  // namespace osched

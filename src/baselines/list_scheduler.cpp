@@ -29,17 +29,14 @@ Schedule run_list_scheduler(const Instance& instance,
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    ListSchedulerPolicy<Store, Schedule> policy(view, schedule, engine.events(),
-                                                options);
-    engine.run(policy);
-    if (fleet_stats != nullptr) *fleet_stats = policy.fleet_stats();
-    return schedule;
-  });
+  const InstanceView view(instance);
+  SimEngineFor<InstanceView> engine(view, &options.fleet);
+  Schedule schedule(view.num_jobs());
+  ListSchedulerPolicy<InstanceView, Schedule> policy(view, schedule,
+                                                     engine.events(), options);
+  engine.run(policy);
+  if (fleet_stats != nullptr) *fleet_stats = policy.fleet_stats();
+  return schedule;
 }
 
 }  // namespace osched

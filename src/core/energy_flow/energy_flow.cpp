@@ -34,20 +34,17 @@ EnergyFlowResult run_energy_flow(const Instance& instance,
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    EnergyFlowPolicy<Store, Schedule> policy(view, schedule, engine.events(),
-                                             options);
-    engine.run(policy);
+  const InstanceView view(instance);
+  SimEngineFor<InstanceView> engine(view, &options.fleet);
+  Schedule schedule(view.num_jobs());
+  EnergyFlowPolicy<InstanceView, Schedule> policy(view, schedule,
+                                                  engine.events(), options);
+  engine.run(policy);
 
-    EnergyFlowResult result;
-    policy.finalize_into(result);
-    result.schedule = std::move(schedule);
-    return result;
-  });
+  EnergyFlowResult result;
+  policy.finalize_into(result);
+  result.schedule = std::move(schedule);
+  return result;
 }
 
 double reference_energy_lambda_ij(

@@ -16,21 +16,20 @@ const char* to_string(Rule2Victim victim) {
   return "?";
 }
 
-namespace {
+RejectionFlowResult run_rejection_flow(const Instance& instance,
+                                       const RejectionFlowOptions& options) {
+  const std::string problems = instance.validate();
+  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-/// Batch run = the resumable policy driven straight to quiescence, one full
-/// template instantiation per storage backend (the dense one is the
-/// pre-refactor hot path — DenseStoreView serves the exact loads Instance
-/// used to). Streaming sessions drive the same policy class one
-/// submit/advance at a time (see service/scheduler_session.hpp).
-template <class Store>
-RejectionFlowResult run_on_store(const Store& store,
-                                 const RejectionFlowOptions& options) {
-  const std::size_t n = store.num_jobs();
-  SimEngineFor<Store> engine(store, &options.fleet);
+  // Batch run = the resumable policy driven straight to quiescence.
+  // Streaming sessions drive the same policy class one submit/advance at a
+  // time (see service/scheduler_session.hpp).
+  const InstanceView view(instance);
+  const std::size_t n = view.num_jobs();
+  SimEngineFor<InstanceView> engine(view, &options.fleet);
   Schedule schedule(n);
-  RejectionFlowPolicy<Store, Schedule> policy(store, schedule, engine.events(),
-                                              options);
+  RejectionFlowPolicy<InstanceView, Schedule> policy(view, schedule,
+                                                     engine.events(), options);
   engine.run(policy);
 
   RejectionFlowResult result;
@@ -50,17 +49,6 @@ RejectionFlowResult run_on_store(const Store& store,
     result.lambda[j] = policy.lambda(static_cast<JobId>(j));
   }
   return result;
-}
-
-}  // namespace
-
-RejectionFlowResult run_rejection_flow(const Instance& instance,
-                                       const RejectionFlowOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
-  return with_store_view(instance, [&](const auto& view) {
-    return run_on_store(view, options);
-  });
 }
 
 double reference_lambda_ij(const std::vector<Work>& pending_sorted, Work p_ij,

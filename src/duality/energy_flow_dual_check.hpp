@@ -16,7 +16,7 @@
 // completions, definitive finishes) plus deterministic pseudo-random times.
 //
 // Templated over the Store like check_flow_dual_feasibility: any storage
-// backend's Instance façade or per-backend view works — the checker only
+// backend's Instance façade or its InstanceView works — the checker only
 // touches the shared accessor surface.
 #pragma once
 

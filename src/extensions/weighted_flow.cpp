@@ -11,23 +11,20 @@ WeightedFlowResult run_weighted_rejection_flow(
   const std::string problems = instance.validate();
   OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
 
-  // One full instantiation per storage backend (see processing_store.hpp).
-  return with_store_view(instance, [&](const auto& view) {
-    using Store = std::decay_t<decltype(view)>;
-    SimEngineFor<Store> engine(view, &options.fleet);
-    Schedule schedule(view.num_jobs());
-    WeightedFlowPolicy<Store, Schedule> policy(view, schedule, engine.events(),
-                                               options);
-    engine.run(policy);
+  const InstanceView view(instance);
+  SimEngineFor<InstanceView> engine(view, &options.fleet);
+  Schedule schedule(view.num_jobs());
+  WeightedFlowPolicy<InstanceView, Schedule> policy(view, schedule,
+                                                    engine.events(), options);
+  engine.run(policy);
 
-    WeightedFlowResult result;
-    result.rule1_rejections = policy.rule1_rejections();
-    result.rule2_rejections = policy.rule2_rejections();
-    result.rejected_weight = policy.rejected_weight();
-    result.fleet = policy.fleet_stats();
-    result.schedule = std::move(schedule);
-    return result;
-  });
+  WeightedFlowResult result;
+  result.rule1_rejections = policy.rule1_rejections();
+  result.rule2_rejections = policy.rule2_rejections();
+  result.rejected_weight = policy.rejected_weight();
+  result.fleet = policy.fleet_stats();
+  result.schedule = std::move(schedule);
+  return result;
 }
 
 }  // namespace osched

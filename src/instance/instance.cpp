@@ -152,13 +152,31 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
     check_job_fields(instance.jobs_[j], j, problems);
     const std::vector<SparseEntry>& row = rows[perm[j]];
     MachineId previous = kInvalidMachine;
-    for (const SparseEntry& entry : row) {
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const SparseEntry& entry = row[k];
       // Strictly ascending machine ids give the same adjacency order the
       // dense pass produces, and make processing_unchecked a binary search.
-      OSCHED_CHECK(entry.machine > previous &&
-                   static_cast<std::size_t>(entry.machine) < num_machines)
-          << "sparse row " << j << ": machine " << entry.machine
-          << " out of order or out of range";
+      // An entry that breaks that is reported (in the streaming store's
+      // words) and left out, so the stored adjacency stays well-formed.
+      if (entry.machine < 0 ||
+          static_cast<std::size_t>(entry.machine) >= num_machines) {
+        problems << "job " << j << " entries[" << k << "] machine "
+                 << entry.machine << " out of range (instance has "
+                 << num_machines << " machines); ";
+        continue;
+      }
+      if (entry.machine == previous) {
+        problems << "job " << j << " entries[" << k << "] duplicates machine "
+                 << entry.machine << "; ";
+        continue;
+      }
+      if (entry.machine < previous) {
+        problems << "job " << j << " entries[" << k << "] machine "
+                 << entry.machine
+                 << " out of order (entries are sorted ascending by "
+                    "machine); ";
+        continue;
+      }
       previous = entry.machine;
       if (!(entry.p > 0.0)) {  // catches NaN
         problems << "p[" << entry.machine << "][" << j
@@ -172,7 +190,8 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
       instance.eligible_flat_.push_back(entry.machine);
       instance.csr_p_.push_back(entry.p);
     }
-    if (num_machines > 0 && row.empty()) {
+    if (num_machines > 0 &&
+        instance.eligible_flat_.size() == instance.eligible_offsets_[j]) {
       problems << "job " << j << " has no eligible machine; ";
     }
     instance.eligible_offsets_[j + 1] = instance.eligible_flat_.size();
@@ -197,10 +216,11 @@ Instance Instance::from_generator(
   for (std::size_t j = 0; j < instance.jobs_.size(); ++j) {
     // The generator is indexed by final job id: require release order
     // instead of silently permuting entries out from under the closed form.
-    if (j > 0) {
-      OSCHED_CHECK_GE(instance.jobs_[j].release, instance.jobs_[j - 1].release)
-          << "generator-backed jobs must arrive release-sorted (job " << j
-          << ")";
+    if (j > 0 &&
+        instance.jobs_[j].release < instance.jobs_[j - 1].release) {
+      problems << "job " << j << " release " << instance.jobs_[j].release
+               << " out of order (generator-backed jobs must arrive "
+                  "release-sorted); ";
     }
     instance.jobs_[j].id = static_cast<JobId>(j);
     check_job_fields(instance.jobs_[j], j, problems);

@@ -22,11 +22,11 @@
 // Every backend answers the same façade accessors (processing, eligibility,
 // min_processing, ...) with identical values, and the schedulers make
 // bit-identical decisions over all three — tests/storage_backend_test.cpp
-// pins that down differentially. The *hot* accessor surface the policies
-// are templated over (processing_row / bounds_row / p_order_row /
-// processing_unchecked without branches) lives in the per-backend view
-// classes of instance/processing_store.hpp; the dense view compiles to the
-// exact loads Instance used to serve itself.
+// pins that down differentially. The *hot* accessor surface the batch
+// policies run on (m-wide processing_row / bounds_row rows for every
+// backend, p_order_row, processing_unchecked without CHECKs) is
+// InstanceView in instance/processing_store.hpp: one class over all three
+// backends, serving dense rows straight from this class's buffers.
 #pragma once
 
 #include <iosfwd>
@@ -106,20 +106,23 @@ class Instance {
   Instance(std::vector<Job> jobs, std::vector<std::vector<Work>> processing);
 
   /// Sparse-CSR backend. `rows[k]` lists job k's eligible machines with
-  /// their finite p entries, strictly ascending by machine index. Jobs are
-  /// re-sorted/re-numbered exactly like the dense constructor (rows are
-  /// permuted along). The n×m matrix is never materialized: memory is
-  /// O(total eligible entries).
+  /// their finite p entries, strictly ascending by machine index; an entry
+  /// whose machine is out of range, duplicated or out of order is reported
+  /// by validate() and not stored. Jobs are re-sorted/re-numbered exactly
+  /// like the dense constructor (rows are permuted along). The n×m matrix
+  /// is never materialized: memory is O(total eligible entries).
   static Instance from_sparse_rows(std::vector<Job> jobs,
                                    std::size_t num_machines,
                                    std::vector<std::vector<SparseEntry>> rows);
 
   /// Generator backend. `jobs` must already be sorted by (release, id) —
   /// the generator is indexed by final job id, so there is no permutation
-  /// to hide behind; ids are renumbered 0..n-1 in place. Entry validity
-  /// (finite, positive, fully eligible) is the generator's contract and is
-  /// NOT scanned here: scanning would materialize exactly the n×m work this
-  /// backend exists to avoid. validate() covers the job fields only.
+  /// to hide behind (validate() reports a release out of order); ids are
+  /// renumbered 0..n-1 in place. Entry validity (finite, positive, fully
+  /// eligible) is the generator's contract and is NOT scanned here:
+  /// scanning would materialize exactly the n×m work this backend exists
+  /// to avoid. validate() covers the job fields and their
+  /// release order only.
   static Instance from_generator(std::vector<Job> jobs,
                                  std::size_t num_machines,
                                  std::shared_ptr<const RowGenerator> generator);
@@ -157,8 +160,8 @@ class Instance {
   /// 0 <= i < num_machines() and 0 <= j < num_jobs(). Dense: one load.
   /// Sparse: binary search of the job's adjacency slice (kTimeInfinity on a
   /// miss). Generator: one closed-form evaluation. Scheduling hot paths do
-  /// NOT come through here — they run on the branch-free views of
-  /// processing_store.hpp.
+  /// NOT come through here — they run on InstanceView
+  /// (processing_store.hpp).
   Work processing_unchecked(MachineId i, JobId j) const {
     switch (backend_) {
       case StorageBackend::kDense:
@@ -174,7 +177,7 @@ class Instance {
 
   /// Job j's contiguous p_{., j} row. DENSE BACKEND ONLY (the other
   /// backends have no materialized row to point into — hot-path row access
-  /// goes through the views in processing_store.hpp).
+  /// goes through InstanceView in processing_store.hpp).
   const Work* processing_row(JobId j) const {
     OSCHED_CHECK(backend_ == StorageBackend::kDense);
     return processing_.data() + static_cast<std::size_t>(j) * num_machines_;
@@ -252,13 +255,12 @@ class Instance {
   /// finite entries positive, releases non-negative, deadlines after release.
   /// Returns an empty string when valid, else a description of the problem.
   /// O(1): the verdict is computed once, during construction (generator
-  /// instances check job fields only — see from_generator).
+  /// instances check job fields and release order only — see
+  /// from_generator).
   std::string validate() const;
 
  private:
-  friend class DenseStoreView;
-  friend class SparseStoreView;
-  friend class GeneratorStoreView;
+  friend class InstanceView;
 
   /// Shared per-job field validation (release/weight/deadline), identical
   /// across backends. KEEP IN SYNC with service::StreamingJobStore's

@@ -24,8 +24,8 @@
 //                 vectors empty).
 // The m-wide row accessors (processing_row / bounds_row) that the indexed
 // dispatch path needs are served, for the compact backends, from the
-// 4-slot RowTileCache (instance/row_tile.hpp) the batch Sparse/
-// GeneratorStoreView use too, so the dispatch's row-j + lookahead row-j+1
+// 4-slot RowTileCache (instance/row_tile.hpp) the batch InstanceView uses
+// too, so the dispatch's row-j + lookahead row-j+1
 // pointers never collide. Point lookups (processing_unchecked) NEVER go
 // through the tiles: policies probe arbitrary pending ids mid-dispatch
 // while holding tile row pointers, so those reads use a per-row binary

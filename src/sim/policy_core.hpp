@@ -10,9 +10,9 @@
 // policies and lives here once.
 //
 // Each policy is a template over
-//   Store — where job data comes from: the batch `Instance` (or one of the
-//           per-backend views of instance/processing_store.hpp), or the
-//           streaming session's `service::StreamingJobStore`. Must provide
+//   Store — where job data comes from: the batch `InstanceView`
+//           (instance/processing_store.hpp) or the streaming session's
+//           `service::StreamingJobStore`. Must provide
 //           job(j), processing_unchecked(i, j), processing_row(j),
 //           eligible_machines(j) and num_machines() with Instance's
 //           semantics.

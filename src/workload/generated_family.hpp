@@ -1,6 +1,6 @@
 // Closed-form workload family: the same instance under any storage backend.
 //
-// The storage refactor (instance/processing_store.hpp) needs workload
+// The pluggable storage backends (instance/instance.hpp) need workload
 // families whose p_ij is a PURE function of (seed, j, i) — then the dense
 // matrix, the sparse CSR and the on-demand generator all hold/produce the
 // same doubles bit for bit, and the differential wall can assert that the

@@ -374,9 +374,9 @@ std::optional<Instance> instance_from_stream(std::istream& in,
   if (!reader.ok()) return fail(reader.error());
 
   // The reader already vetted the sparse structural demands (in-range,
-  // strictly ascending ids), so from_sparse_rows' aborts are unreachable
-  // from trace input; value problems (non-positive, non-finite, empty rows)
-  // surface through validate() exactly as for dense traces.
+  // strictly ascending ids); anything from_sparse_rows still objects to —
+  // value problems (non-positive, non-finite, empty rows) — surfaces
+  // through validate() exactly as for dense traces.
   Instance instance =
       sparse ? Instance::from_sparse_rows(std::move(jobs), machines,
                                           std::move(rows))

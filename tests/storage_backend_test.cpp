@@ -166,10 +166,10 @@ TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
   config.seed = base_seed() + 97;
   const Instance gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
-  const GeneratorStoreView view(gen);
-  EXPECT_EQ(view.p_order_row(0), nullptr);
+  const InstanceView view(gen);
   for (std::size_t j = 0; j < config.num_jobs; ++j) {
     const auto job = static_cast<JobId>(j);
+    EXPECT_EQ(view.p_order_row(job), nullptr);
     const Work* row = view.processing_row(job);
     const float* bounds = view.bounds_row(job);
     ASSERT_EQ(view.eligible_machines(job).size(), config.num_machines);
@@ -186,8 +186,9 @@ TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
 /// The contract the dispatch relies on: a held processing_row(j) /
 /// bounds_row(j) pair keeps reading row j while rows j+1..j+3 are fetched
 /// and other ids are point-probed. `probe_radius` is how far from j the
-/// point probes reach: 3 for the batch views (their point lookups read
-/// through the tiles, so only the three neighbour slots are safe) and
+/// point probes reach: 3 for the batch InstanceView (its compact-backend
+/// point lookups read through the tiles, so only the three neighbour slots
+/// are safe) and
 /// further for the streaming store, whose point lookups never touch a tile.
 /// `reference` is the dense materialization: ineligible machines must read
 /// +infinity and FLT_MAX bit for bit. Returns how many held entries were
@@ -254,10 +255,10 @@ TEST(StorageBackend, HeldTileRowsSurviveNeighbourFillsAndProbes) {
   const Instance full_gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
 
-  EXPECT_GT(expect_held_rows_survive(SparseStoreView(restricted_sparse),
+  EXPECT_GT(expect_held_rows_survive(InstanceView(restricted_sparse),
                                      restricted_dense, 3, "sparse view"),
             0u);
-  expect_held_rows_survive(GeneratorStoreView(full_gen), full_dense, 3,
+  expect_held_rows_survive(InstanceView(full_gen), full_dense, 3,
                            "generator view");
 
   service::StreamingJobStore sparse_store(config.num_machines, 8,
@@ -298,8 +299,8 @@ TEST(StorageBackend, FlowDualCheckerAgreesAcrossBackends) {
   EXPECT_EQ(a.max_violation, b.max_violation);
   EXPECT_EQ(a.constraints_checked, b.constraints_checked);
 
-  // The per-backend views satisfy the checker's Store contract directly.
-  const SparseStoreView view(sparse);
+  // The batch view satisfies the checker's Store contract directly.
+  const InstanceView view(sparse);
   const DualCheckReport c =
       check_flow_dual_feasibility(view, sparse_result, 0.25);
   EXPECT_EQ(a.max_violation, c.max_violation);
@@ -455,6 +456,40 @@ TEST(StorageBackend, SparseValidationCatchesMalformedRows) {
     EXPECT_NE(bad.validate().find("no eligible machine"), std::string::npos)
         << bad.validate();
   }
+  // Malformed machine ids are diagnosed, never aborted on, and the offending
+  // entry is not stored: the adjacency keeps only the well-formed entries.
+  const struct {
+    std::vector<SparseEntry> row;
+    const char* problem;
+    std::vector<MachineId> kept;
+  } malformed[] = {
+      {{SparseEntry{3, 1.0}}, "out of range", {}},
+      {{SparseEntry{0, 1.0}, SparseEntry{-1, 1.0}}, "out of range", {0}},
+      {{SparseEntry{1, 1.0}, SparseEntry{1, 2.0}}, "duplicates machine", {1}},
+      {{SparseEntry{2, 1.0}, SparseEntry{0, 2.0}}, "out of order", {2}},
+  };
+  for (const auto& c : malformed) {
+    const Instance bad = Instance::from_sparse_rows(jobs, 3, {c.row});
+    EXPECT_NE(bad.validate().find(c.problem), std::string::npos)
+        << bad.validate();
+    const EligibleMachines kept = bad.eligible_machines(0);
+    EXPECT_EQ(std::vector<MachineId>(kept.begin(), kept.end()), c.kept)
+        << c.problem;
+  }
+  {
+    // A generator instance is indexed by final job id, so unsorted releases
+    // are a diagnostic too.
+    std::vector<Job> unsorted(2, jobs[0]);
+    unsorted[0].release = 2.0;
+    unsorted[1].release = 1.0;
+    workload::ClosedFormConfig config;
+    config.num_jobs = 2;
+    config.num_machines = 3;
+    const Instance bad = Instance::from_generator(
+        unsorted, 3, workload::make_closed_form_generator(config));
+    EXPECT_NE(bad.validate().find("out of order"), std::string::npos)
+        << bad.validate();
+  }
 }
 
 TEST(StorageBackend, FacadeAccessorsAgree) {
@@ -462,6 +497,10 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
   const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
   EXPECT_EQ(dense.processing_spread(), sparse.processing_spread());
   EXPECT_EQ(dense.total_weight(), sparse.total_weight());
+  // The batch view serves dense rows and both order tables straight from
+  // the Instance, never through the row tiles.
+  const InstanceView dense_view(dense);
+  const InstanceView sparse_view(sparse);
   for (std::size_t j = 0; j < dense.num_jobs(); ++j) {
     const auto job = static_cast<JobId>(j);
     EXPECT_EQ(dense.min_processing(job), sparse.min_processing(job));
@@ -478,6 +517,10 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(oa[k], ob[k]);
     }
+    EXPECT_EQ(dense_view.p_order_row(job), oa);
+    EXPECT_EQ(sparse_view.p_order_row(job), ob);
+    EXPECT_EQ(dense_view.processing_row(job), dense.processing_row(job));
+    EXPECT_EQ(dense_view.bounds_row(job), dense.bounds_row(job));
     for (std::size_t i = 0; i < dense.num_machines(); ++i) {
       EXPECT_EQ(dense.processing(static_cast<MachineId>(i), job),
                 sparse.processing(static_cast<MachineId>(i), job));
