@@ -86,8 +86,12 @@ Instance::Instance(std::vector<Job> jobs,
     Work* job_slice = processing_.data() + pos * num_machines_;
     float* bounds_slice = bounds_.data() + pos * num_machines_;
     const std::size_t original = perm[pos];
+    // The transposing copy gathers across rows; the shadow is then one
+    // contiguous (vectorizable) conversion pass over the job's slice.
     for (std::size_t i = 0; i < num_machines_; ++i) {
       job_slice[i] = processing[i][original];
+    }
+    for (std::size_t i = 0; i < num_machines_; ++i) {
       bounds_slice[i] = float_lower(job_slice[i]);
     }
   }

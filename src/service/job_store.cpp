@@ -289,9 +289,9 @@ const RowTileCache::Row& StreamingJobStore::tile(JobId j) const {
 void StreamingJobStore::fill_bounds(const Block& block,
                                     std::size_t offset) const {
   // One-time block allocation, then a contiguous conversion sweep over
-  // every row appended since the last touch. float_lower is the same
-  // branchless rounded-down conversion Instance::bounds_ uses
-  // (inf -> FLT_MAX), so both stores' shadow rows obey one contract.
+  // every row appended since the last touch. float_lower (branch-free, so
+  // the sweep vectorizes) is the rounded-down conversion Instance::bounds_
+  // uses (inf -> FLT_MAX), so both stores' shadow rows obey one contract.
   if (block.bounds.empty()) {
     block.bounds.resize(jobs_per_block_ * num_machines_);
     bump_matrix_bytes(block.bounds.size() * sizeof(float));

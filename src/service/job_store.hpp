@@ -159,7 +159,7 @@ class StreamingJobStore {
   /// Instance::bounds_row. Dense blocks fill LAZILY: append() never touches
   /// the shadow (the fill used to be ~40% of its cost); the first
   /// bounds_row() on a block allocates the block's shadow and fills every
-  /// row up to j in one contiguous branch-free conversion loop. Runs that
+  /// row up to j in one contiguous, vectorized conversion loop. Runs that
   /// never read bounds (linear-scan dispatch) never pay for — or allocate —
   /// the shadow at all. Compact backends fill p and bounds together into
   /// the same tile slot, so bounds_row(j) after processing_row(j) is a hit,

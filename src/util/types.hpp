@@ -84,26 +84,16 @@ inline float float_lower(double x) {
   float f = static_cast<float>(x);
   std::uint32_t bits;
   std::memcpy(&bits, &f, sizeof(bits));
-  // Branchless one-ulp step toward zero whenever the nearest-rounding went
-  // up (or x was +inf): the conversion runs per matrix entry on streaming
-  // appends, where a 50/50 branch would mispredict constantly.
-  bits -= static_cast<std::uint32_t>(
-      static_cast<double>(f) > x ||
+  // Step one ulp toward zero whenever the nearest-rounding went up (or x
+  // was +inf). Both tests are evaluated as 0/1 integers and combined with
+  // a bitwise OR: a short-circuit || compiles to a data-dependent jump,
+  // which mispredicts about half the time on real p values and keeps the
+  // shadow-fill loops from vectorizing.
+  const auto went_up = static_cast<std::uint32_t>(static_cast<double>(f) > x);
+  const auto is_inf = static_cast<std::uint32_t>(
       !(f < std::numeric_limits<float>::infinity()));
+  bits -= went_up | is_inf;
   std::memcpy(&f, &bits, sizeof(bits));
-  return f;
-}
-
-/// Smallest float >= x for non-negative x (+infinity stays +infinity): the
-/// UP-rounded conversion for thresholds that must never under-approximate.
-inline float float_upper(double x) {
-  float f = static_cast<float>(x);
-  if (static_cast<double>(f) < x) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    bits += 1;
-    std::memcpy(&f, &bits, sizeof(bits));
-  }
   return f;
 }
 

@@ -5,13 +5,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "instance/instance.hpp"
+#include "instance/row_tile.hpp"
+#include "service/job_store.hpp"
 #include "util/augmented_treap.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -614,19 +621,143 @@ TEST(FloatBounds, LowerNeverExceedsAndUpperNeverUndercuts) {
     const double x = rng.next_double() < 0.5 ? rng.uniform(0.0, 1e12)
                                              : rng.pareto(1e-6, 1.1);
     const float lo = float_lower(x);
-    const float hi = float_upper(x);
     ASSERT_LE(static_cast<double>(lo), x);
-    ASSERT_GE(static_cast<double>(hi), x);
     ASSERT_GT(static_cast<double>(float_next_up(lo)), x);
   }
   EXPECT_EQ(float_lower(std::numeric_limits<double>::infinity()),
             std::numeric_limits<float>::max());
-  EXPECT_EQ(float_upper(std::numeric_limits<double>::infinity()),
-            std::numeric_limits<float>::infinity());
   EXPECT_EQ(float_next_up(std::numeric_limits<float>::infinity()),
             std::numeric_limits<float>::infinity());
   EXPECT_EQ(float_lower(0.0), 0.0f);
-  EXPECT_EQ(float_upper(0.0), 0.0f);
+}
+
+/// float_lower's definition, written the slow obvious way: the largest
+/// float not above x, with +inf mapped to FLT_MAX.
+float lower_reference(double x) {
+  if (x == std::numeric_limits<double>::infinity()) return FLT_MAX;
+  float f = static_cast<float>(x);
+  if (static_cast<double>(f) > x) f = std::nextafter(f, 0.0f);
+  return f;
+}
+
+std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+/// Inputs from every edge class of the conversion: exact floats at every
+/// exponent (float subnormals included), both double neighbours of each,
+/// the float midpoints and their double neighbours, double subnormals,
+/// (FLT_MAX, DBL_MAX], +inf, 0 and random finite bit patterns.
+std::vector<double> float_lower_edge_inputs() {
+  Rng rng(2026);
+  std::vector<double> xs = {0.0, std::numeric_limits<double>::infinity(),
+                            DBL_MAX, std::nextafter(DBL_MAX, 0.0)};
+  const auto with_neighbours = [&xs](double x) {
+    xs.push_back(x);
+    xs.push_back(std::nextafter(x, 0.0));
+    xs.push_back(std::nextafter(x, std::numeric_limits<double>::infinity()));
+  };
+  for (std::uint32_t exponent = 0; exponent < 255; ++exponent) {
+    const std::uint32_t mantissas[] = {
+        0u, 1u, 2u, 0x400000u, 0x7FFFFEu, 0x7FFFFFu,
+        static_cast<std::uint32_t>(rng.next_u64()) & 0x7FFFFFu};
+    for (const std::uint32_t mantissa : mantissas) {
+      const float f = std::bit_cast<float>(exponent << 23 | mantissa);
+      with_neighbours(static_cast<double>(f));
+      if (f < FLT_MAX) {
+        // Exactly halfway to the next float: a nearest-rounding tie.
+        with_neighbours(0.5 * (static_cast<double>(f) +
+                               static_cast<double>(float_next_up(f))));
+      }
+    }
+  }
+  // Double subnormals, which all round to float 0.
+  with_neighbours(std::numeric_limits<double>::denorm_min());
+  with_neighbours(DBL_MIN);
+  for (int i = 0; i < 64; ++i) {
+    xs.push_back(std::bit_cast<double>(rng.next_u64() >> 12));
+  }
+  // Above FLT_MAX (its own neighbours came from the loop above): the
+  // halfway point to the next would-be float (rounds to +inf) and the
+  // rest up to DBL_MAX.
+  const double flt_max = FLT_MAX;
+  const double below = std::nextafter(FLT_MAX, 0.0f);
+  with_neighbours(flt_max + 0.5 * (flt_max - below));
+  for (int i = 0; i < 256; ++i) {
+    xs.push_back(std::ldexp(rng.uniform(1.0, 2.0),
+                            128 + static_cast<int>(rng.index(895))));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const double x = std::bit_cast<double>(rng.next_u64() >> 1);
+    if (std::isfinite(x)) xs.push_back(x);
+  }
+  return xs;
+}
+
+/// A generator that serves fixed rows, so the tile fill converts whatever
+/// values the test picks.
+class TableRows : public RowGenerator {
+ public:
+  explicit TableRows(std::vector<std::vector<Work>> rows)
+      : rows_(std::move(rows)) {}
+  Work entry(JobId j, MachineId i) const override {
+    return rows_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
+  }
+
+ private:
+  std::vector<std::vector<Work>> rows_;
+};
+
+TEST(FloatBounds, LowerIsTheLargestFloatNotAbove) {
+  const std::vector<double> xs = float_lower_edge_inputs();
+  for (const double x : xs) {
+    ASSERT_EQ(bits_of(float_lower(x)), bits_of(lower_reference(x)))
+        << std::hexfloat << x;
+  }
+
+  // Whole shadow rows from every bulk fill, at every width from 1 to 67
+  // so each vector body and tail length runs. Store rows must be positive
+  // with one eligible machine, so 0 is left out and machine 0 is finite.
+  Rng rng(7);
+  std::vector<double> pool;
+  for (const double x : xs) {
+    if (x > 0.0) pool.push_back(x);
+  }
+  constexpr std::size_t kRows = 3;
+  for (std::size_t m = 1; m <= 67; ++m) {
+    std::vector<std::vector<Work>> rows(kRows, std::vector<Work>(m));
+    for (auto& row : rows) {
+      for (Work& p : row) p = pool[rng.index(pool.size())];
+      if (!(row[0] < kTimeInfinity)) row[0] = 1.0;
+    }
+
+    RowTileCache tiles(m);
+    const TableRows generator(rows);
+    service::StreamingJobStore store(m);
+    std::vector<Job> jobs(kRows);
+    std::vector<std::vector<Work>> by_machine(m, std::vector<Work>(kRows));
+    for (std::size_t j = 0; j < kRows; ++j) {
+      jobs[j].id = static_cast<JobId>(j);
+      jobs[j].release = static_cast<Time>(j);
+      StreamJob job;
+      job.release = jobs[j].release;
+      job.processing = rows[j];
+      store.append(job);
+      for (std::size_t i = 0; i < m; ++i) by_machine[i][j] = rows[j][i];
+    }
+    const Instance instance(jobs, by_machine);
+
+    for (std::size_t j = 0; j < kRows; ++j) {
+      const auto id = static_cast<JobId>(j);
+      const float* tile = tiles.fill_generated(id, generator).bounds.data();
+      const float* dense = store.bounds_row(id);
+      const float* batch = instance.bounds_row(id);
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t want = bits_of(lower_reference(rows[j][i]));
+        ASSERT_EQ(bits_of(tile[i]), want) << "tile m=" << m << " j=" << j;
+        ASSERT_EQ(bits_of(dense[i]), want) << "store m=" << m << " j=" << j;
+        ASSERT_EQ(bits_of(batch[i]), want) << "instance m=" << m << " j=" << j;
+      }
+    }
+  }
 }
 
 }  // namespace
