@@ -8,7 +8,7 @@
 // rejection allowance) — plus a multi-tenant shard-driver leg where one hot
 // tenant bursts against deficit-round-robin admission. Every session cell
 // also cuts its run at the halfway job through a checkpoint/restore drill
-// over the v4 wire format. The verdict asserts, in-process and
+// over the checkpoint wire format. The verdict asserts, in-process and
 // seed-independently:
 //
 //  1. Survival and accounting: every job is completed or rejected; no cell
@@ -18,7 +18,7 @@
 //     (max_live <= max_cap), the ε-charged shed count stays inside
 //     floor(2·ε·n), and the burst warp actually drives the tuner off its
 //     seed cap (the cap moves at least once per adaptive cell).
-//  3. Checkpoint fidelity: the v4 blob (shed policy + adaptive-cap
+//  3. Checkpoint fidelity: the blob (shed policy + adaptive-cap
 //     configuration) restores to a session whose continued run — including
 //     every remaining cap move and charged shed — reproduces the
 //     uninterrupted run exactly.
@@ -155,9 +155,9 @@ MetricRow run_session_cell(const UnitContext& ctx) {
   reference.summary = uninterrupted.drain();
   const double seconds = timer.elapsed_seconds();
 
-  // Checkpoint-cut drill over wire v4: sever the identical feed at the
-  // halfway job; the restored session must re-derive the estimator and
-  // the remaining charged-shed/cap decisions exactly.
+  // Checkpoint-cut drill: sever the identical feed at the halfway job;
+  // the restored session must re-derive the estimator and the remaining
+  // charged-shed/cap decisions exactly.
   double ckpt_match = 1.0;
   {
     service::SchedulerSession first_half(algorithm, instance.num_machines(),
@@ -398,7 +398,7 @@ Scenario make_e22() {
   scenario.description =
       "adaptive overload soak: burst-warped arrivals against rate-tuned "
       "window caps and ε-charged sheds (fixed-budget oracle alongside), "
-      "v4 checkpoint cuts mid-overload, and DRR multi-tenant fairness "
+      "checkpoint cuts mid-overload, and DRR multi-tenant fairness "
       "asserted worker-count invariant";
   scenario.tags = {"perf", "overload", "adaptive", "slow"};
   scenario.repetitions = 1;
@@ -474,7 +474,7 @@ Scenario make_e22() {
     }
     return Verdict{true,
                    "adaptive caps stayed bounded and moved with the bursts; "
-                   "ε-charged sheds stayed inside the paper allowance; v4 "
+                   "ε-charged sheds stayed inside the paper allowance; "
                    "checkpoint cuts reproduced every run; DRR held hot "
                    "tenants to their quantum, never starved cold ones, and "
                    "stayed worker-count invariant"};

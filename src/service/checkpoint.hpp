@@ -18,7 +18,7 @@
 //   magic      8 bytes  "OSCKPT01" (session) / "OSCKPD01" (shard driver)
 //   version    u32      format version (kCheckpointVersion)
 //   body       ...      per-kind fields (see docs/ARCHITECTURE.md)
-//   checksum   u64      FNV-1a 64 of every preceding byte
+//   checksum   u64      checkpoint_checksum of every preceding byte
 //
 // Restore NEVER aborts on a damaged blob: truncation, corruption and
 // version mismatches come back as diagnostic strings (the checksum is
@@ -31,6 +31,7 @@
 // live submission faces.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -38,65 +39,88 @@
 
 namespace osched::service {
 
+// The codec copies integers and doubles to and from the wire as raw host
+// words, which is the little-endian encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint wire is little-endian");
+
 inline constexpr char kSessionCheckpointMagic[8] = {'O', 'S', 'C', 'K',
                                                     'P', 'T', '0', '1'};
 inline constexpr char kDriverCheckpointMagic[8] = {'O', 'S', 'C', 'K',
                                                    'P', 'D', '0', '1'};
 /// The one wire version this build writes and reads; restore refuses every
 /// other version (older blobs included) with a diagnostic.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
-/// FNV-1a 64-bit over a byte range — the checkpoint trailer's checksum.
-inline std::uint64_t fnv1a64(const void* data, std::size_t size) {
+/// The checkpoint trailer's checksum. Every step is the xxHash64-style
+/// round step(h, w) = rotl((h ^ w) * P, 31) * P. Four lanes run it over the
+/// 8-byte little-endian words of each whole 32-byte stripe (word k of a
+/// stripe feeds lane k; lane k starts at kChecksumSeed + k). The lanes fold
+/// into lane 0 with the same step, in lane order; then the size % 32 tail
+/// bytes go through the step one byte at a time, and last the byte length.
+/// Each step is a bijection of the state for a fixed input, so changing any
+/// single word or tail byte always changes the result; the rotation feeds
+/// high product bits back into the low ones, so flips of the same high bit
+/// in two words do not cancel. The four lanes are independent multiply
+/// chains, so the hash runs at memory bandwidth rather than one multiply
+/// latency per byte.
+inline constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kChecksumPrime = 0x9e3779b97f4a7c15ULL;
+
+inline std::uint64_t checkpoint_checksum(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
+  const auto step = [](std::uint64_t h, std::uint64_t w) {
+    return std::rotl((h ^ w) * kChecksumPrime, 31) * kChecksumPrime;
+  };
+  std::uint64_t lane[4] = {kChecksumSeed, kChecksumSeed + 1,
+                           kChecksumSeed + 2, kChecksumSeed + 3};
+  std::size_t at = 0;
+  for (; size - at >= sizeof(lane); at += sizeof(lane)) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + at + k * sizeof(word), sizeof(word));
+      lane[k] = step(lane[k], word);
+    }
   }
-  return hash;
+  std::uint64_t hash = lane[0];
+  for (std::size_t k = 1; k < 4; ++k) hash = step(hash, lane[k]);
+  for (; at < size; ++at) hash = step(hash, bytes[at]);
+  return step(hash, size);
 }
 
 /// Append-only little-endian encoder. finish() seals the blob with the
-/// FNV-1a trailer; the writer is spent afterwards.
+/// checksum trailer; the writer is spent afterwards.
 class CheckpointWriter {
  public:
+  /// Pre-sizes the buffer for a blob of `total` bytes, trailer included.
+  void reserve(std::size_t total) { buffer_.reserve(total); }
+  std::size_t size() const { return buffer_.size(); }
+
   void bytes(const void* data, std::size_t size) {
     buffer_.append(static_cast<const char*>(data), size);
   }
   void u8(std::uint8_t value) { bytes(&value, 1); }
-  void u32(std::uint32_t value) { put_le(value); }
-  void u64(std::uint64_t value) { put_le(value); }
-  void f64(double value) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    put_le(bits);
+  void u32(std::uint32_t value) { bytes(&value, sizeof(value)); }
+  void u64(std::uint64_t value) { bytes(&value, sizeof(value)); }
+  void f64(double value) { bytes(&value, sizeof(value)); }
+  /// `count` doubles in one copy (a dense journal row).
+  void f64s(const double* values, std::size_t count) {
+    bytes(values, count * sizeof(double));
   }
 
   std::string finish() {
-    const std::uint64_t checksum = fnv1a64(buffer_.data(), buffer_.size());
-    put_le(checksum);
+    u64(checkpoint_checksum(buffer_.data(), buffer_.size()));
     return std::move(buffer_);
   }
 
  private:
-  template <class T>
-  void put_le(T value) {
-    char out[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-    bytes(out, sizeof(T));
-  }
-
   std::string buffer_;
 };
 
 /// Bounds-checked decoder over a sealed blob. Every read either succeeds or
 /// latches a failure (ok() == false, error() says why) and returns zero;
-/// callers may batch reads and check once. expect_magic/verify_checksum
-/// front-load the whole-blob integrity checks.
+/// callers may batch reads and check once. open() front-loads the
+/// whole-blob integrity checks.
 class CheckpointReader {
  public:
   explicit CheckpointReader(std::string_view blob) : blob_(blob) {}
@@ -127,13 +151,9 @@ class CheckpointReader {
                   " checkpoint (magic mismatch)");
     }
     const std::size_t body = blob_.size() - sizeof(std::uint64_t);
-    std::uint64_t stored = 0;
-    for (std::size_t i = 0; i < sizeof(stored); ++i) {
-      stored |= static_cast<std::uint64_t>(
-                    static_cast<unsigned char>(blob_[body + i]))
-                << (8 * i);
-    }
-    if (stored != fnv1a64(blob_.data(), body)) {
+    std::uint64_t stored;
+    std::memcpy(&stored, blob_.data() + body, sizeof(stored));
+    if (stored != checkpoint_checksum(blob_.data(), body)) {
       return fail("checkpoint corrupted: checksum mismatch");
     }
     pos_ = sizeof(magic);
@@ -145,40 +165,40 @@ class CheckpointReader {
     }
   }
 
-  std::uint8_t u8() {
-    std::uint8_t value = 0;
-    read(&value, 1);
-    return value;
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  double f64() { return get<double>(); }
+  /// `count` doubles in one copy behind one bounds check (a dense row).
+  void f64s(double* out, std::size_t count) {
+    read(out, count * sizeof(double));
   }
-  void bytes(void* out, std::size_t size) { read(out, size); }
-  std::uint32_t u32() { return get_le<std::uint32_t>(); }
-  std::uint64_t u64() { return get_le<std::uint64_t>(); }
-  double f64() {
-    const std::uint64_t bits = get_le<std::uint64_t>();
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
+  /// The next `size` bytes in place, without copying (a nested blob); empty
+  /// on failure. The view aliases the blob this reader was opened on.
+  std::string_view view(std::size_t size) {
+    if (ok() && remaining() < size) {
+      fail("checkpoint truncated: field extends past the blob");
+    }
+    if (!ok()) return {};
+    const std::string_view out(blob_.data() + pos_, size);
+    pos_ += size;
+    return out;
   }
 
  private:
   void read(void* out, std::size_t size) {
-    if (!ok()) return;
-    if (remaining() < size) {
+    const std::string_view in = view(size);
+    if (ok()) {
+      std::memcpy(out, in.data(), size);
+    } else {
       std::memset(out, 0, size);
-      return fail("checkpoint truncated: field extends past the blob");
     }
-    std::memcpy(out, blob_.data() + pos_, size);
-    pos_ += size;
   }
 
   template <class T>
-  T get_le() {
-    unsigned char in[sizeof(T)] = {};
-    read(in, sizeof(T));
-    T value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      value |= static_cast<T>(in[i]) << (8 * i);
-    }
+  T get() {
+    T value;
+    read(&value, sizeof(value));
     return value;
   }
 

@@ -100,6 +100,22 @@ class ImmediateHost final : public HostBase<IrPolicy, ImmediateRejectionOptions>
 
 bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
+/// Journal bytes per job: the three job fields, plus the m-wide row for
+/// dense. Exact for the fixed-stride dense and generator journals; for a
+/// sparse journal it is the per-job minimum (the fields plus the entry
+/// count), since the entries that follow vary per job.
+std::size_t journal_stride(StorageBackend backend, std::size_t m) {
+  switch (backend) {
+    case StorageBackend::kDense:
+      return (3 + m) * sizeof(double);
+    case StorageBackend::kSparseCsr:
+      return 3 * sizeof(double) + sizeof(std::uint32_t);
+    case StorageBackend::kGenerator:
+      break;
+  }
+  return 3 * sizeof(double);
+}
+
 std::unique_ptr<PolicyHost> make_host(api::Algorithm algorithm,
                                       const StreamingJobStore& store,
                                       SessionSchedule& rec, EventQueue& events,
@@ -194,6 +210,11 @@ class SchedulerSession::Impl {
   std::size_t matrix_peak_bytes() const { return store_.matrix_peak_bytes(); }
   bool drained() const { return drained_; }
 
+  /// Allocation-free form of validate_job: true iff it returns "".
+  bool job_ok(const StreamJob& job) const {
+    return !drained_ && store_.job_ok(job) && job.release >= now();
+  }
+
   std::string validate_job(const StreamJob& job) const {
     if (drained_) return "session already drained; ";
     std::string problems = store_.validate_job(job);
@@ -215,10 +236,15 @@ class SchedulerSession::Impl {
   }
 
   SubmitOutcome try_submit(const StreamJob& job, JobId* id_out) {
-    OSCHED_CHECK(!drained_) << "submit() on a drained session";
-    OSCHED_CHECK_GE(job.release, now())
-        << "job released at " << job.release
-        << " submitted after the clock reached " << now();
+    OSCHED_CHECK(job_ok(job))
+        << "invalid streamed job " << num_submitted() << ": "
+        << validate_job(job);
+    return admit(job, id_out);
+  }
+
+  /// try_submit past its gate: the caller has run job_ok (restore() does
+  /// for each replayed job), so the store appends without re-checking.
+  SubmitOutcome admit(const StreamJob& job, JobId* id_out) {
     // Events first: completions due by the release seal fates and can free
     // window slots, so they fire whether or not the job is admitted (and
     // the admission decision must see the post-event window, or a full
@@ -230,7 +256,7 @@ class SchedulerSession::Impl {
       ++backpressured_;
       return SubmitOutcome::kBackpressure;
     }
-    const JobId j = store_.append(job);
+    const JobId j = store_.append_trusted(job);
     total_weight_ += job.weight;
     records_.ensure_size(static_cast<std::size_t>(j) + 1);
     loop_.advance_clock(job.release);
@@ -381,6 +407,10 @@ class SchedulerSession::Impl {
     // restoring caller must supply.
     w.u64(store_.num_jobs());
     const std::size_t m = store_.num_machines();
+    if (backend != StorageBackend::kSparseCsr) {
+      w.reserve(w.size() + store_.num_jobs() * journal_stride(backend, m) +
+                sizeof(std::uint64_t));
+    }
     for (std::size_t idx = 0; idx < store_.num_jobs(); ++idx) {
       const auto j = static_cast<JobId>(idx);
       const Job& job = store_.job(j);
@@ -388,11 +418,9 @@ class SchedulerSession::Impl {
       w.f64(job.weight);
       w.f64(job.deadline);
       switch (backend) {
-        case StorageBackend::kDense: {
-          const Work* row = store_.processing_row(j);
-          for (std::size_t i = 0; i < m; ++i) w.f64(row[i]);
+        case StorageBackend::kDense:
+          w.f64s(store_.processing_row(j), m);
           break;
-        }
         case StorageBackend::kSparseCsr: {
           const EligibleMachines eligible = store_.eligible_machines(j);
           const Work* values = store_.csr_values(j);
@@ -771,11 +799,7 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
   // a per-job minimum (3 f64 + u32 count) here and exact at the end — every
   // per-entry read below is bounds-checked on top.
   const std::size_t job_bytes =
-      backend == StorageBackend::kDense
-          ? static_cast<std::size_t>(3 + num_machines) * sizeof(double)
-          : (backend == StorageBackend::kSparseCsr
-                 ? 3 * sizeof(double) + sizeof(std::uint32_t)
-                 : 3 * sizeof(double));
+      journal_stride(backend, static_cast<std::size_t>(num_machines));
   const bool journal_size_bad =
       backend == StorageBackend::kSparseCsr
           ? num_jobs > r.remaining() / job_bytes
@@ -798,9 +822,7 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
     job.deadline = r.f64();
     switch (backend) {
       case StorageBackend::kDense:
-        for (std::size_t i = 0; i < num_machines; ++i) {
-          job.processing[i] = r.f64();
-        }
+        r.f64s(job.processing.data(), job.processing.size());
         break;
       case StorageBackend::kSparseCsr: {
         const std::uint32_t count = r.u32();
@@ -823,16 +845,17 @@ std::unique_ptr<SchedulerSession> SchedulerSession::restore(
         break;  // metadata only; the store synthesizes the row
     }
     if (!r.ok()) return fail(r.error());
-    const std::string problems = session->validate_job(job);
-    if (!problems.empty()) {
+    // try_submit's allocation-free gate, with a diagnostic instead of an
+    // abort; the replay below appends without re-validating.
+    if (!session->impl_->job_ok(job)) {
       return fail("checkpoint job " + std::to_string(idx) +
-                  " fails replay validation: " + problems);
+                  " fails replay validation: " + session->validate_job(job));
     }
     // Every journaled job was accepted by the original session, and the
     // shed sequence is a deterministic function of the accepted arrivals —
     // so a faithful blob cannot backpressure here. A refusal means the
     // window fields are inconsistent with the journal (forged or damaged).
-    if (session->try_submit(job) == SubmitOutcome::kBackpressure) {
+    if (session->impl_->admit(job, nullptr) == SubmitOutcome::kBackpressure) {
       return fail("checkpoint corrupted: replayed job " + std::to_string(idx) +
                   " hit backpressure (overload fields inconsistent with the "
                   "journal)");

@@ -323,8 +323,8 @@ std::unique_ptr<ShardDriver> ShardDriver::restore(
       return fail("checkpoint truncated: shard " + std::to_string(s) +
                   " blob extends past the checkpoint");
     }
-    std::string session_blob(static_cast<std::size_t>(size), '\0');
-    r.bytes(session_blob.data(), session_blob.size());
+    const std::string_view session_blob =
+        r.view(static_cast<std::size_t>(size));
     OSCHED_CHECK(r.ok()) << r.error();  // size was just checked
     std::string session_error;
     auto session =

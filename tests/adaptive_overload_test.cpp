@@ -469,9 +469,9 @@ TEST(AdaptiveOverload, HugeSizingTargetSaturatesAtMaxCap) {
 
 TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
   using service::CheckpointWriter;
-  const auto begin_v4 = [](CheckpointWriter& w) {
+  const auto begin = [](CheckpointWriter& w) {
     w.bytes(service::kSessionCheckpointMagic, 8);
-    w.u32(4);
+    w.u32(service::kCheckpointVersion);
     w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
     w.u64(1);     // machines
     w.f64(0.2);   // epsilon
@@ -497,7 +497,7 @@ TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
   {
     // A shed-policy id the enum does not name.
     CheckpointWriter w;
-    begin_v4(w);
+    begin(w);
     w.u8(7);     // forged shed policy
     w.u8(0);     // tuning disabled
     w.u64(0);
@@ -514,7 +514,7 @@ TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
     // Tuning enabled with an impossible min_cap: the constructor would
     // abort on these, so restore must catch them recoverably first.
     CheckpointWriter w;
-    begin_v4(w);
+    begin(w);
     w.u8(0);     // fixed policy
     w.u8(1);     // tuning enabled...
     w.u64(0);    // ...with min_cap 0
@@ -534,7 +534,7 @@ TEST(AdaptiveOverload, ForgedV4FieldsAreDiagnosed) {
       {inf, 1.0}, {nan, 1.0}, {1.0, inf}, {1.0, nan}};
   for (const auto& [window, target_delay] : non_finite) {
     CheckpointWriter w;
-    begin_v4(w);
+    begin(w);
     w.u8(0);   // fixed policy
     w.u8(1);   // tuning enabled
     w.u64(2);  // min_cap

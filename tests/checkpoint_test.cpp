@@ -10,6 +10,10 @@
 // out-of-bounds reads.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,12 +83,13 @@ void expect_identical(const api::RunSummary& expected,
       << context;
 }
 
-// Hand-written wire-v4 session blobs for the forged-field cases. A blob is
-// write_v4_head, the fleet events (u64 count + events), write_v4_overload,
-// the backend byte, write_v4_fixed_policy, then the clock and job journal.
-void write_v4_head(service::CheckpointWriter& w, std::uint64_t machines) {
+// Hand-written session blobs in the current wire version for the
+// forged-field cases. A blob is write_head, the fleet events (u64 count +
+// events), write_overload, the backend byte, write_fixed_policy, then the
+// clock and job journal.
+void write_head(service::CheckpointWriter& w, std::uint64_t machines) {
   w.bytes(service::kSessionCheckpointMagic, 8);
-  w.u32(4);  // the layout below is version 4's
+  w.u32(service::kCheckpointVersion);
   w.u32(static_cast<std::uint32_t>(api::Algorithm::kGreedySpt));
   w.u64(machines);
   w.f64(0.2);  // epsilon
@@ -94,9 +99,9 @@ void write_v4_head(service::CheckpointWriter& w, std::uint64_t machines) {
   w.u8(0);     // validate off
 }
 
-void write_v4_overload(service::CheckpointWriter& w,
-                       std::uint64_t live_window_cap,
-                       std::uint64_t shed_budget) {
+void write_overload(service::CheckpointWriter& w,
+                    std::uint64_t live_window_cap,
+                    std::uint64_t shed_budget) {
   w.u64(0);     // initially_down
   w.u64(0);     // rejection_budget
   w.u8(1);      // shed_killed_running
@@ -106,7 +111,7 @@ void write_v4_overload(service::CheckpointWriter& w,
 }
 
 /// The fixed shed rule with cap tuning disabled.
-void write_v4_fixed_policy(service::CheckpointWriter& w) {
+void write_fixed_policy(service::CheckpointWriter& w) {
   w.u8(0);     // ShedPolicy::kFixedBudget
   w.u8(0);     // tuning disabled
   w.u64(0);    // min_cap
@@ -229,9 +234,9 @@ TEST(Checkpoint, ForgedFleetAndOverloadFieldsAreDiagnosed) {
   // Shared tail after the fleet events: a dense session with no overload
   // control, then the clock and an empty job journal.
   const auto finish_body = [](CheckpointWriter& w) {
-    write_v4_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
+    write_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
-    write_v4_fixed_policy(w);
+    write_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
   };
@@ -241,7 +246,7 @@ TEST(Checkpoint, ForgedFleetAndOverloadFieldsAreDiagnosed) {
     // A speed multiplier the fleet-plan validator refuses: recoverable, and
     // the diagnostic comes from the validator.
     CheckpointWriter w;
-    write_v4_head(w, /*machines=*/2);
+    write_head(w, /*machines=*/2);
     w.u64(1);
     w.f64(1.0);  // event time
     w.u32(0);    // machine
@@ -254,7 +259,7 @@ TEST(Checkpoint, ForgedFleetAndOverloadFieldsAreDiagnosed) {
   {
     // A fleet event kind past kSpeedChange is damage.
     CheckpointWriter w;
-    write_v4_head(w, /*machines=*/2);
+    write_head(w, /*machines=*/2);
     w.u64(1);
     w.f64(1.0);
     w.u32(0);
@@ -270,11 +275,11 @@ TEST(Checkpoint, ForgedFleetAndOverloadFieldsAreDiagnosed) {
     // budget cannot have accepted a second live job, so the replay's
     // backpressure is reported as corruption, not an abort.
     CheckpointWriter w;
-    write_v4_head(w, /*machines=*/1);
+    write_head(w, /*machines=*/1);
     w.u64(0);  // no fleet events
-    write_v4_overload(w, /*live_window_cap=*/1, /*shed_budget=*/0);
+    write_overload(w, /*live_window_cap=*/1, /*shed_budget=*/0);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
-    write_v4_fixed_policy(w);
+    write_fixed_policy(w);
     w.f64(1.0);  // clock
     w.u64(2);    // two journaled jobs, both live at the cut — impossible
     for (const double release : {0.0, 1.0}) {
@@ -345,7 +350,7 @@ TEST(Checkpoint, WrongMagicVersionAndForgedFieldsAreDiagnosed) {
 
   // Right magic, any version but the current one — older blobs included:
   // refused, and the diagnostic names both versions. Same for the driver.
-  for (const std::uint32_t version : {1u, 2u, 3u, 5u, 99u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 6u, 99u}) {
     const auto blob = [version](const char (&magic)[8]) {
       CheckpointWriter w;
       w.bytes(magic, 8);
@@ -355,7 +360,7 @@ TEST(Checkpoint, WrongMagicVersionAndForgedFieldsAreDiagnosed) {
     };
     const std::string expected =
         "unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads version 4)";
+        " (this build reads version 5)";
     EXPECT_EQ(service::SchedulerSession::restore(
                   blob(service::kSessionCheckpointMagic), &error),
               nullptr);
@@ -376,6 +381,118 @@ TEST(Checkpoint, WrongMagicVersionAndForgedFieldsAreDiagnosed) {
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
     EXPECT_FALSE(error.empty());
   }
+}
+
+TEST(Checkpoint, ChecksumIsPinnedAndDetectsEverySingleByteChange) {
+  using service::checkpoint_checksum;
+  // Golden values: the checksum is part of the wire format, so changing it
+  // without a kCheckpointVersion bump must fail here. The 43-byte string is
+  // one whole 32-byte stripe plus an 11-byte tail.
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(checkpoint_checksum(fox.data(), fox.size()),
+            0x4940a5ab7a2fe3e9ULL);
+  EXPECT_EQ(checkpoint_checksum(nullptr, 0), 0x2c1870601f514f10ULL);
+
+  // Every step is a bijection of the state, so one changed byte — in a
+  // stripe word or in the tail — always changes the checksum.
+  std::mt19937_64 rng(base_seed() + 90);
+  std::string buffer(6 * 32 + 11, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  const std::uint64_t clean = checkpoint_checksum(buffer.data(), buffer.size());
+  for (std::size_t at = 0; at < buffer.size(); ++at) {
+    for (const unsigned mask : {0x01u, 0x80u, 0x5au, 0xffu}) {
+      buffer[at] = static_cast<char>(buffer[at] ^ mask);
+      EXPECT_NE(checkpoint_checksum(buffer.data(), buffer.size()), clean)
+          << "byte " << at << " ^ " << mask << " went undetected";
+      buffer[at] = static_cast<char>(buffer[at] ^ mask);
+    }
+  }
+
+  // Flips of the same high bit in two different words must not cancel.
+  // Multiplying by an odd constant only carries changes upward, so a step
+  // without the rotation maps a bit-63 flip to the same bit-63 change
+  // forever and any two such flips cancel. Cover every pair of words, in
+  // the same lane and across lanes, for the top bit and its neighbours
+  // (bit 7 of a byte at offset 8k + 7 is bit 63 of word k).
+  const std::size_t words = buffer.size() / 32 * 4;
+  for (const unsigned mask : {0x80u, 0x40u, 0xc0u}) {
+    for (std::size_t a = 0; a < words; ++a) {
+      for (std::size_t b = a + 1; b < words; ++b) {
+        buffer[8 * a + 7] = static_cast<char>(buffer[8 * a + 7] ^ mask);
+        buffer[8 * b + 7] = static_cast<char>(buffer[8 * b + 7] ^ mask);
+        EXPECT_NE(checkpoint_checksum(buffer.data(), buffer.size()), clean)
+            << "words " << a << " and " << b << " ^ " << mask << " cancel";
+        buffer[8 * a + 7] = static_cast<char>(buffer[8 * a + 7] ^ mask);
+        buffer[8 * b + 7] = static_cast<char>(buffer[8 * b + 7] ^ mask);
+      }
+    }
+  }
+
+  // The byte length is hashed in, so trailing zero bytes — whether they
+  // land in the tail or complete a stripe — are never invisible.
+  std::set<std::uint64_t> seen;
+  std::string padded = buffer.substr(0, 37);
+  for (int zeros = 0; zeros <= 70; ++zeros, padded.push_back('\0')) {
+    EXPECT_TRUE(
+        seen.insert(checkpoint_checksum(padded.data(), padded.size())).second)
+        << zeros << " trailing zero bytes collide with a shorter buffer";
+  }
+}
+
+TEST(Checkpoint, ReplayValidationFailuresAreDiagnosedNotAborts) {
+  using service::CheckpointWriter;
+  // A validly checksummed dense blob for a 2-machine session whose job 2
+  // is bad; jobs 0 and 1 replay fine. Restore must stop at job 2 with the
+  // replay diagnostic naming the problem.
+  const auto blob_with_bad_job = [](double release, double p) {
+    CheckpointWriter w;
+    write_head(w, /*machines=*/2);
+    w.u64(0);  // no fleet events
+    write_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
+    w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
+    write_fixed_policy(w);
+    w.f64(2.0);  // clock
+    w.u64(3);    // three journaled jobs
+    const double jobs[3][2] = {{0.0, 1.0}, {1.0, 1.0}, {release, p}};
+    for (const auto& [r, p0] : jobs) {
+      w.f64(r);
+      w.f64(1.0);            // weight
+      w.f64(kTimeInfinity);  // no deadline
+      w.f64(p0);
+      w.f64(2.0);
+    }
+    return w.finish();
+  };
+  const std::string prefix = "checkpoint job 2 fails replay validation: ";
+  const struct {
+    const char* what;
+    double release;
+    double p;
+    const char* problem;
+  } cases[] = {
+      {"negative p", 1.5, -1.0, "p[0] is non-positive or NaN"},
+      {"NaN p", 1.5, std::numeric_limits<double>::quiet_NaN(),
+       "p[0] is NaN"},
+      {"release below job 1's", 0.5, 1.0,
+       "precedes the last submitted release"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_EQ(service::SchedulerSession::restore(
+                  blob_with_bad_job(c.release, c.p), &error),
+              nullptr)
+        << c.what;
+    EXPECT_EQ(error.rfind(prefix, 0), 0u) << c.what << ": " << error;
+    EXPECT_NE(error.find(c.problem), std::string::npos)
+        << c.what << ": " << error;
+  }
+  // The same blob with a good job 2 restores, so the failures above are
+  // the bad field and nothing else.
+  std::string error;
+  EXPECT_NE(service::SchedulerSession::restore(blob_with_bad_job(1.5, 1.0),
+                                               &error),
+            nullptr)
+      << error;
 }
 
 TEST(Checkpoint, LowMemoryAndDrainedSessionsRefuse) {
@@ -531,12 +648,12 @@ TEST(Checkpoint, CompactBackendBlobTruncationIsDiagnosedNotUB) {
 
 TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
   using service::CheckpointWriter;
-  // The v4 header through the overload fields, for a 1-machine kGreedySpt
+  // The header through the overload fields, for a 1-machine kGreedySpt
   // session — each case below appends a differently damaged tail.
   const auto begin = [](CheckpointWriter& w) {
-    write_v4_head(w, /*machines=*/1);
+    write_head(w, /*machines=*/1);
     w.u64(0);  // no fleet events
-    write_v4_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
+    write_overload(w, /*live_window_cap=*/0, /*shed_budget=*/0);
   };
 
   std::string error;
@@ -545,7 +662,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     CheckpointWriter w;
     begin(w);
     w.u8(7);     // forged backend
-    write_v4_fixed_policy(w);
+    write_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(0);    // no jobs
     EXPECT_EQ(service::SchedulerSession::restore(w.finish(), &error), nullptr);
@@ -558,7 +675,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     CheckpointWriter w;
     begin(w);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
-    write_v4_fixed_policy(w);
+    write_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -578,7 +695,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     CheckpointWriter w;
     begin(w);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kDense));
-    write_v4_fixed_policy(w);
+    write_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
@@ -596,7 +713,7 @@ TEST(Checkpoint, ForgedBackendFieldsAreDiagnosed) {
     CheckpointWriter w;
     begin(w);
     w.u8(static_cast<std::uint8_t>(StorageBackend::kSparseCsr));
-    write_v4_fixed_policy(w);
+    write_fixed_policy(w);
     w.f64(0.0);  // clock
     w.u64(1);    // one journaled job
     w.f64(0.0);            // release
