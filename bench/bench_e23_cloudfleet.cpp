@@ -1,16 +1,16 @@
 // E23 — huge-m cloud-fleet soak (registered scenario "e23_cloudfleet").
 //
-// The perf tier behind the huge-m frontier work: the explicitly vectorized
-// dispatch kernels (util/simd_argmin.hpp), order-less dispatch past the
-// uint16 order table's id ceiling, and NUMA-aware shard workers. One
-// closed-form cloud fleet is exercised three ways:
+// The perf tier behind the huge-m frontier work: the dense dispatch loops
+// (util/dispatch_argmin.hpp), order-less dispatch past the uint16 order
+// table's id ceiling, and sharded serving. One closed-form cloud fleet is
+// exercised three ways:
 //
 //  1. Dispatch sweep, m = 64 -> 262144 on the GENERATOR backend (no n x m
 //     matrix ever exists; the closed form synthesizes rows on demand).
 //     Synthesizing a DENSE row is itself Theta(m) per job, so the dense
 //     endpoints cannot witness sublinear selection; they instead gate
 //     "never meaningfully superlinear" (kMaxDenseExponent) — the
-//     regression tripwire for the vectorized lower-bound fill.
+//     regression tripwire for the lower-bound fill.
 //  2. A huge-m SPARSE cell at m = 262144 with ~64 eligible machines per
 //     job. No order table exists at this m (uint16 ids cannot name the
 //     machines), so the idle argmin walks the ~64 eligible entries. The
@@ -23,17 +23,15 @@
 //     the "fleet frontier" property.
 //  3. Streamed fleet serving at m = 4096: one generator-backed session
 //     (metadata-only submissions) vs its batch twin — byte-identical
-//     deterministic outputs asserted — plus an S=8 ShardDriver under
-//     NumaPolicy::kInterleave (placement-only; a no-op on single-node
-//     hosts). scripts/compare_bench.py prints shard-scaling efficiency
-//     from the "sharded" / "stream t1" label pair.
+//     deterministic outputs asserted — plus an S=8 ShardDriver.
+//     scripts/compare_bench.py prints shard-scaling efficiency from the
+//     "sharded" / "stream t1" label pair.
 //
-// Every case reports its dispatch tier (tier_simd: 0 scalar / 1 avx2 /
-// 2 avx512; tier_order_width: 0 / 16) so a perf number is always
-// attributable to the code path that produced it. Tier metrics are
-// hardware-shaped, NOT determinism inputs: compare_bench.py reports tier
-// changes informationally instead of failing the diff (all tiers are
-// bit-identical by the simd_argmin contract; tests/simd_argmin_test.cpp).
+// Every case reports the order-table width its dispatch walked
+// (tier_order_width: 0 / 16) so a perf number is always attributable to
+// the code path that produced it. compare_bench.py reports tier changes
+// informationally instead of failing the diff: both paths make
+// bit-identical decisions (tests/dispatch_index_test.cpp).
 //
 // Tags: "perf" + "slow" like e16-e22; CI's e23 smoke gate runs it at
 // --scale 0.02 with --require-passed, so the sublinearity and
@@ -49,7 +47,6 @@
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
 #include "util/rng.hpp"
-#include "util/simd_argmin.hpp"
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
@@ -72,7 +69,7 @@ constexpr std::size_t kFleetMachines = 4096;
 /// Machine-selection cost must scale no worse than m^kMaxScalingExponent
 /// between the equal-row-work cells (dense m=64 vs sparse m=262144).
 /// Exponent 1.0 = linear selection, the pre-index shadow-scan behavior;
-/// the indexed + vectorized path measures ~0.6, so 0.95 rejects a linear
+/// the indexed path measures ~0.6, so 0.95 rejects a linear
 /// regression outright with ample noise margin.
 constexpr double kMaxScalingExponent = 0.95;
 /// The dense sweep includes Theta(m) per-job row synthesis, so its honest
@@ -83,7 +80,7 @@ constexpr double kMaxDenseExponent = 1.05;
 
 enum class Mode {
   kStream = 0,  ///< one generator-backed session, metadata-only feed
-  kSharded,     ///< ShardDriver: 8 generator tenants, NUMA interleave
+  kSharded,     ///< ShardDriver: 8 generator tenants
   kBatch,       ///< api::run on the same generator instance (stream twin)
   kDispatch,    ///< batch dispatch sweep cell (generator backend)
   kDispatchSparse,  ///< huge-m sparse cell: ~64 eligible machines per job
@@ -113,11 +110,9 @@ workload::ClosedFormConfig fleet_config(std::uint64_t seed, std::size_t n,
   return config;
 }
 
-/// The tier attribution every case carries. Order width comes from the
-/// summary (16 for matrix backends below 65536 machines, else 0);
-/// the SIMD tier is process-wide.
+/// The tier attribution every case carries: the order width from the
+/// summary (16 for matrix backends below 65536 machines, else 0).
 void set_tier_metrics(MetricRow& row, const api::RunSummary& summary) {
-  row.set("tier_simd", static_cast<double>(summary.dispatch_simd_tier));
   row.set("tier_order_width",
           static_cast<double>(summary.dispatch_order_width));
 }
@@ -183,10 +178,6 @@ MetricRow run_sharded_case(const UnitContext& ctx, std::size_t n) {
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
   service::ShardDriverOptions options;
   options.session = fleet_session_options(config);
-  // The PR's placement knob, on: pins workers round-robin across NUMA
-  // nodes where the host has them, a byte-identical no-op where it does
-  // not (tests/numa_test.cpp holds the invariance either way).
-  options.numa_policy = service::NumaPolicy::kInterleave;
   service::ShardDriver driver(api::Algorithm::kTheorem1, kShards,
                               kFleetMachines, options);
   util::Timer timer;
@@ -223,7 +214,6 @@ MetricRow run_sharded_case(const UnitContext& ctx, std::size_t n) {
   row.set("per_worker_jobs_per_sec",
           seconds > 0.0 ? total_jobs / seconds / workers : 0.0);
   row.set("workers", workers);
-  row.set("pinned_workers", static_cast<double>(driver.pinned_workers()));
   row.set("peak_rss_mib", peak_rss_mib());
   set_tier_metrics(row, summaries.front());
   set_deterministic_metrics(row, rejected, completed, total_flow);
@@ -313,7 +303,7 @@ Scenario make_e23() {
   scenario.description =
       "huge-m cloud fleet: generator dispatch sweep m=64..262144 with "
       "sublinear-in-m verdict, huge-m sparse cell, streamed vs batch twin, "
-      "NUMA-interleaved shard fleet";
+      "sharded fleet";
   scenario.tags = {"perf", "streaming", "storage", "slow"};
   scenario.repetitions = 1;
   const struct {
@@ -324,8 +314,7 @@ Scenario make_e23() {
   } cells[] = {
       // Streamed cases first (peak RSS is a process high-water mark).
       {"stream t1 fleet m=4096 n=200000", Mode::kStream, 200000, 4096},
-      {"stream sharded S=8 numa m=4096 n=200000", Mode::kSharded, 200000,
-       4096},
+      {"stream sharded S=8 m=4096 n=200000", Mode::kSharded, 200000, 4096},
       {"batch t1 fleet m=4096 n=200000", Mode::kBatch, 200000, 4096},
       // The generator dispatch sweep: 4096x in m, 64 -> 262144.
       {"dispatch gen m=64 n=20000", Mode::kDispatch, 20000, 64},

@@ -9,11 +9,10 @@ Compares a baseline report against a current one, metric by metric:
   before the diff counts as a perf regression. Direction matters — getting
   faster or smaller is never a regression.
 * Metrics prefixed "tier_" describe WHICH code path produced the numbers
-  (e23's dispatch tiers: tier_simd 0/1/2 = scalar/avx2/avx512,
-  tier_order_width 0/16) — hardware- and env-shaped (cpuid,
-  OSCHED_SIMD), not scheduling outputs, and bit-identical across tiers by
-  the simd_argmin contract. Differences are reported as informational
-  notes, never as regressions or mismatches.
+  (e23's tier_order_width 0/16: whether Theorem 1's dispatch walked an
+  order table) — not scheduling outputs, since dispatch with and without
+  the table makes bit-identical decisions. Differences are reported as
+  informational notes, never as regressions or mismatches.
 * Metrics prefixed "seeded_" are deterministic ONLY per seed (e20's chaos
   schedule and e22's burst-warped workload move with --seed, and e22's
   per-shard overload counters — seeded_hot_deferred, seeded_total_sheds,
@@ -54,12 +53,10 @@ import sys
 
 EXPECTED_SCHEMA = "osched.bench.report"
 
-# "workers" is the shard driver's resolved worker count and
-# "pinned_workers" how many of them landed on their NUMA node — both shaped
-# by the host's core count/topology, not by scheduling decisions, so they
-# belong to the wall-clock class (band-compared), not the deterministic one.
-PERF_EXACT = {"seconds", "compute_seconds", "wall_seconds", "workers",
-              "pinned_workers"}
+# "workers" is the shard driver's resolved worker count — shaped by the
+# host's core count, not by scheduling decisions, so it belongs to the
+# wall-clock class (band-compared), not the deterministic one.
+PERF_EXACT = {"seconds", "compute_seconds", "wall_seconds", "workers"}
 # Memory metrics are wall-clock-class (banded, never exact-matched) AND get
 # their own band (--rss-tolerance): RSS is an OS-level reading (allocator
 # retention, page granularity) whose noise profile is unrelated to
@@ -87,10 +84,10 @@ CORE_DETERMINISTIC = ("rejected", "completed", "total_flow")
 # reports. Everywhere else these are skipped, not warned about.
 SEEDED_PREFIX = "seeded_"
 
-# Code-path attribution, not output: which SIMD tier / order-table width
-# served the case (cpuid- and OSCHED_SIMD-shaped). All tiers are
-# bit-identical by contract, so a tier change can explain a perf delta but
-# can never itself be a regression or a determinism error.
+# Code-path attribution, not output: the order-table width that served the
+# case (tier_order_width). Both paths are bit-identical by contract, so a
+# tier change can explain a perf delta but can never itself be a regression
+# or a determinism error.
 TIER_PREFIX = "tier_"
 
 

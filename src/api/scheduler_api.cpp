@@ -70,7 +70,6 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
                const RunOptions& options) {
   RunSummary summary;
   summary.algorithm = algorithm;
-  summary.dispatch_simd_tier = util::active_simd_tier();
 
   // Per-algorithm validation/report knobs.
   bool parallel_execution = false;

@@ -28,7 +28,6 @@
 #include "metrics/metrics.hpp"
 #include "sim/fleet.hpp"
 #include "sim/schedule.hpp"
-#include "util/simd_argmin.hpp"
 
 namespace osched::api {
 
@@ -95,11 +94,9 @@ struct RunSummary {
   /// a number produced by one code path is never compared against another
   /// path unknowingly.
   int dispatch_order_width = 0;
-  /// SIMD tier the dispatch kernels ran at (util::active_simd_tier():
-  /// scalar / avx2 / avx512 — cpuid-dispatched, cappable via OSCHED_SIMD).
-  /// All tiers are bit-identical by contract; the field is informational
-  /// attribution, not a determinism input.
-  util::SimdTier dispatch_simd_tier = util::SimdTier::kScalar;
+  /// Vector tier of the dispatch loops. Always 0 (scalar): the loops are
+  /// plain scalar code. Kept because perf tooling records the field.
+  int dispatch_simd_tier = 0;
 };
 
 /// Runs `algorithm` on `instance`. Aborts (OSCHED_CHECK) on structurally

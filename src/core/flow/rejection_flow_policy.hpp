@@ -34,8 +34,8 @@
 #include "core/flow/rejection_flow.hpp"
 #include "sim/policy_core.hpp"
 #include "util/augmented_treap.hpp"
+#include "util/dispatch_argmin.hpp"
 #include "util/rng.hpp"
-#include "util/simd_argmin.hpp"
 #include "util/sliding_vector.hpp"
 
 namespace osched {
@@ -334,21 +334,6 @@ class RejectionFlowPolicy final
           }
         }
       }
-    } else if (dense && speed_is_one_ && !fleet_speed_ && !fleet_.enabled()) {
-      // No precomputed order, no fleet mask, no speed scaling (the huge-m
-      // steady state of generator, streaming and m >= 65536 stores — the
-      // O(m) loop e23 sizes): the effective p IS the double row entry and
-      // every machine is a candidate when idle, so the exact idle argmin
-      // vectorizes — per
-      // lane the scalar division-then-add, min-reduce plus first-index
-      // semantics, bit-identical to the scalar loop below (which stays the
-      // reference for the masked/scaled cases).
-      const util::simd::IdleArgmin idle = util::simd::idle_lambda_argmin(
-          rowd, pend_n_.data(), count, options_.epsilon);
-      if (idle.index < count) {
-        best_lambda = idle.lambda;
-        best_machine = static_cast<MachineId>(idle.index);
-      }
     } else {
       // No precomputed order (streaming or generator store, m >= 65536
       // batch instance), or the table is unsound under active speed
@@ -359,12 +344,17 @@ class RejectionFlowPolicy final
       // skipping it keeps the lazily-filled shadow
       // (service::StreamingJobStore) untouched on this path entirely. The
       // exact scan returns the same lexicographic (lambda, id) argmin the
-      // former float screen located.
+      // former float screen located. Without speed scaling the effective p
+      // IS the row entry, so the scan reads the row instead of making a
+      // store lookup per machine (a closed-form evaluation on generator
+      // stores, a binary search on CSR ones).
+      const bool raw_p = speed_is_one_ && !fleet_speed_;
       for (std::size_t k = 0; k < count; ++k) {
         const auto i = static_cast<std::size_t>(
             dense ? static_cast<MachineId>(k) : eligible.first[k]);
         if (pend_n_[i] != 0 || !fleet_.active(i)) continue;
-        const Work p = effective_processing(static_cast<MachineId>(i), j);
+        const Work p = raw_p ? rowd[i]
+                             : effective_processing(static_cast<MachineId>(i), j);
         const double lambda = p / options_.epsilon + p;  // empty-queue
         if (lambda < best_lambda ||
             (lambda == best_lambda &&
@@ -478,10 +468,7 @@ class RejectionFlowPolicy final
       const float* __restrict pcm = pend_cnt_margin_.data();
       const float* __restrict pmp = pend_min_p_.data();
       float* __restrict lb = lb_.data();
-      // Explicit SIMD fill (AVX2/AVX-512 behind runtime dispatch, scalar
-      // reference as fallback) — per-lane identical to the former inline
-      // loop; see util/simd_argmin.hpp for the bit-identity contract.
-      util::simd::lb_fill(row, pcm, pmp, empty_coeff_margin_, lb, m);
+      util::lb_fill(row, pcm, pmp, empty_coeff_margin_, lb, m);
       // Speed mask: the bulk fill used the RAW shadow row, which is not a
       // lower bound on a sped-UP machine's effective lambda. O(#scaled)
       // overwrites recompute those entries from the UP-rounded divisor —
@@ -502,11 +489,10 @@ class RejectionFlowPolicy final
       // Two-level argmin: per-block minima first (min is exactly
       // associative/commutative over the NaN-free, -0.0-free lb values, so
       // any lane split gives the same value), then the first block and
-      // first lane attaining the minimum — the explicit SIMD kernel keeps
-      // those exact semantics across tiers, and also returns the block
-      // minima the rival screen reads below.
-      const util::simd::ArgminResult seed =
-          util::simd::block_minima_argmin(lb, m, block_min_.data());
+      // first lane attaining the minimum. The block minima also feed the
+      // rival screen below.
+      const util::ArgminResult seed =
+          util::block_minima_argmin(lb, m, block_min_.data());
       OSCHED_CHECK_LT(seed.index, m) << "no finite dispatch bound";
       seed_k = seed.index;
       seed_p = row[seed_k];

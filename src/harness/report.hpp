@@ -6,9 +6,11 @@
 // (selection, seed, scale); timing lives in separate fields ("jobs",
 // "*_seconds") that JsonOptions::include_timing can strip, which is how the
 // determinism test compares a --jobs 1 run against a --jobs 8 run
-// byte-for-byte. Exception: scenarios tagged "perf" (e8_throughput)
-// measure wall-clock as their subject, so their metric VALUES vary run to
-// run by design — exclude the "perf" tag from determinism diffs.
+// byte-for-byte. Exception: scenarios tagged "perf" (e16-e23) carry
+// wall-clock columns (seconds, throughput, peak RSS) among their metrics.
+// Only those columns vary run to run, so exclude the "perf" tag from
+// byte-level determinism diffs; scripts/compare_bench.py diffs the other
+// columns exactly.
 //
 // Schema (version 1):
 //   {

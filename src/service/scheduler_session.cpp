@@ -322,9 +322,7 @@ class SchedulerSession::Impl {
     api::RunSummary summary;
     summary.algorithm = algorithm_;
     // Streamed stores keep no order table, so dispatch_order_width stays
-    // at its default 0; the SIMD tier applies to the streamed dispatch
-    // kernels all the same.
-    summary.dispatch_simd_tier = util::active_simd_tier();
+    // at its default 0.
     host_->finalize(summary);
 
     if (options_.retain_records) {

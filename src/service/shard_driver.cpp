@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "service/checkpoint.hpp"
-#include "util/numa.hpp"
 #include "util/rng.hpp"
 
 namespace osched::service {
@@ -22,7 +21,7 @@ ShardDriver::ShardDriver(api::Algorithm algorithm, std::size_t num_shards,
     shard->credit = fair_quantum_;
     shards_.push_back(std::move(shard));
   }
-  start_workers(options.threads, options.numa_policy);
+  start_workers(options.threads);
 }
 
 void ShardDriver::set_fair_quantum(std::size_t quantum) {
@@ -52,7 +51,7 @@ bool ShardDriver::fairness_refuses(Shard& s) {
   return false;
 }
 
-void ShardDriver::start_workers(std::size_t threads, NumaPolicy numa_policy) {
+void ShardDriver::start_workers(std::size_t threads) {
   const std::size_t num_shards = shards_.size();
   std::size_t workers = threads != 0
                             ? threads
@@ -69,17 +68,6 @@ void ShardDriver::start_workers(std::size_t threads, NumaPolicy numa_policy) {
   }
   for (std::size_t s = 0; s < num_shards; ++s) {
     workers_[s % workers]->shards.push_back(s);
-  }
-  if (numa_policy == NumaPolicy::kInterleave &&
-      util::numa_topology().multi_node()) {
-    // Round-robin workers across nodes. Each worker pins ITSELF as the
-    // first thing its loop does, so every allocation it first-touches —
-    // batch buffers and, dominating by far, the lazily grown session state
-    // of the shards it owns — lands on its node and stays there.
-    const std::size_t nodes = util::numa_topology().num_nodes();
-    for (std::size_t w = 0; w < workers; ++w) {
-      workers_[w]->numa_node = static_cast<int>(w % nodes);
-    }
   }
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, worker = worker.get()] {
@@ -294,7 +282,7 @@ std::string ShardDriver::checkpoint() {
 
 std::unique_ptr<ShardDriver> ShardDriver::restore(
     std::string_view blob, std::size_t threads, std::string* error,
-    std::shared_ptr<const RowGenerator> generator, NumaPolicy numa_policy) {
+    std::shared_ptr<const RowGenerator> generator) {
   const auto fail = [error](std::string message) {
     if (error != nullptr) *error = std::move(message);
     return nullptr;
@@ -340,7 +328,7 @@ std::unique_ptr<ShardDriver> ShardDriver::restore(
     return fail("checkpoint corrupted: " + std::to_string(r.remaining()) +
                 " trailing bytes after the last shard");
   }
-  driver->start_workers(threads, numa_policy);
+  driver->start_workers(threads);
   if (error != nullptr) error->clear();
   return driver;
 }
@@ -369,11 +357,6 @@ void ShardDriver::wake(Worker& worker) {
 }
 
 void ShardDriver::worker_loop(Worker& worker) {
-  if (worker.numa_node >= 0 &&
-      util::pin_current_thread_to_node(
-          static_cast<std::size_t>(worker.numa_node))) {
-    pinned_workers_.fetch_add(1, std::memory_order_release);
-  }
   std::vector<std::vector<Op>> batches;
   for (;;) {
     bool did_work = false;

@@ -1,4 +1,4 @@
-// Wall-clock timing helpers for the throughput experiment (E8) and harness
+// Wall-clock timing helpers for the perf scenarios (e16-e23) and harness
 // progress reporting.
 #pragma once
 

@@ -21,8 +21,8 @@
 #include "core/flow/rejection_flow.hpp"
 #include "extensions/weighted_flow.hpp"
 #include "fuzz_seed.hpp"
+#include "service/scheduler_session.hpp"
 #include "sim/schedule_io.hpp"
-#include "util/simd_argmin.hpp"
 #include "workload/generators.hpp"
 
 namespace osched {
@@ -242,12 +242,22 @@ TEST(DispatchIndex, OrderTableEndsAtTheUint16IdCeiling) {
     const RejectionFlowResult b = run_rejection_flow(instance, linear);
     expect_same_schedule(a.schedule, b.schedule, "m=" + std::to_string(m));
 
-    // And the facade surfaces the width and a sane SIMD tier.
+    // And the facade surfaces the width; the dispatch loops are scalar, so
+    // the tier reads 0 from a batch run and from a streamed session alike.
     const api::RunSummary summary =
         api::run(api::Algorithm::kTheorem1, instance);
     EXPECT_EQ(summary.dispatch_order_width, expect_width) << "m=" << m;
-    EXPECT_TRUE(util::simd_tier_supported(summary.dispatch_simd_tier))
-        << "m=" << m;
+    EXPECT_EQ(summary.dispatch_simd_tier, 0) << "m=" << m;
+
+    service::SessionOptions options;
+    options.storage = StorageBackend::kSparseCsr;
+    service::SchedulerSession session(api::Algorithm::kTheorem1, m, options);
+    for (std::size_t k = 0; k < instance.num_jobs(); ++k) {
+      session.submit(make_stream_job(instance, static_cast<JobId>(k)));
+    }
+    const api::RunSummary streamed = session.drain();
+    EXPECT_EQ(streamed.dispatch_order_width, 0) << "m=" << m;
+    EXPECT_EQ(streamed.dispatch_simd_tier, 0) << "m=" << m;
   }
 }
 

@@ -139,7 +139,7 @@ TEST(ScenarioRegistry, GlobalHoldsAllPortedBenchScenarios) {
   auto& registry = ScenarioRegistry::global();
   EXPECT_GE(registry.size(), 16u);
   for (const char* name :
-       {"e1_flow_ratio", "e8_throughput", "e15_robustness", "e16_hotpath",
+       {"e1_flow_ratio", "e15_robustness", "e16_hotpath",
         "smoke_rejection_budget"}) {
     ASSERT_NE(registry.find(name), nullptr) << name;
   }
