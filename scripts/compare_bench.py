@@ -13,6 +13,9 @@ Compares a baseline report against a current one, metric by metric:
   order table) — not scheduling outputs, since dispatch with and without
   the table makes bit-identical decisions. Differences are reported as
   informational notes, never as regressions or mismatches.
+* Host metrics ("workers", the shard driver's resolved worker count) describe
+  the machine the report was recorded on, not an output: a difference is a
+  host note, never a regression or a mismatch.
 * Metrics prefixed "seeded_" are deterministic ONLY per seed (e20's chaos
   schedule and e22's burst-warped workload move with --seed, and e22's
   per-shard overload counters — seeded_hot_deferred, seeded_total_sheds,
@@ -53,10 +56,11 @@ import sys
 
 EXPECTED_SCHEMA = "osched.bench.report"
 
-# "workers" is the shard driver's resolved worker count — shaped by the
-# host's core count, not by scheduling decisions, so it belongs to the
-# wall-clock class (band-compared), not the deterministic one.
-PERF_EXACT = {"seconds", "compute_seconds", "wall_seconds", "workers"}
+PERF_EXACT = {"seconds", "compute_seconds", "wall_seconds"}
+# The shard driver's resolved worker count: the host's core count, not an
+# output of the code under test (and neither better nor worse when it moves),
+# so a difference is reported as a host note, never banded or exact-matched.
+HOST_METRICS = {"workers"}
 # Memory metrics are wall-clock-class (banded, never exact-matched) AND get
 # their own band (--rss-tolerance): RSS is an OS-level reading (allocator
 # retention, page granularity) whose noise profile is unrelated to
@@ -221,6 +225,7 @@ def main() -> None:
     determinism_errors = []
     warnings = []
     tier_notes = []
+    host_notes = []
     compared = 0
     seeded_skipped = 0
 
@@ -256,6 +261,12 @@ def main() -> None:
                         f"{where}: {b.get('mean')!r} -> {c.get('mean')!r} "
                         f"(code-path attribution only; outputs are "
                         f"bit-identical across tiers)")
+                continue
+            if name in HOST_METRICS:
+                if b.get("mean") != c.get("mean"):
+                    host_notes.append(
+                        f"{where}: {b.get('mean')!r} -> {c.get('mean')!r} "
+                        f"(recorded on a different host; not an output)")
                 continue
             if is_seeded_metric(name):
                 if not seeds_comparable:
@@ -306,6 +317,8 @@ def main() -> None:
 
     for message in tier_notes:
         print(f"compare_bench: note: dispatch tier changed: {message}")
+    for message in host_notes:
+        print(f"compare_bench: note: host differs: {message}")
     for message in warnings:
         print(f"compare_bench: WARN: {message}", file=sys.stderr)
     for message in perf_regressions:

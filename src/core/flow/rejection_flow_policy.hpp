@@ -72,6 +72,7 @@ class RejectionFlowPolicy final
   using Core = PolicyCore<RejectionFlowPolicy, Store, Rec>;
   friend Core;
   using Core::completion_event_;
+  using Core::effective_of;
   using Core::effective_processing;
   using Core::events_;
   using Core::fleet_;
@@ -320,13 +321,13 @@ class RejectionFlowPolicy final
         ++w;
       if (w < count) {
         const auto i0 = static_cast<std::size_t>(order[w]);
-        const Work p0 = effective_processing(static_cast<MachineId>(i0), j);
+        const Work p0 = effective_of(static_cast<MachineId>(i0), rowd[i0]);
         best_lambda = p0 / options_.epsilon + p0;  // empty-queue lambda
         best_machine = static_cast<MachineId>(i0);
         for (std::size_t w2 = w + 1; w2 < count; ++w2) {
           const auto i2 = static_cast<std::size_t>(order[w2]);
           if (pend_n_[i2] != 0 || !fleet_.active(i2)) continue;
-          const Work p2 = effective_processing(static_cast<MachineId>(i2), j);
+          const Work p2 = effective_of(static_cast<MachineId>(i2), rowd[i2]);
           const double lambda2 = p2 / options_.epsilon + p2;
           if (lambda2 != best_lambda) break;
           if (static_cast<MachineId>(i2) < best_machine) {
@@ -344,17 +345,15 @@ class RejectionFlowPolicy final
       // skipping it keeps the lazily-filled shadow
       // (service::StreamingJobStore) untouched on this path entirely. The
       // exact scan returns the same lexicographic (lambda, id) argmin the
-      // former float screen located. Without speed scaling the effective p
-      // IS the row entry, so the scan reads the row instead of making a
-      // store lookup per machine (a closed-form evaluation on generator
-      // stores, a binary search on CSR ones).
-      const bool raw_p = speed_is_one_ && !fleet_speed_;
+      // former float screen located. The effective p is scaled from the
+      // row entry the scan already holds, never a per-machine store lookup
+      // (a block lookup on dense stores, a closed-form evaluation on
+      // generator stores, a binary search on CSR ones).
       for (std::size_t k = 0; k < count; ++k) {
         const auto i = static_cast<std::size_t>(
             dense ? static_cast<MachineId>(k) : eligible.first[k]);
         if (pend_n_[i] != 0 || !fleet_.active(i)) continue;
-        const Work p = raw_p ? rowd[i]
-                             : effective_processing(static_cast<MachineId>(i), j);
+        const Work p = effective_of(static_cast<MachineId>(i), rowd[i]);
         const double lambda = p / options_.epsilon + p;  // empty-queue
         if (lambda < best_lambda ||
             (lambda == best_lambda &&
@@ -386,7 +385,7 @@ class RejectionFlowPolicy final
       if (static_cast<double>(lambda_lower_bound(plb, i)) > best_lambda) {
         continue;
       }
-      const Work p = effective_processing(machine, j);
+      const Work p = effective_of(machine, rowd[i]);
       const double lambda = lambda_ij(machine, j, p, release);
       if (lambda < best_lambda ||
           (lambda == best_lambda && machine < best_machine)) {

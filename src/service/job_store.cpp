@@ -21,12 +21,14 @@ StreamingJobStore::StreamingJobStore(
   if (backend_ == StorageBackend::kGenerator) {
     OSCHED_CHECK(generator_ != nullptr)
         << "a generator-backed store needs the closed form";
-    identity_machines_.resize(num_machines_);
-    std::iota(identity_machines_.begin(), identity_machines_.end(),
-              MachineId{0});
   } else {
     OSCHED_CHECK(generator_ == nullptr)
         << "only the kGenerator backend takes a row generator";
+  }
+  if (backend_ != StorageBackend::kSparseCsr) {
+    identity_machines_.resize(num_machines_);
+    std::iota(identity_machines_.begin(), identity_machines_.end(),
+              MachineId{0});
   }
 }
 
@@ -227,9 +229,15 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
         // The float shadow is NOT written here: it fills lazily on the
         // first bounds_row() touch (see the header), which moved the former
         // ~40% of append's cost off the ingest clock.
-        for (std::size_t i = 0; i < job.processing.size(); ++i) {
-          if (job.processing[i] < kTimeInfinity) {
-            block.eligible.push_back(static_cast<MachineId>(i));
+        std::size_t finite = 0;
+        for (const Work p : job.processing) finite += p < kTimeInfinity;
+        // A full row stores no ids: its empty span reads as the shared
+        // identity row (eligible_machines).
+        if (finite != num_machines_) {
+          for (std::size_t i = 0; i < job.processing.size(); ++i) {
+            if (job.processing[i] < kTimeInfinity) {
+              block.eligible.push_back(static_cast<MachineId>(i));
+            }
           }
         }
       }
@@ -336,12 +344,12 @@ Work StreamingJobStore::min_processing(JobId j) const {
       break;
     }
     case StorageBackend::kGenerator:
-      // Deliberately tile-free (like every point read): the caller may hold
-      // row pointers into the tiles.
-      for (std::size_t i = 0; i < num_machines_; ++i) {
-        best = std::min(
-            best, generator_->entry(j, static_cast<MachineId>(i)));
-      }
+      // One fill_row (bit-identical to m entry() calls by its contract, at
+      // one evaluation of the job's factors) into a scratch row of its own,
+      // not a tile: the caller may hold row pointers into the tiles.
+      min_row_.resize(num_machines_);
+      generator_->fill_row(j, num_machines_, min_row_.data());
+      for (const Work p : min_row_) best = std::min(best, p);
       break;
   }
   return best;

@@ -12,14 +12,17 @@
 //  * kDense     — each block holds a job-major m-wide double matrix plus a
 //                 lazily filled float_lower shadow. The compatibility hot
 //                 path; accepts dense AND sparse submission forms (sparse
-//                 entries scatter into an infinity-filled row).
+//                 entries scatter into an infinity-filled row). A dense row
+//                 with every entry finite stores no adjacency and shares
+//                 the identity row; other rows list their finite ids.
 //  * kSparseCsr — each block stores only the eligible (machine, p) entries,
 //                 as a values array aligned with the eligibility adjacency
 //                 the store keeps anyway. A restricted-assignment job costs
 //                 O(eligible), never O(m). Accepts both submission forms
 //                 (a dense row is compacted on append).
 //  * kGenerator — no matrix at all: p_ij comes from a shared RowGenerator
-//                 closed form (fully eligible by contract). Submissions are
+//                 closed form (fully eligible by contract, so every row
+//                 shares the identity adjacency). Submissions are
 //                 METADATA-ONLY (release/weight/deadline; both payload
 //                 vectors empty).
 // The m-wide row accessors (processing_row / bounds_row) that the indexed
@@ -191,15 +194,18 @@ class StreamingJobStore {
 
   EligibleMachines eligible_machines(JobId j) const {
     const Block& b = block_of(j);
-    if (backend_ == StorageBackend::kGenerator) {
-      // Fully eligible by contract: every generator row is the identity.
-      return EligibleMachines{identity_machines_.data(),
-                              identity_machines_.data() + num_machines_};
+    if (backend_ != StorageBackend::kGenerator) {
+      const std::size_t offset = offset_of(j);
+      const MachineId* base = b.eligible.data();
+      const std::uint32_t begin = b.eligible_offsets[offset];
+      const std::uint32_t end = b.eligible_offsets[offset + 1];
+      // Every stored row has an eligible machine, so an empty span can only
+      // be a full dense row (append_trusted stores no ids for it).
+      if (begin != end) return EligibleMachines{base + begin, base + end};
     }
-    const std::size_t offset = offset_of(j);
-    const MachineId* base = b.eligible.data();
-    return EligibleMachines{base + b.eligible_offsets[offset],
-                            base + b.eligible_offsets[offset + 1]};
+    // Fully eligible: generator rows by contract, full dense rows by value.
+    return EligibleMachines{identity_machines_.data(),
+                            identity_machines_.data() + num_machines_};
   }
 
   /// kSparseCsr only: job j's stored values, aligned entry-for-entry with
@@ -231,8 +237,9 @@ class StreamingJobStore {
     /// float_lower shadow of processing, lazily materialized (bounds_row).
     mutable std::vector<float> bounds;
     mutable std::size_t bounds_rows_filled = 0;
-    /// Eligibility adjacency (kDense and kSparseCsr; kGenerator rows are
-    /// implicitly the identity and store nothing).
+    /// Eligibility adjacency (kDense and kSparseCsr). A dense row whose m
+    /// entries are all finite stores an empty span and reads as the shared
+    /// identity row, like every kGenerator row (which stores nothing).
     std::vector<MachineId> eligible;
     std::vector<std::uint32_t> eligible_offsets;  ///< jobs.size() + 1
     /// kSparseCsr: stored p values, aligned with `eligible`.
@@ -279,8 +286,11 @@ class StreamingJobStore {
   std::size_t jobs_per_block_;
   StorageBackend backend_ = StorageBackend::kDense;
   std::shared_ptr<const RowGenerator> generator_;
-  /// kGenerator: the identity adjacency row every job shares.
+  /// kDense and kGenerator: the 0..m-1 adjacency every generator row and
+  /// every full dense row shares (kSparseCsr rows are all explicit).
   std::vector<MachineId> identity_machines_;
+  /// kGenerator: min_processing's synthesized row (never a tile slot).
+  mutable std::vector<Work> min_row_;
   std::size_t num_jobs_ = 0;
   JobId begin_id_ = 0;
   Time last_release_ = 0.0;

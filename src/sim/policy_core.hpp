@@ -149,7 +149,14 @@ class PolicyCore : public SimulationHooks {
   /// base speed. Exactly p when both are 1 (p / 1.0 == p, but the division
   /// is skipped anyway).
   Work effective_processing(MachineId i, JobId j) const {
-    const Work p = store_.processing_unchecked(i, j);
+    return effective_of(i, store_.processing_unchecked(i, j));
+  }
+
+  /// effective_processing for a raw p the caller already holds — a
+  /// processing_row entry, which equals processing_unchecked bit for bit on
+  /// every backend — so a row scan pays no per-machine store lookup. Same
+  /// operations in the same order, hence the same doubles.
+  Work effective_of(MachineId i, Work p) const {
     if (!fleet_speed_) return speed_is_one_ ? p : p / base_speed_;
     const double s =
         base_speed_ * fleet_.speed_multiplier(static_cast<std::size_t>(i));

@@ -566,6 +566,41 @@ TEST(Checkpoint, SparseSessionsRoundTripTheirVariableStrideJournal) {
   expect_identical(reference, original.drain(), "sparse original");
 }
 
+TEST(Checkpoint, DenseSessionsRoundTripFullAndPartialRows) {
+  // A dense store keeps no adjacency for a full row (it shares the identity
+  // row) and an explicit one for a row with +inf holes. The journal writes
+  // both as m-wide rows, so the replay must rebuild the same split: cut
+  // mid-stream, restore, continue, byte-identical to uninterrupted, for
+  // every algorithm.
+  const Instance instance = make_backend_workload(
+      base_seed() + 70, 200, 4, StorageBackend::kDense, /*eligibility=*/0.7);
+  std::size_t full_rows = 0;
+  for (std::size_t idx = 0; idx < instance.num_jobs(); ++idx) {
+    full_rows += instance.eligible_machines(static_cast<JobId>(idx)).size() ==
+                 instance.num_machines();
+  }
+  ASSERT_GT(full_rows, 0u);
+  ASSERT_LT(full_rows, instance.num_jobs());
+
+  for (const api::Algorithm algorithm : kStreamable) {
+    const std::string name = api::to_string(algorithm);
+    service::SchedulerSession uninterrupted(algorithm,
+                                            instance.num_machines());
+    feed_backend(uninterrupted, instance, 0, instance.num_jobs(), false);
+    const api::RunSummary reference = uninterrupted.drain();
+
+    service::SchedulerSession original(algorithm, instance.num_machines());
+    feed_backend(original, instance, 0, 100, false);
+    const std::string blob = original.checkpoint();
+    std::string error;
+    auto restored = service::SchedulerSession::restore(blob, &error);
+    ASSERT_NE(restored, nullptr) << name << ": " << error;
+    EXPECT_EQ(restored->checkpoint(), blob) << name;
+    feed_backend(*restored, instance, 100, instance.num_jobs(), false);
+    expect_identical(reference, restored->drain(), name + " restored");
+  }
+}
+
 TEST(Checkpoint, GeneratorSessionsRoundTripGivenTheirClosedForm) {
   // A generator session's journal is metadata-only; restore() is handed the
   // closed form. A FRESH generator built from an equal config must do —

@@ -495,57 +495,111 @@ TEST(FleetWall, NoPolicyCrashesOrLeaksJobsOnAnyBackend) {
   }
 }
 
+/// The equivalence walls' instances: one closed-form family under every
+/// storage backend. Dense runs fully eligible and restricted (rows with
+/// +inf holes, so dispatch walks explicit adjacencies), CSR restricted, and
+/// the generator fully eligible by contract. m = 16 at a moderate load
+/// keeps the live list small enough (<= count/4 + 1) that
+/// dispatch_ordered's exact idle scan and live-list check over the held
+/// row run, including while speed_plan's multipliers are in force.
+struct WallCase {
+  StorageBackend backend;
+  double eligibility;
+  std::size_t num_machines = 16;
+  double load = 0.8;
+  std::size_t num_jobs = 300;
+};
+
+/// The backend cases above plus `overloaded`: a dense few-machine case in
+/// which churn_plan and drain_plan take out a third of the fleet, so
+/// rejections and redispatch are frequent.
+std::vector<WallCase> wall_cases(const WallCase& overloaded) {
+  return {{StorageBackend::kDense, 1.0},
+          {StorageBackend::kDense, 0.5},
+          {StorageBackend::kSparseCsr, 0.5},
+          {StorageBackend::kGenerator, 1.0},
+          overloaded};
+}
+
+workload::ClosedFormConfig wall_config(std::uint64_t seed,
+                                       const WallCase& wall) {
+  workload::ClosedFormConfig config;
+  config.num_jobs = wall.num_jobs;
+  config.num_machines = wall.num_machines;
+  config.seed = seed;
+  config.load = wall.load;
+  config.eligibility = wall.eligibility;
+  return config;
+}
+
+std::string wall_context(const WallCase& wall) {
+  return std::string("backend=") + to_string(wall.backend) +
+         " eligibility=" + std::to_string(wall.eligibility) +
+         " m=" + std::to_string(wall.num_machines) +
+         " load=" + std::to_string(wall.load);
+}
+
 TEST(FleetWall, IndexedDispatchMatchesLinearScanUnderFleetMasking) {
-  // The PR-4 dispatch index masks inactive machines out of its float-shadow
+  // The dispatch index masks inactive machines out of its float-shadow
   // sweep; the linear-scan reference simply skips them. Both must remain
   // bit-identical with machines failing, draining, joining, and changing
-  // speed mid-run (speed rewrites the masked shadow rows in place).
-  workload::ClosedFormConfig config;
-  config.num_jobs = 300;
-  config.num_machines = 6;
-  config.seed = base_seed() + 101;
-  config.load = 1.2;
-  const Instance instance =
-      workload::make_closed_form_instance(config, StorageBackend::kDense);
-  const FleetPlan plans[] = {churn_plan(instance), drain_plan(instance),
-                             speed_plan(instance)};
+  // speed mid-run (speed rewrites the masked shadow rows in place), on
+  // every storage backend.
+  for (const WallCase& wall :
+       wall_cases({StorageBackend::kDense, 1.0, 6, 1.2, 300})) {
+    const workload::ClosedFormConfig config =
+        wall_config(base_seed() + 101, wall);
+    const Instance instance =
+        workload::make_closed_form_instance(config, wall.backend);
+    const FleetPlan plans[] = {churn_plan(instance), drain_plan(instance),
+                               speed_plan(instance)};
+    const std::string backend = wall_context(wall);
 
-  ScheduleDiffOptions strict;
-  strict.time_tolerance = 0.0;
-  for (const FleetPlan& plan : plans) {
-    {
-      RejectionFlowOptions a{.fleet = plan};
-      RejectionFlowOptions b{.dispatch = DispatchMode::kLinearScan,
-                             .fleet = plan};
-      const auto indexed = run_rejection_flow(instance, a);
-      const auto linear = run_rejection_flow(instance, b);
-      const auto diffs =
-          diff_schedules(indexed.schedule, linear.schedule, strict);
-      EXPECT_TRUE(diffs.empty()) << "theorem1: " << diffs.size() << " diffs";
-      EXPECT_EQ(indexed.fleet.redispatched, linear.fleet.redispatched);
-    }
-    {
-      EnergyFlowOptions a;
-      a.fleet = plan;
-      EnergyFlowOptions b = a;
-      b.dispatch = DispatchMode::kLinearScan;
-      const auto indexed = run_energy_flow(instance, a);
-      const auto linear = run_energy_flow(instance, b);
-      const auto diffs =
-          diff_schedules(indexed.schedule, linear.schedule, strict);
-      EXPECT_TRUE(diffs.empty()) << "theorem2: " << diffs.size() << " diffs";
-      EXPECT_EQ(indexed.fleet.redispatched, linear.fleet.redispatched);
-    }
-    {
-      WeightedFlowOptions a{.fleet = plan};
-      WeightedFlowOptions b{.dispatch = DispatchMode::kLinearScan,
-                            .fleet = plan};
-      const auto indexed = run_weighted_rejection_flow(instance, a);
-      const auto linear = run_weighted_rejection_flow(instance, b);
-      const auto diffs =
-          diff_schedules(indexed.schedule, linear.schedule, strict);
-      EXPECT_TRUE(diffs.empty()) << "weighted: " << diffs.size() << " diffs";
-      EXPECT_EQ(indexed.fleet.redispatched, linear.fleet.redispatched);
+    ScheduleDiffOptions strict;
+    strict.time_tolerance = 0.0;
+    for (std::size_t p = 0; p < 3; ++p) {
+      const FleetPlan& plan = plans[p];
+      const std::string context = backend + " plan=" + std::to_string(p);
+      {
+        RejectionFlowOptions a{.fleet = plan};
+        RejectionFlowOptions b{.dispatch = DispatchMode::kLinearScan,
+                               .fleet = plan};
+        const auto indexed = run_rejection_flow(instance, a);
+        const auto linear = run_rejection_flow(instance, b);
+        const auto diffs =
+            diff_schedules(indexed.schedule, linear.schedule, strict);
+        EXPECT_TRUE(diffs.empty())
+            << context << " theorem1: " << diffs.size() << " diffs";
+        EXPECT_EQ(indexed.fleet.redispatched, linear.fleet.redispatched)
+            << context;
+      }
+      {
+        EnergyFlowOptions a;
+        a.fleet = plan;
+        EnergyFlowOptions b = a;
+        b.dispatch = DispatchMode::kLinearScan;
+        const auto indexed = run_energy_flow(instance, a);
+        const auto linear = run_energy_flow(instance, b);
+        const auto diffs =
+            diff_schedules(indexed.schedule, linear.schedule, strict);
+        EXPECT_TRUE(diffs.empty())
+            << context << " theorem2: " << diffs.size() << " diffs";
+        EXPECT_EQ(indexed.fleet.redispatched, linear.fleet.redispatched)
+            << context;
+      }
+      {
+        WeightedFlowOptions a{.fleet = plan};
+        WeightedFlowOptions b{.dispatch = DispatchMode::kLinearScan,
+                              .fleet = plan};
+        const auto indexed = run_weighted_rejection_flow(instance, a);
+        const auto linear = run_weighted_rejection_flow(instance, b);
+        const auto diffs =
+            diff_schedules(indexed.schedule, linear.schedule, strict);
+        EXPECT_TRUE(diffs.empty())
+            << context << " weighted: " << diffs.size() << " diffs";
+        EXPECT_EQ(indexed.fleet.redispatched, linear.fleet.redispatched)
+            << context;
+      }
     }
   }
 }
@@ -555,51 +609,64 @@ TEST(FleetWall, StreamedFleetRunIsBitIdenticalToBatch) {
   // events are delivered with the completions' discipline, so any chunking
   // (including chunk=1, with advance() calls landing between fleet events)
   // reproduces the batch run exactly — schedule, report, and counters.
-  workload::ClosedFormConfig config;
-  config.num_jobs = 250;
-  config.num_machines = 6;
-  config.seed = base_seed() + 202;
-  config.load = 1.25;
-  const Instance instance =
-      workload::make_closed_form_instance(config, StorageBackend::kDense);
+  // Each instance streams into a session of its own backend, whose store
+  // rows (dense blocks, CSR tiles, synthesized generator tiles) feed the
+  // row-based dispatch scans.
+  for (const WallCase& wall :
+       wall_cases({StorageBackend::kDense, 1.0, 6, 1.25, 250})) {
+    const workload::ClosedFormConfig config =
+        wall_config(base_seed() + 202, wall);
+    const Instance instance =
+        workload::make_closed_form_instance(config, wall.backend);
+    service::SessionOptions session_options;
+    session_options.storage = wall.backend;
+    if (wall.backend == StorageBackend::kGenerator) {
+      session_options.generator = workload::make_closed_form_generator(config);
+    }
 
-  ScheduleDiffOptions strict;
-  strict.time_tolerance = 0.0;
-  const FleetPlan plans[] = {churn_plan(instance), drain_plan(instance),
-                             speed_plan(instance)};
-  for (const FleetPlan& plan : plans) {
-    api::RunOptions options;
-    options.fleet = plan;
-    for (const api::Algorithm algorithm : kFleetCapable) {
-      const api::RunSummary batch = api::run(algorithm, instance, options);
-      for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}}) {
-        const api::RunSummary streamed =
-            service::streamed_run(algorithm, instance, options, chunk);
-        const std::string context = std::string(api::to_string(algorithm)) +
-                                    " chunk=" + std::to_string(chunk);
-        const auto diffs =
-            diff_schedules(batch.schedule, streamed.schedule, strict);
-        EXPECT_TRUE(diffs.empty())
-            << context << ": " << diffs.size() << " schedule diffs";
-        EXPECT_EQ(batch.report.total_flow, streamed.report.total_flow)
-            << context;
-        EXPECT_EQ(batch.report.num_rejected, streamed.report.num_rejected)
-            << context;
-        EXPECT_EQ(batch.fleet.redispatched, streamed.fleet.redispatched)
-            << context;
-        EXPECT_EQ(batch.fleet.fault_rejections, streamed.fleet.fault_rejections)
-            << context;
-        EXPECT_EQ(batch.fleet.forced_rejections, streamed.fleet.forced_rejections)
-            << context;
-        EXPECT_EQ(batch.fleet.budget_spent, streamed.fleet.budget_spent)
-            << context;
-        EXPECT_EQ(batch.fleet.speed_changes, streamed.fleet.speed_changes)
-            << context;
-        EXPECT_EQ(batch.fleet.throttles, streamed.fleet.throttles) << context;
-        EXPECT_EQ(batch.fleet.recoveries, streamed.fleet.recoveries) << context;
-        EXPECT_EQ(batch.fleet.min_speed_multiplier,
-                  streamed.fleet.min_speed_multiplier)
-            << context;
+    ScheduleDiffOptions strict;
+    strict.time_tolerance = 0.0;
+    const FleetPlan plans[] = {churn_plan(instance), drain_plan(instance),
+                               speed_plan(instance)};
+    for (std::size_t p = 0; p < 3; ++p) {
+      session_options.run.fleet = plans[p];
+      const api::RunOptions& options = session_options.run;
+      for (const api::Algorithm algorithm : kFleetCapable) {
+        const api::RunSummary batch = api::run(algorithm, instance, options);
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}}) {
+          const api::RunSummary streamed = service::streamed_session_run(
+              algorithm, instance, session_options, chunk);
+          const std::string context =
+              std::string(api::to_string(algorithm)) + " " +
+              wall_context(wall) + " plan=" + std::to_string(p) +
+              " chunk=" + std::to_string(chunk);
+          const auto diffs =
+              diff_schedules(batch.schedule, streamed.schedule, strict);
+          EXPECT_TRUE(diffs.empty())
+              << context << ": " << diffs.size() << " schedule diffs";
+          EXPECT_EQ(batch.report.total_flow, streamed.report.total_flow)
+              << context;
+          EXPECT_EQ(batch.report.num_rejected, streamed.report.num_rejected)
+              << context;
+          EXPECT_EQ(batch.fleet.redispatched, streamed.fleet.redispatched)
+              << context;
+          EXPECT_EQ(batch.fleet.fault_rejections,
+                    streamed.fleet.fault_rejections)
+              << context;
+          EXPECT_EQ(batch.fleet.forced_rejections,
+                    streamed.fleet.forced_rejections)
+              << context;
+          EXPECT_EQ(batch.fleet.budget_spent, streamed.fleet.budget_spent)
+              << context;
+          EXPECT_EQ(batch.fleet.speed_changes, streamed.fleet.speed_changes)
+              << context;
+          EXPECT_EQ(batch.fleet.throttles, streamed.fleet.throttles) << context;
+          EXPECT_EQ(batch.fleet.recoveries, streamed.fleet.recoveries)
+              << context;
+          EXPECT_EQ(batch.fleet.min_speed_multiplier,
+                    streamed.fleet.min_speed_multiplier)
+              << context;
+        }
       }
     }
   }

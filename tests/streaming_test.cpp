@@ -658,6 +658,70 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
       << wide_dense.matrix_peak_bytes();
 }
 
+TEST(StreamingSession, DenseStoreAdjacencySharesTheIdentityForFullRows) {
+  // A dense row with every entry finite stores no adjacency: its span is
+  // the store's one shared 0..m-1 row. Rows with +inf holes list their
+  // finite ids, and a sparse submission keeps its explicit list even when
+  // it names every machine. Blocks of 3 rows put the cases on both sides
+  // of block boundaries and of a retirement.
+  constexpr Work kInf = kTimeInfinity;
+  const std::vector<std::vector<Work>> dense_rows = {{1.0, 2.0, 3.0, 4.0},
+                                                     {kInf, 2.0, 3.0, 4.0},
+                                                     {kInf, 2.0, kInf, 4.0},
+                                                     {kInf, kInf, 3.0, kInf}};
+  const std::vector<MachineId> all = {0, 1, 2, 3};
+  const std::vector<std::vector<MachineId>> dense_ids = {
+      all, {1, 2, 3}, {1, 3}, {2}};
+
+  service::StreamingJobStore store(4, /*jobs_per_block=*/3);
+  std::vector<std::vector<MachineId>> expected;
+  std::vector<bool> full_dense;
+  StreamJob job;
+  for (std::size_t round = 0; round < 4; ++round) {
+    for (std::size_t r = 0; r < dense_rows.size(); ++r) {
+      job.entries.clear();
+      job.processing = dense_rows[r];
+      job.release = static_cast<Time>(expected.size());
+      store.append(job);
+      expected.push_back(dense_ids[r]);
+      full_dense.push_back(r == 0);
+    }
+    // The sparse form of a full row, naming all four machines.
+    job.processing.clear();
+    job.entries = {{0, 1.0}, {1, 2.0}, {2, 3.0}, {3, 4.0}};
+    job.release = static_cast<Time>(expected.size());
+    store.append(job);
+    expected.push_back(all);
+    full_dense.push_back(false);
+  }
+
+  // `from` is the first live job, `full` a full dense row at or after it.
+  const auto check = [&](JobId from, JobId full, const std::string& when) {
+    ASSERT_TRUE(full_dense[static_cast<std::size_t>(full)]);
+    const MachineId* identity = store.eligible_machines(full).begin();
+    for (std::size_t idx = static_cast<std::size_t>(from);
+         idx < expected.size(); ++idx) {
+      const auto j = static_cast<JobId>(idx);
+      const EligibleMachines eligible = store.eligible_machines(j);
+      const std::vector<MachineId> ids(eligible.begin(), eligible.end());
+      EXPECT_EQ(ids, expected[idx]) << when << " job " << j;
+      // Full dense rows all alias one row; no other row does.
+      EXPECT_EQ(eligible.begin() == identity, full_dense[idx])
+          << when << " job " << j;
+      for (std::size_t i = 0; i < 4; ++i) {
+        const auto machine = static_cast<MachineId>(i);
+        const bool listed =
+            std::find(ids.begin(), ids.end(), machine) != ids.end();
+        EXPECT_EQ(store.eligible(machine, j), listed) << when << " job " << j;
+      }
+    }
+  };
+  check(0, 0, "appended");
+  // Retire the first two blocks (jobs 0..5); job 10 is the next full row.
+  store.retire_below(6);
+  check(6, 10, "after retire_below(6)");
+}
+
 TEST(ShardDriver, ThreadCountNeverChangesAnyTenantsOutcome) {
   constexpr std::size_t kShards = 4;
   std::vector<Instance> tenants;
