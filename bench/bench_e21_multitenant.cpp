@@ -10,7 +10,7 @@
 //     in-bench restatement of the tests/streaming_test.cpp trio wall, at a
 //     machine count the unit tests do not reach.
 //  2. Memory: a sparse tenant's matrix_peak_bytes is <= 1% of its dense
-//     twin's at m = 4096 (8/4096 eligibility is ~0.2% + shadow), a
+//     twin's at m = 4096 (8/4096 eligibility is ~0.2%), a
 //     generator tenant's is exactly zero, and the whole sparse fleet holds
 //     <= 1% of the bytes a dense fleet of the same jobs would.
 //
@@ -249,8 +249,8 @@ MetricRow run_fleet_case(const UnitContext& ctx, std::size_t tenants,
     total_flow += summary.report.total_flow;
   }
   const auto total_jobs = static_cast<double>(tenants * per_tenant);
-  // What a dense fleet of the same jobs would hold in p rows alone (no
-  // float shadows): the denominator of the headline ratio.
+  // What a dense fleet of the same jobs would hold in p rows: the
+  // denominator of the headline ratio.
   const double dense_equiv =
       total_jobs * static_cast<double>(kMachines) * sizeof(Work);
 

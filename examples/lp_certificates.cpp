@@ -12,6 +12,7 @@
 //
 //   ./lp_certificates [--jobs=6] [--eps=0.25] [--seed=3] [--grid=96]
 #include <iostream>
+#include <sstream>
 
 #include "baselines/flow_lower_bounds.hpp"
 #include "core/flow/rejection_flow.hpp"
@@ -88,12 +89,17 @@ int main(int argc, char** argv) {
     util::Table assignment({"job", "machine 0", "machine 1", "T1 ran it on"});
     for (std::size_t j = 0; j < instance.num_jobs(); ++j) {
       const auto& rec = t1.schedule.record(static_cast<JobId>(j));
+      // Streamed, not `"m" + std::to_string(...)`: GCC 12 raises a false
+      // -Wrestrict on the inlined string concatenation.
+      std::ostringstream ran_on;
+      if (rec.machine == kInvalidMachine) {
+        ran_on << '-';
+      } else {
+        ran_on << 'm' << rec.machine << (rec.rejected() ? " (rejected)" : "");
+      }
       assignment.row(static_cast<unsigned long>(j),
                      lp_result.machine_time[0][j], lp_result.machine_time[1][j],
-                     rec.machine == kInvalidMachine
-                         ? std::string("-")
-                         : "m" + std::to_string(rec.machine) +
-                               (rec.rejected() ? " (rejected)" : ""));
+                     ran_on.str());
     }
     assignment.print(std::cout);
   }

@@ -94,7 +94,7 @@ int inspect(const Instance& instance) {
   table.row("dispatch index",
             instance.dispatch_order_width() != 0
                 ? "active"
-                : "inactive (shadow-row scan)");
+                : "inactive (row scan)");
   table.row("sum of min processing", lb_sum_min_processing(instance));
   table.print(std::cout);
   return 0;

@@ -246,8 +246,7 @@ class RejectionFlowPolicy final
   /// over inputs rounded DOWN (float_lower), with kDispatchBoundMarginF
   /// absorbing the float roundings — the bound never exceeds the rounded
   /// exact lambda, so a candidate whose bound exceeds the incumbent can
-  /// never be the lexicographic argmin. Float halves the sweep's memory
-  /// traffic, which is what the dense dispatch is bound by.
+  /// never be the lexicographic argmin.
   float lambda_lower_bound(float p, std::size_t i) const {
     return p * empty_coeff_margin_ +
            pend_cnt_margin_[i] * std::min(p, pend_min_p_[i]);
@@ -338,17 +337,12 @@ class RejectionFlowPolicy final
     } else {
       // No precomputed order (streaming or generator store, m >= 65536
       // batch instance), or the table is unsound under active speed
-      // multipliers: derive the idle argmin from the DOUBLE row directly.
-      // Rows without an order table are mostly the just-appended /
-      // just-decompressed / just-synthesized ones — already cache-hot —
-      // so the float shadow's halved memory traffic buys nothing here, and
-      // skipping it keeps the lazily-filled shadow
-      // (service::StreamingJobStore) untouched on this path entirely. The
-      // exact scan returns the same lexicographic (lambda, id) argmin the
-      // former float screen located. The effective p is scaled from the
-      // row entry the scan already holds, never a per-machine store lookup
-      // (a block lookup on dense stores, a closed-form evaluation on
-      // generator stores, a binary search on CSR ones).
+      // multipliers: derive the idle argmin from the double row directly.
+      // The exact scan returns the lexicographic (lambda, id) argmin. The
+      // effective p is scaled from the row entry the scan already holds,
+      // never a per-machine store lookup (a block lookup on dense stores,
+      // a closed-form evaluation on generator stores, a binary search on
+      // CSR ones).
       for (std::size_t k = 0; k < count; ++k) {
         const auto i = static_cast<std::size_t>(
             dense ? static_cast<MachineId>(k) : eligible.first[k]);
@@ -369,16 +363,12 @@ class RejectionFlowPolicy final
     // can never be the argmin), exact lambda only for the few that
     // survive. The update rule is the lexicographic (lambda, id) argmin
     // and skips are sound, so the live list's order never changes the
-    // outcome. With an order table the bound's p comes from the float
-    // shadow (cold batch rows: half the traffic); without one the hot
-    // double row converts in-register — float_lower(rowd[i]) IS the shadow
-    // entry bit for bit, so the bound, pruning and result are identical.
-    const float* rowf = order != nullptr ? store_.bounds_row(j) : nullptr;
+    // outcome. The bound's p is the double entry rounded down in-register.
     for (const std::uint32_t i : live_list_) {
       const auto machine = static_cast<MachineId>(i);
       if (!fleet_.active(i)) continue;  // draining machines stay live
       if (!dense && !(rowd[i] < kTimeInfinity)) continue;  // ineligible
-      const float pf = rowf != nullptr ? rowf[i] : float_lower(rowd[i]);
+      const float pf = float_lower(rowd[i]);
       const float plb = fleet_speed_
                             ? pf / speed_div_up_[i]
                             : (speed_is_one_ ? pf : pf / speed_up_);
@@ -401,9 +391,8 @@ class RejectionFlowPolicy final
     }
 
     // Lookahead for the NEXT arrival: its candidate entries in the double
-    // row are cold (the sweep path streams only the float shadow), and a
-    // prefetch issued here has a whole job's worth of work to complete —
-    // issued at dispatch time it would have none. Batch stores know the
+    // row are cold, and a prefetch issued here has a whole job's worth of
+    // work to complete — issued at dispatch time it would have none. Batch stores know the
     // next job already; streaming stores don't (next == num_jobs), which
     // just skips the hint. The prefetched lines are exactly the ones the
     // next dispatch reads, so this adds no net memory traffic.
@@ -448,16 +437,17 @@ class RejectionFlowPolicy final
       return dispatch_ordered(j, release, eligible, best_lambda_out);
     }
 
-    const float* row = store_.bounds_row(j);
+    const Work* row = store_.processing_row(j);
     const std::size_t m = store_.num_machines();
 
-    // Lower-bound sweep over the float32 shadow row (half the memory
-    // traffic of the double row — the resource the dense sweep is bound
-    // by). lb_[k] is the bound of the k-th eligible machine; the dense case
-    // (every machine eligible, k == machine id) is a branch-free contiguous
-    // loop over the SoA lambda inputs — the loop the layout exists for —
-    // followed by a two-level argmin; the first index attaining the minimum
-    // is the smallest machine id, which is the tie-break the heap uses too.
+    // Lower-bound sweep over the double row, each entry rounded down to
+    // float in-register (float_lower), so every bound is float arithmetic
+    // over a value never above the exact p. lb_[k] is the bound of the
+    // k-th eligible machine; the dense case (every machine eligible,
+    // k == machine id) is a branch-free contiguous loop over the SoA
+    // lambda inputs — the loop the layout exists for — followed by a
+    // two-level argmin; the first index attaining the minimum is the
+    // smallest machine id, which is the tie-break the heap uses too.
     std::size_t seed_k = 0;
     float seed_p = 0.0f;
     const bool dense = count == m && speed_is_one_;
@@ -468,14 +458,15 @@ class RejectionFlowPolicy final
       const float* __restrict pmp = pend_min_p_.data();
       float* __restrict lb = lb_.data();
       util::lb_fill(row, pcm, pmp, empty_coeff_margin_, lb, m);
-      // Speed mask: the bulk fill used the RAW shadow row, which is not a
+      // Speed mask: the bulk fill used the RAW p row, which is not a
       // lower bound on a sped-UP machine's effective lambda. O(#scaled)
       // overwrites recompute those entries from the UP-rounded divisor —
       // the same masked-fixup shape as the fleet mask below, and a no-op
       // while every multiplier is 1.
       if (fleet_speed_) {
         for (const std::uint32_t s : fleet_.scaled_list()) {
-          lb[s] = lambda_lower_bound(row[s] / speed_div_up_[s], s);
+          lb[s] = lambda_lower_bound(float_lower(row[s]) / speed_div_up_[s],
+                                     s);
         }
       }
       // Fleet mask: O(#inactive) overwrites keep the sweep itself
@@ -494,7 +485,7 @@ class RejectionFlowPolicy final
           util::block_minima_argmin(lb, m, block_min_.data());
       OSCHED_CHECK_LT(seed.index, m) << "no finite dispatch bound";
       seed_k = seed.index;
-      seed_p = row[seed_k];
+      seed_p = float_lower(row[seed_k]);
     } else {
       float seed_lb = std::numeric_limits<float>::max();
       for (std::size_t k = 0; k < count; ++k) {
@@ -507,9 +498,10 @@ class RejectionFlowPolicy final
         // bound on p/speed (speed != 1 only in the speed-augmented runs);
         // under a kSpeedChange plan the per-machine UP-rounded divisor
         // plays the same role (1.0f — exact — while unscaled).
+        const float pf = float_lower(row[i]);
         const float p = fleet_speed_
-                            ? row[i] / speed_div_up_[i]
-                            : (speed_is_one_ ? row[i] : row[i] / speed_up_);
+                            ? pf / speed_div_up_[i]
+                            : (speed_is_one_ ? pf : pf / speed_up_);
         lb_[k] = lambda_lower_bound(p, i);
         if (lb_[k] < seed_lb) {
           seed_lb = lb_[k];
@@ -527,12 +519,6 @@ class RejectionFlowPolicy final
       // itself active-filtered — settles it, including kInvalidMachine.
       return dispatch_linear_scan(j, best_lambda_out);
     }
-    // The exact lambda evaluation below is the dispatch's only read of the
-    // DOUBLE p row — a cold line (the sweep streams the float shadow). Kick
-    // the fetch off now and fill its latency shadow with the rival screen,
-    // which only needs float state.
-    __builtin_prefetch(store_.processing_row(j) + seed_i, 0, 0);
-
     // Rival screen against a sound float UPPER bound of the seed lambda
     // (lambda_seed = p/eps + p + sum min(p_l, p) <= (n_seed + 1 + 1/eps) *
     // p_up in reals; the 1.0001 factors absorb every float rounding). The
@@ -588,17 +574,17 @@ class RejectionFlowPolicy final
       }
     }
 
-    // Exact incumbent (the prefetched line has had the screen to arrive),
-    // then best-first rival evaluation with the exact pruning rule.
-    double best_lambda = lambda_ij(seed_machine, j,
-                                   effective_processing(seed_machine, j),
-                                   release);
+    // Exact incumbent, then best-first rival evaluation with the exact
+    // pruning rule. Both scale the row entry the sweep already read.
+    double best_lambda =
+        lambda_ij(seed_machine, j, effective_of(seed_machine, row[seed_i]),
+                  release);
     MachineId best_machine = seed_machine;
     while (!heap_.empty()) {
       const auto entry = heap_.pop_min();
       if (entry.key > best_lambda) break;
       const auto machine = static_cast<MachineId>(entry.id);
-      const Work p = effective_processing(machine, j);
+      const Work p = effective_of(machine, row[entry.id]);
       const double lambda = lambda_ij(machine, j, p, release);
       if (lambda < best_lambda ||
           (lambda == best_lambda && machine < best_machine)) {

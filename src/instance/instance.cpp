@@ -81,18 +81,11 @@ Instance::Instance(std::vector<Job> jobs,
 
   const std::size_t n = jobs_.size();
   processing_.resize(num_machines_ * n);
-  bounds_.resize(num_machines_ * n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     Work* job_slice = processing_.data() + pos * num_machines_;
-    float* bounds_slice = bounds_.data() + pos * num_machines_;
     const std::size_t original = perm[pos];
-    // The transposing copy gathers across rows; the shadow is then one
-    // contiguous (vectorizable) conversion pass over the job's slice.
     for (std::size_t i = 0; i < num_machines_; ++i) {
       job_slice[i] = processing[i][original];
-    }
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      bounds_slice[i] = float_lower(job_slice[i]);
     }
   }
 
@@ -270,7 +263,7 @@ Instance Instance::with_backend(StorageBackend target) const {
 
 std::size_t Instance::store_bytes() const {
   auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
-  return bytes(jobs_) + bytes(processing_) + bytes(bounds_) + bytes(csr_p_) +
+  return bytes(jobs_) + bytes(processing_) + bytes(csr_p_) +
          bytes(identity_machines_) + bytes(p_order_) + bytes(eligible_flat_) +
          bytes(eligible_offsets_);
 }

@@ -7,14 +7,12 @@
 //
 //  * kDense     — one flat job-major buffer (a job's p_ij across machines is
 //                 contiguous, the access pattern of the dispatch scans) plus
-//                 a rounded-down float32 shadow and a per-job (p, id) machine
-//                 order (uint16 ids, built below 65536 machines). Today's
-//                 hot-path layout, unchanged.
+//                 a per-job (p, id) machine order (uint16 ids, built below
+//                 65536 machines).
 //  * kSparseCsr — eligible entries only: p and the (p, id) order are stored
 //                 per job over the eligibility adjacency, so a
 //                 restricted-assignment family at eligibility q costs ~q of
-//                 the dense bytes instead of all of them. The float shadow
-//                 is derived per row when a view decompresses it.
+//                 the dense bytes instead of all of them.
 //  * kGenerator — no matrix at all: p_ij is synthesized on demand from a
 //                 workload family's closed form (RowGenerator). Fully
 //                 eligible by contract; huge-m sweeps never materialize n×m.
@@ -23,8 +21,8 @@
 // min_processing, ...) with identical values, and the schedulers make
 // bit-identical decisions over all three — tests/storage_backend_test.cpp
 // pins that down differentially. The *hot* accessor surface the batch
-// policies run on (m-wide processing_row / bounds_row rows for every
-// backend, p_order_row, processing_unchecked without CHECKs) is
+// policies run on (m-wide processing_row rows for every backend,
+// p_order_row, processing_unchecked without CHECKs) is
 // InstanceView in instance/processing_store.hpp: one class over all three
 // backends, serving dense rows straight from this class's buffers.
 #pragma once
@@ -57,7 +55,7 @@ struct EligibleMachines {
 /// never changes any scheduling outcome — only memory footprint and the
 /// constant factors of the accessors.
 enum class StorageBackend {
-  kDense,      ///< flat job-major n×m buffer (+ shadow + order table)
+  kDense,      ///< flat job-major n×m buffer (+ order table)
   kSparseCsr,  ///< eligible entries only, CSR over the adjacency
   kGenerator,  ///< p_ij synthesized on demand from a closed form
 };
@@ -136,7 +134,7 @@ class Instance {
   StorageBackend backend() const { return backend_; }
 
   /// Exact byte footprint of the stored representation (matrix payload,
-  /// shadow/order tables, adjacency, job records). Deterministic for a
+  /// order table, adjacency, job records). Deterministic for a
   /// given instance — bench reports treat it as an exact-match metric.
   std::size_t store_bytes() const;
 
@@ -181,13 +179,6 @@ class Instance {
   const Work* processing_row(JobId j) const {
     OSCHED_CHECK(backend_ == StorageBackend::kDense);
     return processing_.data() + static_cast<std::size_t>(j) * num_machines_;
-  }
-
-  /// Float32 shadow of processing_row, each entry rounded DOWN
-  /// (float_lower). DENSE BACKEND ONLY, like processing_row.
-  const float* bounds_row(JobId j) const {
-    OSCHED_CHECK(backend_ == StorageBackend::kDense);
-    return bounds_.data() + static_cast<std::size_t>(j) * num_machines_;
   }
 
   /// Job j's eligible machines sorted by (p_ij, machine id) ascending, as
@@ -287,8 +278,6 @@ class Instance {
   /// loops read p_{., j} for one job across machines, which this layout
   /// serves from m/8 cache lines instead of m scattered ones.
   std::vector<Work> processing_;
-  /// Rounded-down float32 shadow of processing_, same layout (bounds_row).
-  std::vector<float> bounds_;
 
   // ---- sparse-CSR backend (aligned with eligible_flat_ slices) ----
   std::vector<Work> csr_p_;

@@ -3,8 +3,8 @@
 // The scheduling policies (rejection_flow / energy_flow / weighted_flow and
 // the baselines) are templates over a Store type providing
 //   job(j), num_jobs(), num_machines(), processing(i, j),
-//   processing_unchecked(i, j), processing_row(j), bounds_row(j),
-//   p_order_row(j), eligible_machines(j), min_processing(j)
+//   processing_unchecked(i, j), processing_row(j), p_order_row(j),
+//   eligible_machines(j), min_processing(j)
 // with Instance's semantics. Instance's own façade accessors CHECK their
 // arguments and refuse m-wide rows for the compact backends — fine for
 // checkers and metrics, wrong for the dispatch inner loops. InstanceView is
@@ -13,7 +13,7 @@
 // policy is instantiated once for batch runs.
 //
 //  * kDense     — rows are raw pointers into the Instance's own buffers
-//    (processing_row / bounds_row return the Instance's row pointers).
+//    (processing_row returns the Instance's row pointer).
 //  * kSparseCsr — CSR entries decompressed on demand into the shared
 //    row-tile cache (instance/row_tile.hpp; the policies read
 //    machine-indexed rows). The tiles are the view's working set: two rows
@@ -48,7 +48,6 @@ class InstanceView {
       : instance_(&instance),
         backend_(instance.backend()),
         p_(instance.processing_.data()),
-        bounds_(instance.bounds_.data()),
         csr_p_(instance.csr_p_.data()),
         generator_(instance.generator_.get()),
         eligible_(backend_ == StorageBackend::kGenerator
@@ -78,12 +77,6 @@ class InstanceView {
       return p_ + static_cast<std::size_t>(j) * m_;
     }
     return tile(j).p.data();
-  }
-  const float* bounds_row(JobId j) const {
-    if (backend_ == StorageBackend::kDense) {
-      return bounds_ + static_cast<std::size_t>(j) * m_;
-    }
-    return tile(j).bounds.data();
   }
   const std::uint16_t* p_order_row(JobId j) const {
     return instance_->p_order_row(j);
@@ -127,7 +120,6 @@ class InstanceView {
   const Instance* instance_;
   StorageBackend backend_;
   const Work* p_;
-  const float* bounds_;
   const Work* csr_p_;
   const RowGenerator* generator_;
   /// The adjacency (dense, sparse) or the identity row (generator).

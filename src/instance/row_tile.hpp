@@ -1,15 +1,15 @@
 // The m-wide row-tile cache shared by every compact store.
 //
-// The policies read machine-indexed rows (processing_row / bounds_row). A
-// sparse-CSR or generator store has no such row in memory, so it builds one
-// on demand: exact doubles plus their float_lower shadow, filled together
-// into one of four direct-mapped slots (slot = j % 4). A dispatch touches
-// rows j and j+1, which land in different slots, so the row-j pointers it
-// holds survive the lookahead fill; rows j..j+3 can be held at once.
+// The policies read machine-indexed rows (processing_row). A sparse-CSR or
+// generator store has no such row in memory, so it builds one on demand: the
+// exact doubles, filled into one of four direct-mapped slots (slot = j % 4).
+// A dispatch touches rows j and j+1, which land in different slots, so the
+// row-j pointers it holds survive the lookahead fill; rows j..j+3 can be
+// held at once.
 //
-// Ineligible machines read as +infinity / FLT_MAX — exactly the values a
-// dense buffer holds for them (float_lower(inf) == FLT_MAX) — so a policy
-// sweeping a tile sees the same bits it would see over a dense row.
+// Ineligible machines read as +infinity — exactly the value a dense buffer
+// holds for them — so a policy sweeping a tile sees the same bits it would
+// see over a dense row.
 //
 // The cache only fills and finds rows. Each owner keeps its own rule for
 // when a hit may be served (the streaming store also refuses rows whose
@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "instance/instance.hpp"
@@ -31,7 +30,6 @@ class RowTileCache {
   struct Row {
     JobId id = kInvalidJob;
     std::vector<Work> p;
-    std::vector<float> bounds;
   };
 
   explicit RowTileCache(std::size_t num_machines) : m_(num_machines) {}
@@ -45,10 +43,7 @@ class RowTileCache {
   /// Synthesizes row j from the closed form into its slot.
   const Row& fill_generated(JobId j, const RowGenerator& generator) {
     Row& slot = claim(j);
-    Work* p = slot.p.data();
-    float* bounds = slot.bounds.data();
-    generator.fill_row(j, m_, p);
-    for (std::size_t i = 0; i < m_; ++i) bounds[i] = float_lower(p[i]);
+    generator.fill_row(j, m_, slot.p.data());
     return slot;
   }
 
@@ -58,12 +53,8 @@ class RowTileCache {
                          std::size_t count) {
     Row& slot = claim(j);
     std::fill(slot.p.begin(), slot.p.end(), kTimeInfinity);
-    std::fill(slot.bounds.begin(), slot.bounds.end(),
-              std::numeric_limits<float>::max());
     for (std::size_t k = 0; k < count; ++k) {
-      const auto i = static_cast<std::size_t>(machines[k]);
-      slot.p[i] = p[k];
-      slot.bounds[i] = float_lower(p[k]);
+      slot.p[static_cast<std::size_t>(machines[k])] = p[k];
     }
     return slot;
   }
@@ -79,10 +70,7 @@ class RowTileCache {
   /// never reads a tile never pays for one) and tagged with j.
   Row& claim(JobId j) {
     Row& slot = slots_[slot_of(j)];
-    if (slot.p.size() != m_) {
-      slot.p.resize(m_);
-      slot.bounds.resize(m_);
-    }
+    if (slot.p.size() != m_) slot.p.resize(m_);
     slot.id = j;
     return slot;
   }

@@ -226,9 +226,6 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
       } else {
         block.processing.insert(block.processing.end(),
                                 job.processing.begin(), job.processing.end());
-        // The float shadow is NOT written here: it fills lazily on the
-        // first bounds_row() touch (see the header), which moved the former
-        // ~40% of append's cost off the ingest clock.
         std::size_t finite = 0;
         for (const Work p : job.processing) finite += p < kTimeInfinity;
         // A full row stores no ids: its empty span reads as the shared
@@ -292,26 +289,6 @@ const RowTileCache::Row& StreamingJobStore::tile(JobId j) const {
   return tiles_.fill_sparse(j, b.eligible.data() + begin,
                             b.csr_p.data() + begin,
                             b.eligible_offsets[offset + 1] - begin);
-}
-
-void StreamingJobStore::fill_bounds(const Block& block,
-                                    std::size_t offset) const {
-  // One-time block allocation, then a contiguous conversion sweep over
-  // every row appended since the last touch. float_lower (branch-free, so
-  // the sweep vectorizes) is the rounded-down conversion Instance::bounds_
-  // uses (inf -> FLT_MAX), so both stores' shadow rows obey one contract.
-  if (block.bounds.empty()) {
-    block.bounds.resize(jobs_per_block_ * num_machines_);
-    bump_matrix_bytes(block.bounds.size() * sizeof(float));
-  }
-  const std::size_t begin = block.bounds_rows_filled * num_machines_;
-  const std::size_t end = (offset + 1) * num_machines_;
-  const Work* __restrict from = block.processing.data();
-  float* __restrict to = block.bounds.data();
-  for (std::size_t k = begin; k < end; ++k) {
-    to[k] = float_lower(from[k]);
-  }
-  block.bounds_rows_filled = offset + 1;
 }
 
 void StreamingJobStore::retire_below(JobId frontier) {

@@ -9,12 +9,12 @@
 // footprint tracks the in-flight window, not the full trace.
 //
 // Storage backends (the PR-5 batch trio, carried through the service layer):
-//  * kDense     — each block holds a job-major m-wide double matrix plus a
-//                 lazily filled float_lower shadow. The compatibility hot
-//                 path; accepts dense AND sparse submission forms (sparse
-//                 entries scatter into an infinity-filled row). A dense row
-//                 with every entry finite stores no adjacency and shares
-//                 the identity row; other rows list their finite ids.
+//  * kDense     — each block holds a job-major m-wide double matrix. The
+//                 compatibility hot path; accepts dense AND sparse
+//                 submission forms (sparse entries scatter into an
+//                 infinity-filled row). A dense row with every entry
+//                 finite stores no adjacency and shares the identity row;
+//                 other rows list their finite ids.
 //  * kSparseCsr — each block stores only the eligible (machine, p) entries,
 //                 as a values array aligned with the eligibility adjacency
 //                 the store keeps anyway. A restricted-assignment job costs
@@ -25,14 +25,14 @@
 //                 shares the identity adjacency). Submissions are
 //                 METADATA-ONLY (release/weight/deadline; both payload
 //                 vectors empty).
-// The m-wide row accessors (processing_row / bounds_row) that the indexed
-// dispatch path needs are served, for the compact backends, from the
-// 4-slot RowTileCache (instance/row_tile.hpp) the batch InstanceView uses
-// too, so the dispatch's row-j + lookahead row-j+1
-// pointers never collide. Point lookups (processing_unchecked) NEVER go
-// through the tiles: policies probe arbitrary pending ids mid-dispatch
-// while holding tile row pointers, so those reads use a per-row binary
-// search (CSR) or the closed form (generator) instead.
+// The m-wide row accessor (processing_row) that the indexed dispatch path
+// needs is served, for the compact backends, from the 4-slot RowTileCache
+// (instance/row_tile.hpp) the batch InstanceView uses too, so the
+// dispatch's row-j + lookahead row-j+1 pointers never collide. Point
+// lookups (processing_unchecked) NEVER go through the tiles: policies probe
+// arbitrary pending ids mid-dispatch while holding tile row pointers, so
+// those reads use a per-row binary search (CSR) or the closed form
+// (generator) instead.
 //
 // Ids are dense and monotone: append() assigns 0, 1, 2, ... in submission
 // order, and submissions must be non-decreasing in release time (the online
@@ -105,9 +105,9 @@ class StreamingJobStore {
   /// Frees every block that lies entirely below `frontier`.
   void retire_below(JobId frontier);
 
-  /// Bytes currently held in p_ij payload across live blocks: dense rows,
-  /// float shadows and CSR value arrays. Job records, the eligibility
-  /// adjacency and the fixed 4-row tile scratch are excluded — this is the
+  /// Bytes currently held in p_ij payload across live blocks: dense rows
+  /// and CSR value arrays. Job records, the eligibility adjacency and the
+  /// fixed 4-row tile scratch are excluded — this is the
   /// number that collapses for compact backends (a kGenerator store reports
   /// 0 forever). matrix_peak_bytes() is its lifetime high-water mark, the
   /// deterministic per-tenant memory metric the multi-tenant soak tracks.
@@ -158,29 +158,10 @@ class StreamingJobStore {
     return tile(j).p.data();
   }
 
-  /// Rounded-down float32 shadow row, same contract as
-  /// Instance::bounds_row. Dense blocks fill LAZILY: append() never touches
-  /// the shadow (the fill used to be ~40% of its cost); the first
-  /// bounds_row() on a block allocates the block's shadow and fills every
-  /// row up to j in one contiguous, vectorized conversion loop. Runs that
-  /// never read bounds (linear-scan dispatch) never pay for — or allocate —
-  /// the shadow at all. Compact backends fill p and bounds together into
-  /// the same tile slot, so bounds_row(j) after processing_row(j) is a hit,
-  /// not a refill.
-  const float* bounds_row(JobId j) const {
-    if (backend_ == StorageBackend::kDense) {
-      const Block& b = block_of(j);
-      const std::size_t offset = offset_of(j);
-      if (offset >= b.bounds_rows_filled) fill_bounds(b, offset);
-      return b.bounds.data() + offset * num_machines_;
-    }
-    return tile(j).bounds.data();
-  }
-
   /// Streaming stores have no precomputed (p, id) order: sorting every
   /// append would sit on the ingest clock, and a just-appended row is
   /// cache-hot anyway, so the dispatch's ordered path derives the idle
-  /// argmin from the shadow row instead (nullptr selects that sub-path).
+  /// argmin from the double row instead (nullptr selects that sub-path).
   const std::uint16_t* p_order_row(JobId /*j*/) const { return nullptr; }
 
   Work processing(MachineId i, JobId j) const {
@@ -234,9 +215,6 @@ class StreamingJobStore {
   struct Block {
     std::vector<Job> jobs;
     std::vector<Work> processing;  ///< kDense: jobs.size() * m, job-major
-    /// float_lower shadow of processing, lazily materialized (bounds_row).
-    mutable std::vector<float> bounds;
-    mutable std::size_t bounds_rows_filled = 0;
     /// Eligibility adjacency (kDense and kSparseCsr). A dense row whose m
     /// entries are all finite stores an empty span and reads as the shared
     /// identity row, like every kGenerator row (which stores nothing).
@@ -250,16 +228,12 @@ class StreamingJobStore {
   /// the closed form (generator) on a miss.
   const RowTileCache::Row& tile(JobId j) const;
 
-  /// Extends the block's shadow through row `offset` (see bounds_row).
-  void fill_bounds(const Block& block, std::size_t offset) const;
-
   /// p-payload bytes a block currently holds (the matrix_bytes unit).
   std::size_t block_matrix_bytes(const Block& block) const {
     return block.processing.size() * sizeof(Work) +
-           block.bounds.size() * sizeof(float) +
            block.csr_p.size() * sizeof(Work);
   }
-  void bump_matrix_bytes(std::size_t bytes) const {
+  void bump_matrix_bytes(std::size_t bytes) {
     matrix_bytes_ += bytes;
     matrix_peak_bytes_ = std::max(matrix_peak_bytes_, matrix_bytes_);
   }
@@ -298,8 +272,8 @@ class StreamingJobStore {
   std::vector<std::unique_ptr<Block>> blocks_;
   /// Compact-backend row cache. Mutable: serving a row is logically const.
   mutable RowTileCache tiles_;
-  mutable std::size_t matrix_bytes_ = 0;
-  mutable std::size_t matrix_peak_bytes_ = 0;
+  std::size_t matrix_bytes_ = 0;
+  std::size_t matrix_peak_bytes_ = 0;
 };
 
 }  // namespace osched::service

@@ -120,7 +120,7 @@ struct FleetStats {
 enum class MachineAvail : std::uint8_t { kActive = 0, kDraining = 1, kDown = 2 };
 
 /// Per-policy fleet bookkeeping: availability array, the inactive-machine
-/// list the dispatch paths use to mask candidates out of the float-shadow
+/// list the dispatch paths use to mask candidates out of the float bound
 /// sweep (O(#inactive) overwrites, zero cost while the fleet is whole), and
 /// the budget/stat counters. Every policy owns one through PolicyCore
 /// (sim/policy_core.hpp), whose on_fleet feeds it via apply(). Every query
@@ -181,7 +181,7 @@ class FleetState {
     return speed_enabled_ && !scaled_list_.empty();
   }
   /// Machines whose multiplier currently differs from 1 — the O(#scaled)
-  /// fixup list for the dispatch index's shadow sweep.
+  /// fixup list for the dispatch index's bound sweep.
   const std::vector<std::uint32_t>& scaled_list() const {
     return scaled_list_;
   }

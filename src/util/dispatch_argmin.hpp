@@ -1,16 +1,17 @@
 // The dense lower-bound sweep of rejection_flow_policy.hpp's
-// dispatch_indexed: the float32 lower-bound fill and the kBlock = 8 block
-// minima plus first-index argmin.
+// dispatch_indexed: the float32 lower-bound fill over the double p row and
+// the kBlock = 8 block minima plus first-index argmin.
 //
 // They are plain scalar loops the compiler autovectorizes where it can
 // (docs/ARCHITECTURE.md, "Dispatch loops", says why there is no
 // hand-vectorized tier).
 //
 // Contract the callers rely on:
-//  * lb_fill performs exactly mul, min, mul, add per machine.
+//  * lb_fill rounds each p DOWN in-register (float_lower), then performs
+//    exactly mul, min, mul, add per machine.
 //  * Inputs are NaN-free and never -0.0 (finite positive p, +inf for
-//    masked machines, and the float_lower shadow maps +inf to FLT_MAX), so
-//    min is exactly associative and commutative.
+//    masked machines, and float_lower maps +inf to FLT_MAX), so min is
+//    exactly associative and commutative.
 //  * Index selection is first-index-of-minimum: the lexicographic
 //    (value, id) tie-break of every dispatch path.
 #pragma once
@@ -19,14 +20,16 @@
 #include <cstddef>
 #include <limits>
 
+#include "util/types.hpp"
+
 namespace osched::util {
 
-/// lb[i] = row[i] * coeff + pcm[i] * min(row[i], pmp[i]) for i in [0, m):
-/// the dense lower-bound fill of dispatch_indexed.
-inline void lb_fill(const float* row, const float* pcm, const float* pmp,
+/// lb[i] = p * coeff + pcm[i] * min(p, pmp[i]) with p = float_lower(row[i])
+/// for i in [0, m): the dense lower-bound fill of dispatch_indexed.
+inline void lb_fill(const Work* row, const float* pcm, const float* pmp,
                     float coeff, float* lb, std::size_t m) {
   for (std::size_t i = 0; i < m; ++i) {
-    const float p = row[i];
+    const float p = float_lower(row[i]);
     lb[i] = p * coeff + pcm[i] * std::min(p, pmp[i]);
   }
 }

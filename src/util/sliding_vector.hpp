@@ -27,6 +27,9 @@ namespace osched::util {
 template <typename T>
 class SlidingVector {
  public:
+  /// Compaction threshold: small windows are not worth the memmove.
+  static constexpr std::size_t kCompactMin = 1024;
+
   /// First id still stored (everything below has been retired).
   std::size_t begin_index() const { return begin_; }
   /// One past the largest id ever created.
@@ -38,9 +41,14 @@ class SlidingVector {
   void reserve(std::size_t n) { data_.reserve(n); }
 
   /// Grows the id space to [begin_index, n), value-initializing new slots.
-  /// No-op when n <= end_index().
+  /// No-op when n <= end_index(). Growth by one slot, the per-admission
+  /// case, skips resize's out-of-line path.
   void extend_to(std::size_t n) {
-    if (n > end_index()) data_.resize(n - base_);
+    if (n == end_index() + 1) {
+      data_.emplace_back();
+    } else if (n > end_index()) {
+      data_.resize(n - base_);
+    }
   }
 
   /// Unchecked access for validated hot loops: `id` must be live.
@@ -79,9 +87,6 @@ class SlidingVector {
   }
 
  private:
-  /// Compaction threshold: small windows are not worth the memmove.
-  static constexpr std::size_t kCompactMin = 1024;
-
   std::vector<T> data_;    ///< ids [base_, base_ + size)
   std::size_t base_ = 0;   ///< id of data_[0]
   std::size_t begin_ = 0;  ///< first non-retired id (>= base_)

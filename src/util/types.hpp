@@ -66,17 +66,17 @@ enum class DispatchMode {
 /// *rounded* lambda value — a pruned machine can never be the argmin.
 inline constexpr double kDispatchBoundMargin = 1.0 - 1.0 / (1 << 20);
 
-/// The float32 counterpart for the shadow-bounds sweep (half the memory
-/// traffic of the double row). Float evaluation adds at most a few 2^-24
-/// relative roundings on top of inputs that are themselves rounded DOWN
-/// (float_lower), so a 2^-16 margin keeps the bound sound with room to
-/// spare while giving up a negligible sliver of pruning power.
+/// The float32 counterpart for the dispatch index's bound sweep. Float
+/// evaluation adds at most a few 2^-24 relative roundings on top of inputs
+/// that are themselves rounded DOWN (float_lower), so a 2^-16 margin keeps
+/// the bound sound with room to spare while giving up a negligible sliver
+/// of pruning power.
 inline constexpr float kDispatchBoundMarginF = 1.0f - 1.0f / (1 << 16);
 
 /// Largest float <= x for finite non-negative x; +infinity maps to
 /// FLT_MAX. This is the rounded-down double-to-float conversion behind the
-/// dispatch index's shadow bounds: the float shadow never exceeds the
-/// double it stands in for, which is what keeps the float bounds sound.
+/// dispatch index's float bounds: the rounded p never exceeds the double
+/// it stands in for, which is what keeps the float bounds sound.
 /// One ulp toward zero is an integer decrement of the IEEE representation
 /// for positive floats — nextafterf is a libm call, too slow for a
 /// per-queue-touch operation.
@@ -88,7 +88,7 @@ inline float float_lower(double x) {
   // was +inf). Both tests are evaluated as 0/1 integers and combined with
   // a bitwise OR: a short-circuit || compiles to a data-dependent jump,
   // which mispredicts about half the time on real p values and keeps the
-  // shadow-fill loops from vectorizing.
+  // bound sweep from vectorizing.
   const auto went_up = static_cast<std::uint32_t>(static_cast<double>(f) > x);
   const auto is_inf = static_cast<std::uint32_t>(
       !(f < std::numeric_limits<float>::infinity()));

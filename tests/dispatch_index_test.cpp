@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "fuzz_seed.hpp"
 #include "service/scheduler_session.hpp"
 #include "sim/schedule_io.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace osched {
@@ -138,6 +140,128 @@ TEST(DispatchIndex, Theorem1SpeedAugmentedStaysIdentical) {
     const std::string context = "speed=" + std::to_string(speed);
     expect_same_schedule(a.schedule, b.schedule, context);
     EXPECT_EQ(a.sum_lambda, b.sum_lambda) << context;
+  }
+}
+
+// Dense rows whose candidates tie under the float bounds. Each job draws a
+// base p (an exact float for half the jobs, an off-grid double for the
+// rest) and places p, nextafter(p, +inf), p * (1 + 2^-30) and exact
+// duplicates of p on several machines; the other machines get clearly
+// larger sizes. All four values round down to the same float, so
+// the sweep and the live-list bound cannot tell those machines apart and
+// the exact lambda re-check, with its id tie-break, decides every such
+// dispatch. Arrivals come in waves of 2m jobs at `load` times the fleet's
+// capacity, so most machines back up (the sweep); a trickle of m/8 jobs
+// at a tenth of that load follows each wave while the queues drain, so
+// the ordered path weighs busy hot machines against idle cold ones.
+Instance make_near_tie_workload(std::size_t m, std::uint64_t seed,
+                                std::size_t n, double load) {
+  util::Rng rng(seed);
+  std::vector<Job> jobs(n);
+  std::vector<std::vector<Work>> processing(m, std::vector<Work>(n));
+  Time release = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Work p = j % 2 == 0
+                       ? 0.125 * static_cast<double>(rng.uniform_int(4, 24))
+                       : 1.0 / 3.0 + 0.1 * static_cast<double>(j % 17);
+    const Work near[] = {p, std::nextafter(p, kTimeInfinity),
+                         p * (1.0 + 0x1p-30), p};
+    for (std::size_t i = 0; i < m; ++i) {
+      processing[i][j] = p * (2.0 + 0.25 * static_cast<double>(rng.index(9)));
+    }
+    for (std::size_t k = 0; k < 12; ++k) {
+      // Every third job spreads its near-ties over the whole fleet; the
+      // rest use the hot set: eight machines m/8 apart, each at a
+      // different lane of its 8-wide argmin block.
+      const std::size_t hot = rng.index(8);
+      const std::size_t i = j % 3 == 0 ? rng.index(m) : (m / 8) * hot + hot;
+      processing[i][j] = near[k % 4];
+    }
+    jobs[j].id = static_cast<JobId>(j);
+    jobs[j].release = release;
+    // Mean size about 2 with most work on the tied machines: `load` full
+    // fleets' worth of arrivals per unit of time inside a wave.
+    const bool trickle = j % (2 * m + m / 8) >= 2 * m;
+    release += rng.exponential((trickle ? 0.1 : 1.0) * load *
+                               static_cast<double>(m) / 2.0);
+  }
+  return Instance(std::move(jobs), std::move(processing));
+}
+
+void expect_same_t1(const RejectionFlowResult& a, const RejectionFlowResult& b,
+                    const std::string& context) {
+  expect_same_schedule(a.schedule, b.schedule, context);
+  EXPECT_EQ(a.rule1_rejections, b.rule1_rejections) << context;
+  EXPECT_EQ(a.rule2_rejections, b.rule2_rejections) << context;
+  EXPECT_EQ(a.sum_lambda, b.sum_lambda) << context;
+  EXPECT_EQ(a.dual_objective, b.dual_objective) << context;
+  ASSERT_EQ(a.lambda.size(), b.lambda.size()) << context;
+  for (std::size_t j = 0; j < a.lambda.size(); ++j) {
+    ASSERT_EQ(a.lambda[j], b.lambda[j]) << context << " job " << j;
+  }
+}
+
+TEST(DispatchIndex, Theorem1NearTiesMatchLinearScanOnEveryStore) {
+  for (const std::size_t m : {std::size_t{64}, std::size_t{256}}) {
+    const Instance dense =
+        make_near_tie_workload(m, base_seed() + m, 6 * m, 1.6);
+    ASSERT_NE(dense.p_order_row(0), nullptr);
+    const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
+    for (const double speed : {1.0, 1.5}) {
+      RejectionFlowOptions linear;
+      linear.epsilon = 0.25;
+      linear.speed = speed;
+      linear.dispatch = DispatchMode::kLinearScan;
+      RejectionFlowOptions indexed = linear;
+      indexed.dispatch = DispatchMode::kIndexed;
+      const std::string context =
+          "near-tie m=" + std::to_string(m) + " speed=" + std::to_string(speed);
+      const RejectionFlowResult reference = run_rejection_flow(dense, linear);
+      ASSERT_GT(reference.rule2_rejections, 0u) << context;
+      expect_same_t1(run_rejection_flow(dense, indexed), reference,
+                     context + " batch");
+      expect_same_t1(run_rejection_flow(sparse, indexed),
+                     run_rejection_flow(sparse, linear), context + " sparse");
+    }
+
+    // Streamed sessions have no order table. They run at speed 1; a
+    // speed change on every machine at t = 0 takes them, and the batch
+    // references, to 1.5 through the fleet's per-machine divisors.
+    FleetPlan all_fast;
+    for (std::size_t i = 0; i < m; ++i) {
+      all_fast.events.push_back({0.0, static_cast<MachineId>(i),
+                                 FleetEventKind::kSpeedChange, 1.5});
+    }
+    for (const FleetPlan& plan : {FleetPlan{}, all_fast}) {
+      RejectionFlowOptions linear;
+      linear.epsilon = 0.25;
+      linear.dispatch = DispatchMode::kLinearScan;
+      linear.fleet = plan;
+      RejectionFlowOptions indexed = linear;
+      indexed.dispatch = DispatchMode::kIndexed;
+      const std::string context = "near-tie m=" + std::to_string(m) +
+                                  (plan.empty() ? " no plan" : " fleet x1.5");
+      const RejectionFlowResult reference = run_rejection_flow(dense, linear);
+      expect_same_t1(run_rejection_flow(dense, indexed), reference,
+                     context + " batch");
+      for (const StorageBackend storage :
+           {StorageBackend::kDense, StorageBackend::kSparseCsr}) {
+        service::SessionOptions options;
+        options.storage = storage;
+        options.run.epsilon = 0.25;
+        options.run.fleet = plan;
+        const api::RunSummary streamed = service::streamed_session_run(
+            api::Algorithm::kTheorem1, dense, options, 256);
+        const std::string where =
+            context + " streamed " + to_string(storage);
+        expect_same_schedule(streamed.schedule, reference.schedule, where);
+        EXPECT_EQ(streamed.rule1_rejections, reference.rule1_rejections)
+            << where;
+        EXPECT_EQ(streamed.rule2_rejections, reference.rule2_rejections)
+            << where;
+        EXPECT_EQ(streamed.dispatch_order_width, 0) << where;
+      }
+    }
   }
 }
 

@@ -540,10 +540,10 @@ std::string wall_context(const WallCase& wall) {
 }
 
 TEST(FleetWall, IndexedDispatchMatchesLinearScanUnderFleetMasking) {
-  // The dispatch index masks inactive machines out of its float-shadow
+  // The dispatch index masks inactive machines out of its float bound
   // sweep; the linear-scan reference simply skips them. Both must remain
   // bit-identical with machines failing, draining, joining, and changing
-  // speed mid-run (speed rewrites the masked shadow rows in place), on
+  // speed mid-run (speed rewrites the scaled machines' bounds), on
   // every storage backend.
   for (const WallCase& wall :
        wall_cases({StorageBackend::kDense, 1.0, 6, 1.2, 300})) {

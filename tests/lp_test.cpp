@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/flow_lower_bounds.hpp"
@@ -23,6 +24,14 @@
 
 namespace osched::lp {
 namespace {
+
+/// "<prefix><k>" built by appending: GCC 12 raises a false -Wrestrict on
+/// `"literal" + std::to_string(k)`.
+std::string label(const char* prefix, std::size_t k) {
+  std::string name(prefix);
+  name.append(std::to_string(k));
+  return name;
+}
 
 // ------------------------------------------------------------ LinearProgram
 
@@ -285,7 +294,7 @@ TEST_P(SimplexRandomLpTest, MatchesVertexEnumeration) {
 
   LinearProgram lp;
   for (std::size_t c = 0; c < dims; ++c) {
-    lp.add_column("x" + std::to_string(c), hs.objective[c], 0.0, box);
+    lp.add_column(label("x", c), hs.objective[c], 0.0, box);
     // Box rows for the brute force: x_c <= box and -x_c <= 0.
     std::vector<double> up(dims, 0.0), down(dims, 0.0);
     up[c] = 1.0;
@@ -303,7 +312,7 @@ TEST_P(SimplexRandomLpTest, MatchesVertexEnumeration) {
       coefficients.push_back(Coefficient{c, row[c]});
     }
     const double rhs = rng.uniform(0.0, 8.0);
-    lp.add_row("r" + std::to_string(r), Sense::kLessEqual, rhs,
+    lp.add_row(label("r", r), Sense::kLessEqual, rhs,
                std::move(coefficients));
     hs.g.push_back(row);
     hs.h.push_back(rhs);
@@ -335,7 +344,7 @@ TEST_P(SimplexStressTest, FeasibleWithConsistentDuals) {
 
   LinearProgram lp;
   for (std::size_t c = 0; c < dims; ++c) {
-    lp.add_column("x" + std::to_string(c), rng.uniform(-2.0, 2.0), 0.0, 5.0);
+    lp.add_column(label("x", c), rng.uniform(-2.0, 2.0), 0.0, 5.0);
   }
   for (std::size_t r = 0; r < rows; ++r) {
     std::vector<Coefficient> coefficients;
@@ -348,11 +357,11 @@ TEST_P(SimplexStressTest, FeasibleWithConsistentDuals) {
     // b >= 0 keeps the origin feasible; mixing in >= 0 rows exercises
     // surplus/artificial handling without risking infeasibility.
     if (rng.bernoulli(0.75)) {
-      lp.add_row("le" + std::to_string(r), Sense::kLessEqual,
+      lp.add_row(label("le", r), Sense::kLessEqual,
                  rng.uniform(0.5, 6.0), std::move(coefficients));
     } else {
       for (auto& coef : coefficients) coef.value = std::abs(coef.value);
-      lp.add_row("ge" + std::to_string(r), Sense::kGreaterEqual, 0.0,
+      lp.add_row(label("ge", r), Sense::kGreaterEqual, 0.0,
                  std::move(coefficients));
     }
   }

@@ -26,6 +26,7 @@
 #include "baselines/list_scheduler.hpp"
 #include "core/flow/rejection_flow.hpp"
 #include "duality/flow_dual_check.hpp"
+#include "float_lower_reference.hpp"
 #include "fuzz_seed.hpp"
 #include "instance/builders.hpp"
 #include "instance/processing_store.hpp"
@@ -37,6 +38,8 @@
 
 namespace osched {
 namespace {
+
+using testing::lower_reference;
 
 std::uint64_t base_seed() {
   return testing::fuzz_base_seed("storage_backend_test", 1811);
@@ -171,28 +174,29 @@ TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
     const auto job = static_cast<JobId>(j);
     EXPECT_EQ(view.p_order_row(job), nullptr);
     const Work* row = view.processing_row(job);
-    const float* bounds = view.bounds_row(job);
     ASSERT_EQ(view.eligible_machines(job).size(), config.num_machines);
     for (std::size_t i = 0; i < config.num_machines; ++i) {
-      EXPECT_EQ(row[i], workload::closed_form_entry(config, job,
-                                                    static_cast<MachineId>(i)));
-      EXPECT_EQ(bounds[i], float_lower(row[i]));
+      const Work want =
+          workload::closed_form_entry(config, job, static_cast<MachineId>(i));
+      EXPECT_EQ(row[i], want);
+      // The bound the dispatch sweep reads: the row entry rounded down.
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(float_lower(row[i])),
+                std::bit_cast<std::uint32_t>(lower_reference(want)));
     }
   }
 }
 
 // ---------------------------------------------- the row-tile lifetime
 
-/// The contract the dispatch relies on: a held processing_row(j) /
-/// bounds_row(j) pair keeps reading row j while rows j+1..j+3 are fetched
-/// and other ids are point-probed. `probe_radius` is how far from j the
-/// point probes reach: 3 for the batch InstanceView (its compact-backend
-/// point lookups read through the tiles, so only the three neighbour slots
-/// are safe) and
+/// The contract the dispatch relies on: a held processing_row(j) keeps
+/// reading row j while rows j+1..j+3 are fetched and other ids are
+/// point-probed. `probe_radius` is how far from j the point probes reach:
+/// 3 for the batch InstanceView (its compact-backend point lookups read
+/// through the tiles, so only the three neighbour slots are safe) and
 /// further for the streaming store, whose point lookups never touch a tile.
 /// `reference` is the dense materialization: ineligible machines must read
-/// +infinity and FLT_MAX bit for bit. Returns how many held entries were
-/// ineligible.
+/// +infinity, which the sweep rounds to FLT_MAX, bit for bit. Returns how
+/// many held entries were ineligible.
 template <class Store>
 std::size_t expect_held_rows_survive(const Store& store, const Instance& reference,
                               std::size_t probe_radius,
@@ -203,10 +207,8 @@ std::size_t expect_held_rows_survive(const Store& store, const Instance& referen
   for (std::size_t j = 0; j + 3 < n; ++j) {
     const auto job = static_cast<JobId>(j);
     const Work* held_p = store.processing_row(job);
-    const float* held_bounds = store.bounds_row(job);
     for (std::size_t k = 1; k <= 3; ++k) {
       store.processing_row(static_cast<JobId>(j + k));
-      store.bounds_row(static_cast<JobId>(j + k));
     }
     const std::size_t lo = j >= probe_radius ? j - probe_radius : 0;
     const std::size_t hi = std::min(n, j + probe_radius + 1);
@@ -222,14 +224,14 @@ std::size_t expect_held_rows_survive(const Store& store, const Instance& referen
       const Work want = reference.processing(static_cast<MachineId>(i), job);
       if (!(want < kTimeInfinity)) {
         ++ineligible;
-        EXPECT_EQ(held_bounds[i], std::numeric_limits<float>::max())
+        EXPECT_EQ(float_lower(held_p[i]), std::numeric_limits<float>::max())
             << context << " job " << j << " machine " << i;
       }
       EXPECT_EQ(std::bit_cast<std::uint64_t>(held_p[i]),
                 std::bit_cast<std::uint64_t>(want))
           << context << " job " << j << " machine " << i;
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(held_bounds[i]),
-                std::bit_cast<std::uint32_t>(float_lower(want)))
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(float_lower(held_p[i])),
+                std::bit_cast<std::uint32_t>(lower_reference(want)))
           << context << " job " << j << " machine " << i;
     }
   }
@@ -520,7 +522,6 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
     EXPECT_EQ(dense_view.p_order_row(job), oa);
     EXPECT_EQ(sparse_view.p_order_row(job), ob);
     EXPECT_EQ(dense_view.processing_row(job), dense.processing_row(job));
-    EXPECT_EQ(dense_view.bounds_row(job), dense.bounds_row(job));
     for (std::size_t i = 0; i < dense.num_machines(); ++i) {
       EXPECT_EQ(dense.processing(static_cast<MachineId>(i), job),
                 sparse.processing(static_cast<MachineId>(i), job));

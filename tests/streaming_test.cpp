@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "api/scheduler_api.hpp"
+#include "float_lower_reference.hpp"
 #include "fuzz_seed.hpp"
 #include "service/job_store.hpp"
 #include "service/scheduler_session.hpp"
@@ -29,6 +32,8 @@
 
 namespace osched {
 namespace {
+
+using testing::lower_reference;
 
 std::uint64_t base_seed() {
   return testing::fuzz_base_seed("streaming_test", 42);
@@ -604,8 +609,6 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
     const Work* sparse_values = sparse.csr_values(j);
     const Work* dense_row = dense.processing_row(j);
     const Work* sparse_row = sparse.processing_row(j);
-    const float* dense_bounds = dense.bounds_row(j);
-    const float* sparse_bounds = sparse.bounds_row(j);
     for (std::size_t i = 0; i < 8; ++i) {
       const auto machine = static_cast<MachineId>(i);
       const Work p = dense.processing_unchecked(machine, j);
@@ -613,7 +616,10 @@ TEST(StreamingSession, StoreBackendsServeIdenticalDataAndCollapseBytes) {
       EXPECT_EQ(p, generated.processing_unchecked(machine, j));
       EXPECT_EQ(p, sparse_values[i]);  // fully eligible: CSR row is dense
       EXPECT_EQ(dense_row[i], sparse_row[i]);
-      EXPECT_EQ(dense_bounds[i], sparse_bounds[i]);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(float_lower(dense_row[i])),
+                std::bit_cast<std::uint32_t>(lower_reference(p)));
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(float_lower(sparse_row[i])),
+                std::bit_cast<std::uint32_t>(lower_reference(p)));
     }
     const Work* generated_row = generated.processing_row(j);
     for (std::size_t i = 0; i < 8; ++i) {

@@ -16,12 +16,14 @@
 #include <sstream>
 #include <thread>
 
+#include "float_lower_reference.hpp"
 #include "instance/instance.hpp"
 #include "instance/row_tile.hpp"
 #include "service/job_store.hpp"
 #include "util/augmented_treap.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/dispatch_argmin.hpp"
 #include "util/dispatch_heap.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
@@ -84,6 +86,51 @@ TEST(SlidingVector, CompactionPreservesLiveContentsOverLongStreams) {
     }
   }
   EXPECT_LE(v.live_size(), window + 1);
+}
+
+TEST(SlidingVector, ExtendByOneAndByManyAgreeAcrossCompaction) {
+  // extend_to has a one-slot fast path (the per-admission case) beside the
+  // general resize. Both must value-initialize, keep the same window
+  // bounds and leave the live slots intact through a compaction.
+  using V = SlidingVector<std::uint64_t>;
+  constexpr std::size_t kEnd = 3 * V::kCompactMin;
+  constexpr std::size_t kFrontier = 2 * V::kCompactMin + 5;
+  const auto value_of = [](std::size_t id) { return 3 * id + 1; };
+  V by_one;
+  V by_many;
+  for (std::size_t id = 0; id < kEnd; ++id) {
+    by_one.extend_to(id + 1);
+    ASSERT_EQ(by_one[id], 0u) << id;
+    by_one[id] = value_of(id);
+  }
+  for (std::size_t end = 0, step = 1; end < kEnd; step = step * 5 % 997) {
+    const std::size_t next = std::min(kEnd, end + step);
+    by_many.extend_to(next);
+    by_many.extend_to(end);  // a shrink request stays a no-op
+    for (std::size_t id = end; id < next; ++id) {
+      ASSERT_EQ(by_many[id], 0u) << id;
+      by_many[id] = value_of(id);
+    }
+    end = next;
+  }
+
+  for (V* v : {&by_one, &by_many}) {
+    v->retire_below(kFrontier);
+    EXPECT_EQ(v->begin_index(), kFrontier);
+    EXPECT_EQ(v->end_index(), kEnd);
+    for (std::size_t id = kFrontier; id < kEnd; ++id) {
+      ASSERT_EQ(v->at(id), value_of(id)) << id;
+    }
+    // Growth after the compaction rebased the storage.
+    v->extend_to(kEnd + 1);
+    v->extend_to(kEnd + 40);
+    EXPECT_EQ(v->begin_index(), kFrontier);
+    EXPECT_EQ(v->end_index(), kEnd + 40);
+    EXPECT_EQ(v->at(kEnd - 1), value_of(kEnd - 1));
+    for (std::size_t id = kEnd; id < kEnd + 40; ++id) {
+      ASSERT_EQ(v->at(id), 0u) << id;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Rng
@@ -631,14 +678,7 @@ TEST(FloatBounds, LowerNeverExceedsAndUpperNeverUndercuts) {
   EXPECT_EQ(float_lower(0.0), 0.0f);
 }
 
-/// float_lower's definition, written the slow obvious way: the largest
-/// float not above x, with +inf mapped to FLT_MAX.
-float lower_reference(double x) {
-  if (x == std::numeric_limits<double>::infinity()) return FLT_MAX;
-  float f = static_cast<float>(x);
-  if (static_cast<double>(f) > x) f = std::nextafter(f, 0.0f);
-  return f;
-}
+using osched::testing::lower_reference;
 
 std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
 
@@ -713,9 +753,11 @@ TEST(FloatBounds, LowerIsTheLargestFloatNotAbove) {
         << std::hexfloat << x;
   }
 
-  // Whole shadow rows from every bulk fill, at every width from 1 to 67
-  // so each vector body and tail length runs. Store rows must be positive
-  // with one eligible machine, so 0 is left out and machine 0 is finite.
+  // Whole rows from every row source, rounded the way the dispatch sweep
+  // rounds them, at every width from 1 to 67 so each vector body and tail
+  // length of lb_fill's in-register conversion runs. Store rows must be
+  // positive with one eligible machine, so 0 is left out and machine 0 is
+  // finite.
   Rng rng(7);
   std::vector<double> pool;
   for (const double x : xs) {
@@ -745,16 +787,26 @@ TEST(FloatBounds, LowerIsTheLargestFloatNotAbove) {
     }
     const Instance instance(jobs, by_machine);
 
+    // With coeff 1, pcm 0 and pmp FLT_MAX, lb_fill's mul, min, mul, add
+    // return its rounded p unchanged, exposing the bulk conversion.
+    const std::vector<float> pcm(m, 0.0f);
+    const std::vector<float> pmp(m, std::numeric_limits<float>::max());
+    std::vector<float> lb(m);
     for (std::size_t j = 0; j < kRows; ++j) {
       const auto id = static_cast<JobId>(j);
-      const float* tile = tiles.fill_generated(id, generator).bounds.data();
-      const float* dense = store.bounds_row(id);
-      const float* batch = instance.bounds_row(id);
+      const Work* tile = tiles.fill_generated(id, generator).p.data();
+      const Work* dense = store.processing_row(id);
+      const Work* batch = instance.processing_row(id);
+      lb_fill(batch, pcm.data(), pmp.data(), 1.0f, lb.data(), m);
       for (std::size_t i = 0; i < m; ++i) {
         const std::uint32_t want = bits_of(lower_reference(rows[j][i]));
-        ASSERT_EQ(bits_of(tile[i]), want) << "tile m=" << m << " j=" << j;
-        ASSERT_EQ(bits_of(dense[i]), want) << "store m=" << m << " j=" << j;
-        ASSERT_EQ(bits_of(batch[i]), want) << "instance m=" << m << " j=" << j;
+        ASSERT_EQ(bits_of(float_lower(tile[i])), want)
+            << "tile m=" << m << " j=" << j;
+        ASSERT_EQ(bits_of(float_lower(dense[i])), want)
+            << "store m=" << m << " j=" << j;
+        ASSERT_EQ(bits_of(float_lower(batch[i])), want)
+            << "instance m=" << m << " j=" << j;
+        ASSERT_EQ(bits_of(lb[i]), want) << "lb_fill m=" << m << " j=" << j;
       }
     }
   }
