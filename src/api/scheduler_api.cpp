@@ -1,6 +1,7 @@
 #include "api/scheduler_api.hpp"
 
 #include <cctype>
+#include <utility>
 
 #include "baselines/immediate_rejection.hpp"
 #include "baselines/list_scheduler.hpp"
@@ -79,9 +80,9 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
 
   switch (algorithm) {
     case Algorithm::kTheorem1: {
-      const auto result = run_rejection_flow(
+      auto result = run_rejection_flow(
           instance, {.epsilon = options.epsilon, .fleet = options.fleet});
-      summary.schedule = result.schedule;
+      summary.schedule = std::move(result.schedule);
       summary.certified_lower_bound = result.opt_lower_bound;
       summary.rule1_rejections = result.rule1_rejections;
       summary.rule2_rejections = result.rule2_rejections;
@@ -95,8 +96,8 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
       ef.epsilon = options.epsilon;
       ef.alpha = options.alpha;
       ef.fleet = options.fleet;
-      const auto result = run_energy_flow(instance, ef);
-      summary.schedule = result.schedule;
+      auto result = run_energy_flow(instance, ef);
+      summary.schedule = std::move(result.schedule);
       summary.rule1_rejections = result.rejections;
       summary.fleet = result.fleet;
       report_power = &power;
@@ -111,8 +112,8 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
       pd.alpha = options.alpha;
       pd.speed_levels = options.speed_levels;
       pd.start_grid = options.start_grid;
-      const auto result = run_config_primal_dual(instance, pd);
-      summary.schedule = result.schedule;
+      auto result = run_config_primal_dual(instance, pd);
+      summary.schedule = std::move(result.schedule);
       summary.certified_lower_bound = result.opt_lower_bound;
       parallel_execution = true;
       require_deadlines = true;
@@ -120,9 +121,9 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
       break;
     }
     case Algorithm::kWeightedExt: {
-      const auto result = run_weighted_rejection_flow(
+      auto result = run_weighted_rejection_flow(
           instance, {.epsilon = options.epsilon, .fleet = options.fleet});
-      summary.schedule = result.schedule;
+      summary.schedule = std::move(result.schedule);
       summary.rule1_rejections = result.rule1_rejections;
       summary.rule2_rejections = result.rule2_rejections;
       summary.fleet = result.fleet;
@@ -141,9 +142,9 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
       break;
     }
     case Algorithm::kImmediateReject: {
-      const auto result = run_immediate_rejection(
+      auto result = run_immediate_rejection(
           instance, {.eps = options.epsilon, .fleet = options.fleet});
-      summary.schedule = result.schedule;
+      summary.schedule = std::move(result.schedule);
       summary.rule1_rejections = result.rejections;
       summary.fleet = result.fleet;
       break;

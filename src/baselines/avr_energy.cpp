@@ -7,8 +7,7 @@
 namespace osched {
 
 AvrEnergyResult run_avr_energy(const Instance& instance, double alpha) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
   OSCHED_CHECK_GT(alpha, 1.0);
   const PolynomialPower power(alpha);
 

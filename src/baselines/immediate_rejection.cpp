@@ -8,8 +8,7 @@ namespace osched {
 
 ImmediateRejectionResult run_immediate_rejection(
     const Instance& instance, const ImmediateRejectionOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
 
   const InstanceView view(instance);
   SimEngineFor<InstanceView> engine(view, &options.fleet);

@@ -26,8 +26,7 @@ const char* to_string(QueueDiscipline discipline) {
 Schedule run_list_scheduler(const Instance& instance,
                             const ListSchedulerOptions& options,
                             FleetStats* fleet_stats) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
 
   const InstanceView view(instance);
   SimEngineFor<InstanceView> engine(view, &options.fleet);

@@ -31,8 +31,7 @@ double isolated_job_constant(double alpha) {
 
 EnergyFlowResult run_energy_flow(const Instance& instance,
                                  const EnergyFlowOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
 
   const InstanceView view(instance);
   SimEngineFor<InstanceView> engine(view, &options.fleet);

@@ -142,8 +142,7 @@ class Search {
 
 std::optional<BruteForceResult> brute_force_energy(
     const Instance& instance, const BruteForceOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
   Search search(instance, options);
   return search.run();
 }

@@ -20,8 +20,7 @@ std::vector<double> resolve_machine_alphas(const ConfigPDOptions& options,
 ConfigPDResult run_config_primal_dual(const Instance& instance,
                                       const ConfigPDOptions& options,
                                       const ArrivalObserver& observer) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
   OSCHED_CHECK_GT(options.alpha, 1.0);
 
   const std::vector<double> alphas =

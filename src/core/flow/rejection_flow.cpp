@@ -18,8 +18,7 @@ const char* to_string(Rule2Victim victim) {
 
 RejectionFlowResult run_rejection_flow(const Instance& instance,
                                        const RejectionFlowOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
 
   // Batch run = the resumable policy driven straight to quiescence.
   // Streaming sessions drive the same policy class one submit/advance at a

@@ -8,8 +8,7 @@ namespace osched {
 
 WeightedFlowResult run_weighted_rejection_flow(
     const Instance& instance, const WeightedFlowOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
 
   const InstanceView view(instance);
   SimEngineFor<InstanceView> engine(view, &options.fleet);

@@ -28,8 +28,7 @@ InstanceBuilder& InstanceBuilder::add_identical_job(Time release,
 
 Instance InstanceBuilder::build() const {
   Instance instance(jobs_, processing_);
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
   return instance;
 }
 

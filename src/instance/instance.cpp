@@ -1,10 +1,8 @@
 #include "instance/instance.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
-#include <ostream>
 #include <sstream>
 
 namespace osched {
@@ -45,25 +43,6 @@ std::vector<Job> apply_order(std::vector<Job> jobs,
 
 }  // namespace
 
-void Instance::check_job_fields(const Job& job, std::size_t j,
-                                std::ostream& problems) {
-  if (job.release < 0.0) {
-    problems << "job " << j << " has negative release; ";
-  } else if (!std::isfinite(job.release)) {
-    // NaN compares false against everything, so it needs its own branch
-    // or it would sail through all the ordering checks below.
-    problems << "job " << j << " has non-finite release; ";
-  }
-  if (!(job.weight > 0.0)) {  // catches NaN weights too
-    problems << "job " << j << " has non-positive weight; ";
-  } else if (job.weight >= kTimeInfinity) {
-    problems << "job " << j << " has infinite weight; ";
-  }
-  if (!(job.deadline > job.release)) {  // catches NaN deadlines too
-    problems << "job " << j << " has deadline <= release; ";
-  }
-}
-
 Instance::Instance(std::vector<Job> jobs,
                    std::vector<std::vector<Work>> processing)
     : jobs_(std::move(jobs)),
@@ -89,34 +68,29 @@ Instance::Instance(std::vector<Job> jobs,
     }
   }
 
-  // Per-job eligible-machine adjacency, ascending machine index. The same
-  // full-matrix pass performs validation (KEEP the checks in sync with
-  // service::StreamingJobStore::check_job): an Instance is immutable, so
-  // the verdict is computed once here and validate() just returns it —
-  // run_* entry points used to re-scan the whole matrix per run, which
-  // showed up as ~15% of the measured scheduling time in the perf tier.
+  // Per-job eligible-machine adjacency, ascending machine index, and the
+  // validation verdict under the shared job rules (instance/job_rules.hpp):
+  // an Instance is immutable, so the verdict is computed once here and
+  // validate() just returns it. A message is built only for a job that
+  // fails the fast form.
   std::ostringstream problems;
-  if (num_machines_ == 0) problems << "no machines; ";
   eligible_offsets_.assign(n + 1, 0);
   eligible_flat_.reserve(num_machines_ > 0 ? n : 0);
   for (std::size_t j = 0; j < n; ++j) {
-    check_job_fields(jobs_[j], j, problems);
+    const Job& job = jobs_[j];
     const Work* job_slice = processing_.data() + j * num_machines_;
-    bool any_eligible = false;
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      const Work p = job_slice[i];
-      if (p < kTimeInfinity) {
-        any_eligible = true;
-        if (p <= 0.0) {
-          problems << "p[" << i << "][" << j << "] is non-positive; ";
-        }
-        eligible_flat_.push_back(static_cast<MachineId>(i));
-      } else if (std::isnan(p)) {
-        problems << "p[" << i << "][" << j << "] is NaN; ";
-      }
+    const std::span<const Work> row(job_slice, num_machines_);
+    if (!job_rules::fields_ok(job) ||
+        !job_rules::dense_row_ok(row, num_machines_)) {
+      problems << "job " << j << ": ";
+      job_rules::diagnose_fields(job.release, job.weight, job.deadline,
+                                 problems);
+      job_rules::diagnose_dense_row(row, num_machines_, problems);
     }
-    if (num_machines_ > 0 && !any_eligible) {
-      problems << "job " << j << " has no eligible machine; ";
+    for (std::size_t i = 0; i < num_machines_; ++i) {
+      if (job_rules::eligible(job_slice[i])) {
+        eligible_flat_.push_back(static_cast<MachineId>(i));
+      }
     }
     eligible_offsets_[j + 1] = eligible_flat_.size();
   }
@@ -139,57 +113,33 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
 
   const std::size_t n = instance.jobs_.size();
   std::ostringstream problems;
-  if (num_machines == 0) problems << "no machines; ";
   std::size_t nnz = 0;
   for (const auto& row : rows) nnz += row.size();
   instance.eligible_offsets_.assign(n + 1, 0);
   instance.eligible_flat_.reserve(nnz);
   instance.csr_p_.reserve(nnz);
   for (std::size_t j = 0; j < n; ++j) {
-    check_job_fields(instance.jobs_[j], j, problems);
     const std::vector<SparseEntry>& row = rows[perm[j]];
+    const Job& job = instance.jobs_[j];
+    if (!job_rules::fields_ok(job) ||
+        !job_rules::sparse_row_ok(row, num_machines)) {
+      problems << "job " << j << ": ";
+      job_rules::diagnose_fields(job.release, job.weight, job.deadline,
+                                 problems);
+      job_rules::diagnose_sparse_row(row, num_machines, problems);
+    }
+    // Strictly ascending in-range machine ids give the same adjacency order
+    // the dense pass produces, and make processing_unchecked a binary
+    // search. An entry that breaks that was diagnosed above and is left
+    // out, so the stored adjacency stays well-formed.
     MachineId previous = kInvalidMachine;
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      const SparseEntry& entry = row[k];
-      // Strictly ascending machine ids give the same adjacency order the
-      // dense pass produces, and make processing_unchecked a binary search.
-      // An entry that breaks that is reported (in the streaming store's
-      // words) and left out, so the stored adjacency stays well-formed.
-      if (entry.machine < 0 ||
-          static_cast<std::size_t>(entry.machine) >= num_machines) {
-        problems << "job " << j << " entries[" << k << "] machine "
-                 << entry.machine << " out of range (instance has "
-                 << num_machines << " machines); ";
-        continue;
-      }
-      if (entry.machine == previous) {
-        problems << "job " << j << " entries[" << k << "] duplicates machine "
-                 << entry.machine << "; ";
-        continue;
-      }
-      if (entry.machine < previous) {
-        problems << "job " << j << " entries[" << k << "] machine "
-                 << entry.machine
-                 << " out of order (entries are sorted ascending by "
-                    "machine); ";
+    for (const SparseEntry& entry : row) {
+      if (!job_rules::sparse_id_ok(entry.machine, previous, num_machines)) {
         continue;
       }
       previous = entry.machine;
-      if (!(entry.p > 0.0)) {  // catches NaN
-        problems << "p[" << entry.machine << "][" << j
-                 << "] is non-positive; ";
-      } else if (!(entry.p < kTimeInfinity)) {
-        // A sparse row lists ELIGIBLE entries; an infinite one is a
-        // malformed row, not a compact way to say "ineligible".
-        problems << "p[" << entry.machine << "][" << j
-                 << "] is not finite (omit ineligible machines); ";
-      }
       instance.eligible_flat_.push_back(entry.machine);
       instance.csr_p_.push_back(entry.p);
-    }
-    if (num_machines > 0 &&
-        instance.eligible_flat_.size() == instance.eligible_offsets_[j]) {
-      problems << "job " << j << " has no eligible machine; ";
     }
     instance.eligible_offsets_[j + 1] = instance.eligible_flat_.size();
   }
@@ -209,18 +159,20 @@ Instance Instance::from_generator(
   instance.generator_ = std::move(generator);
 
   std::ostringstream problems;
-  if (num_machines == 0) problems << "no machines; ";
   for (std::size_t j = 0; j < instance.jobs_.size(); ++j) {
     // The generator is indexed by final job id: require release order
     // instead of silently permuting entries out from under the closed form.
-    if (j > 0 &&
-        instance.jobs_[j].release < instance.jobs_[j - 1].release) {
-      problems << "job " << j << " release " << instance.jobs_[j].release
-               << " out of order (generator-backed jobs must arrive "
-                  "release-sorted); ";
+    const Job& job = instance.jobs_[j];
+    const Time previous =
+        j > 0 ? instance.jobs_[j - 1].release : -kTimeInfinity;
+    if (!job_rules::fields_ok(job) ||
+        !job_rules::release_order_ok(job.release, previous)) {
+      problems << "job " << j << ": ";
+      job_rules::diagnose_fields(job.release, job.weight, job.deadline,
+                                 problems);
+      job_rules::diagnose_release_order(job.release, previous, problems);
     }
     instance.jobs_[j].id = static_cast<JobId>(j);
-    check_job_fields(instance.jobs_[j], j, problems);
   }
   instance.validation_problems_ = problems.str();
   instance.identity_machines_.resize(num_machines);
@@ -313,16 +265,6 @@ void Instance::build_p_order_csr() {
   });
 }
 
-Work Instance::sparse_lookup(MachineId i, JobId j) const {
-  const std::size_t begin = eligible_offsets_[static_cast<std::size_t>(j)];
-  const std::size_t end = eligible_offsets_[static_cast<std::size_t>(j) + 1];
-  const MachineId* first = eligible_flat_.data() + begin;
-  const MachineId* last = eligible_flat_.data() + end;
-  const MachineId* hit = std::lower_bound(first, last, i);
-  if (hit == last || *hit != i) return kTimeInfinity;
-  return csr_p_[begin + static_cast<std::size_t>(hit - first)];
-}
-
 Work Instance::min_processing(JobId j) const {
   OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < jobs_.size());
   Work best = kTimeInfinity;
@@ -355,7 +297,7 @@ double Instance::processing_spread() const {
   double lo = std::numeric_limits<double>::infinity();
   double hi = 0.0;
   auto fold = [&](Work p) {
-    if (p < kTimeInfinity) {
+    if (job_rules::eligible(p)) {
       lo = std::min(lo, p);
       hi = std::max(hi, p);
     }
@@ -388,12 +330,13 @@ Weight Instance::total_weight() const {
 }
 
 std::string Instance::validate() const {
-  // Computed once at construction (for matrix backends, in the same pass
-  // that builds the eligibility adjacency); an Instance is immutable
-  // afterwards. The default-constructed empty Instance reports its
-  // machine-less state here.
-  if (num_machines_ == 0 && jobs_.empty()) return "no machines; ";
+  // Computed once at construction; an Instance is immutable afterwards.
+  if (num_machines_ == 0) return "no machines; " + validation_problems_;
   return validation_problems_;
+}
+
+void Instance::check_valid() const {
+  OSCHED_CHECK(validate().empty()) << "invalid instance: " << validate();
 }
 
 }  // namespace osched

@@ -27,12 +27,12 @@
 // backends, serving dense rows straight from this class's buffers.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "instance/job.hpp"
+#include "instance/job_rules.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
@@ -61,12 +61,6 @@ enum class StorageBackend {
 };
 
 const char* to_string(StorageBackend backend);
-
-/// One eligible entry of a sparse job row: machine index + finite p_ij.
-struct SparseEntry {
-  MachineId machine = kInvalidMachine;
-  Work p = 0.0;
-};
 
 /// Closed-form p_ij source for generator-backed instances.
 ///
@@ -165,8 +159,13 @@ class Instance {
       case StorageBackend::kDense:
         return processing_[static_cast<std::size_t>(j) * num_machines_ +
                            static_cast<std::size_t>(i)];
-      case StorageBackend::kSparseCsr:
-        return sparse_lookup(i, j);
+      case StorageBackend::kSparseCsr: {
+        const auto row = static_cast<std::size_t>(j);
+        const std::size_t begin = eligible_offsets_[row];
+        return job_rules::csr_lookup(eligible_flat_.data() + begin,
+                                     csr_p_.data() + begin,
+                                     eligible_offsets_[row + 1] - begin, i);
+      }
       case StorageBackend::kGenerator:
         return generator_->entry(j, i);
     }
@@ -200,7 +199,7 @@ class Instance {
   int dispatch_order_width() const { return p_order_.empty() ? 0 : 16; }
 
   bool eligible(MachineId i, JobId j) const {
-    return processing(i, j) < kTimeInfinity;
+    return job_rules::eligible(processing(i, j));
   }
 
   /// The machines that can run j (finite p_ij), ascending machine index.
@@ -242,22 +241,21 @@ class Instance {
     return generator_;
   }
 
-  /// Structural sanity: n >= 0, every job has at least one eligible machine,
-  /// finite entries positive, releases non-negative, deadlines after release.
-  /// Returns an empty string when valid, else a description of the problem.
-  /// O(1): the verdict is computed once, during construction (generator
-  /// instances check job fields and release order only — see
-  /// from_generator).
+  /// Structural sanity under the job rules of instance/job_rules.hpp (the
+  /// ones the streaming store applies too): job fields, plus the dense-row
+  /// or sparse-row rules for the matrix backends and the release-order rule
+  /// for generator instances, whose entries are not scanned (see
+  /// from_generator). Returns an empty string when valid, else every
+  /// problem, grouped per job behind "job j: ". O(1): the verdict is
+  /// computed once, during construction.
   std::string validate() const;
+
+  /// Aborts with validate()'s problems unless the instance is valid: the
+  /// gate every batch entry point runs first.
+  void check_valid() const;
 
  private:
   friend class InstanceView;
-
-  /// Shared per-job field validation (release/weight/deadline), identical
-  /// across backends. KEEP IN SYNC with service::StreamingJobStore's
-  /// check_job.
-  static void check_job_fields(const Job& job, std::size_t j,
-                               std::ostream& problems);
 
   /// Build the per-job (p, id)-sorted machine order over the adjacency
   /// (CSR-shaped for every backend that has one; entry_p reads one entry's
@@ -266,8 +264,6 @@ class Instance {
   void build_p_order(EntryP&& entry_p);
   void build_p_order_dense();
   void build_p_order_csr();
-
-  Work sparse_lookup(MachineId i, JobId j) const;
 
   std::vector<Job> jobs_;
   std::size_t num_machines_ = 0;

@@ -8,8 +8,6 @@
 //   * Theorems 2/3: p_ij is a processing *volume* (time = volume / speed).
 #pragma once
 
-#include <string>
-
 #include "util/types.hpp"
 
 namespace osched {
@@ -24,6 +22,10 @@ struct Job {
   bool has_deadline() const { return deadline < kTimeInfinity; }
 };
 
-std::string to_string(const Job& job);
+/// One eligible entry of a sparse job row: machine index + finite p_ij.
+struct SparseEntry {
+  MachineId machine = kInvalidMachine;
+  Work p = 0.0;
+};
 
 }  // namespace osched

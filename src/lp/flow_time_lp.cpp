@@ -66,8 +66,7 @@ std::vector<FlowLpCell> make_flow_lp_grid(const Instance& instance,
 
 FlowLpResult solve_flow_time_lp(const Instance& instance,
                                 const FlowLpOptions& options) {
-  const std::string problems = instance.validate();
-  OSCHED_CHECK(problems.empty()) << "invalid instance: " << problems;
+  instance.check_valid();
 
   FlowLpResult result;
   result.cells = make_flow_lp_grid(instance, options.target_intervals);

@@ -1,8 +1,6 @@
 #include "service/job_store.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -32,132 +30,35 @@ StreamingJobStore::StreamingJobStore(
   }
 }
 
-bool StreamingJobStore::check_job_after(const StreamJob& job,
-                                        Time last_release, bool have_last,
-                                        std::ostringstream* problems) const {
-  // Single implementation behind both validation surfaces: with a null
-  // sink (the append() hot path) the first violation returns false without
-  // touching a stream; with a sink every violation is described. The
-  // negated comparisons (!(x > y)) deliberately catch NaN operands.
-  //
-  // KEEP IN SYNC with Instance::validate / Instance::from_sparse_rows
-  // (instance/instance.cpp): these are the same per-job rules plus the
-  // streaming-only ones (arity, release monotonicity, the per-backend
-  // payload-form contract). tests/streaming_test.cpp's differential wall
-  // turns any acceptance drift into a loud failure, but rule edits should
-  // land in both places.
-  bool ok = true;
-  const auto flag = [&ok, problems] {
-    ok = false;
-    return problems != nullptr;  // keep going only when collecting messages
-  };
+std::string StreamingJobStore::diagnose_after(const StreamJob& job,
+                                              Time previous) const {
+  // The payload form is the store's own rule; the rest are the shared job
+  // rules (instance/job_rules.hpp).
+  std::ostringstream out;
   const bool has_dense = !job.processing.empty();
   const bool has_sparse = !job.entries.empty();
   if (has_dense && has_sparse) {
-    if (!flag()) return false;
-    *problems << "both the dense row and sparse entries are set (a "
-                 "submission carries exactly one payload form); ";
+    out << "both the dense row and sparse entries are set (a submission "
+           "carries exactly one payload form); ";
   }
   if (backend_ == StorageBackend::kGenerator && (has_dense || has_sparse)) {
-    if (!flag()) return false;
-    *problems << "generator-backed stores take metadata-only submissions "
-                 "(the shared closed form supplies every p_ij); ";
+    out << "generator-backed stores take metadata-only submissions (the "
+           "shared closed form supplies every p_ij); ";
   }
   if (backend_ != StorageBackend::kGenerator && !has_dense && !has_sparse) {
-    if (!flag()) return false;
-    *problems << "empty payload: this store has " << num_machines_
-              << " machines and needs a dense processing row or sparse "
-                 "(machine, p) entries; ";
+    out << "empty payload: this store has " << num_machines_
+        << " machines and needs a dense processing row or sparse "
+           "(machine, p) entries; ";
   }
-  if (!(job.release >= 0.0)) {
-    if (!flag()) return false;
-    *problems << "release " << job.release << " is negative or NaN; ";
-  }
-  if (have_last && job.release < last_release) {
-    if (!flag()) return false;
-    *problems << "release " << job.release
-              << " precedes the last submitted release " << last_release
-              << " (streaming submissions must be in release order); ";
-  }
-  if (!(job.weight > 0.0) || job.weight >= kTimeInfinity) {
-    if (!flag()) return false;
-    *problems << "weight " << job.weight << " is not finite positive; ";
-  }
-  if (!(job.deadline > job.release)) {
-    if (!flag()) return false;
-    *problems << "deadline " << job.deadline << " not after release; ";
-  }
+  job_rules::diagnose_fields(job.release, job.weight, job.deadline, out);
+  job_rules::diagnose_release_order(job.release, previous, out);
   if (has_dense && !has_sparse) {
-    if (job.processing.size() != num_machines_) {
-      if (!flag()) return false;
-      *problems << "processing row has " << job.processing.size()
-                << " entries, store has " << num_machines_ << " machines; ";
-    }
-    bool any_eligible = false;
-    for (std::size_t i = 0; i < job.processing.size(); ++i) {
-      const Work p = job.processing[i];
-      if (p < kTimeInfinity) {
-        any_eligible = true;
-        if (!(p > 0.0)) {
-          if (!flag()) return false;
-          *problems << "p[" << i << "] is non-positive or NaN; ";
-        }
-      } else if (std::isnan(p)) {
-        if (!flag()) return false;
-        *problems << "p[" << i << "] is NaN; ";
-      }
-    }
-    // Only meaningful when the arity matched (an arity mismatch was already
-    // flagged above, and num_machines_ > 0 by construction).
-    if (job.processing.size() == num_machines_ && !any_eligible) {
-      if (!flag()) return false;
-      *problems << "no eligible machine; ";
-    }
+    job_rules::diagnose_dense_row(job.processing, num_machines_, out);
   }
   if (has_sparse && !has_dense) {
-    // Mirrors Instance::from_sparse_rows: strictly ascending in-range
-    // machine ids (duplicates and disorder diagnosed separately), finite
-    // positive p — an ineligible machine is expressed by OMITTING it.
-    MachineId prev = -1;
-    for (std::size_t k = 0; k < job.entries.size(); ++k) {
-      const SparseEntry& entry = job.entries[k];
-      if (entry.machine < 0 ||
-          static_cast<std::size_t>(entry.machine) >= num_machines_) {
-        if (!flag()) return false;
-        *problems << "entries[" << k << "] machine " << entry.machine
-                  << " out of range (store has " << num_machines_
-                  << " machines); ";
-      } else if (k > 0 && entry.machine == prev) {
-        if (!flag()) return false;
-        *problems << "entries[" << k << "] duplicates machine "
-                  << entry.machine << "; ";
-      } else if (k > 0 && entry.machine < prev) {
-        if (!flag()) return false;
-        *problems << "entries[" << k << "] machine " << entry.machine
-                  << " out of order (entries are sorted ascending by "
-                     "machine); ";
-      }
-      prev = entry.machine;
-      if (!(entry.p > 0.0)) {
-        if (!flag()) return false;
-        *problems << "entries[" << k << "] p is non-positive or NaN; ";
-      } else if (entry.p >= kTimeInfinity) {
-        if (!flag()) return false;
-        *problems << "entries[" << k
-                  << "] p is not finite (omit ineligible machines); ";
-      }
-    }
-    // A non-empty valid entry list implies an eligible machine, so there is
-    // no sparse "no eligible machine" case: the empty list is the empty-
-    // payload diagnostic above.
+    job_rules::diagnose_sparse_row(job.entries, num_machines_, out);
   }
-  return ok;
-}
-
-std::string StreamingJobStore::validate_job(const StreamJob& job) const {
-  std::ostringstream problems;
-  if (check_job(job, &problems)) return std::string();
-  return problems.str();
+  return out.str();
 }
 
 JobId StreamingJobStore::append(const StreamJob& job) {
@@ -169,20 +70,13 @@ JobId StreamingJobStore::append(const StreamJob& job) {
 }
 
 void StreamingJobStore::validate_batch(std::span<const StreamJob> jobs) const {
-  Time last = last_release_;
-  bool have_last = num_jobs_ > 0;
+  // Each job is diagnosed against the same predecessor its gate used.
+  Time previous = last_release_;
   for (std::size_t k = 0; k < jobs.size(); ++k) {
-    if (!check_job_after(jobs[k], last, have_last, nullptr)) {
-      // Diagnose against the same predecessor the gate used (the store's
-      // validate_job would compare against its own high-water mark).
-      std::ostringstream problems;
-      check_job_after(jobs[k], last, have_last, &problems);
-      OSCHED_CHECK(false) << "invalid streamed job " << num_jobs_ + k
-                          << " (batch position " << k
-                          << "): " << problems.str();
-    }
-    last = jobs[k].release;
-    have_last = true;
+    OSCHED_CHECK(job_ok_after(jobs[k], previous))
+        << "invalid streamed job " << num_jobs_ + k << " (batch position "
+        << k << "): " << diagnose_after(jobs[k], previous);
+    previous = jobs[k].release;
   }
 }
 
@@ -227,12 +121,12 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
         block.processing.insert(block.processing.end(),
                                 job.processing.begin(), job.processing.end());
         std::size_t finite = 0;
-        for (const Work p : job.processing) finite += p < kTimeInfinity;
+        for (const Work p : job.processing) finite += job_rules::eligible(p);
         // A full row stores no ids: its empty span reads as the shared
         // identity row (eligible_machines).
         if (finite != num_machines_) {
           for (std::size_t i = 0; i < job.processing.size(); ++i) {
-            if (job.processing[i] < kTimeInfinity) {
+            if (job_rules::eligible(job.processing[i])) {
               block.eligible.push_back(static_cast<MachineId>(i));
             }
           }
@@ -251,7 +145,7 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
         }
       } else {
         for (std::size_t i = 0; i < job.processing.size(); ++i) {
-          if (job.processing[i] < kTimeInfinity) {
+          if (job_rules::eligible(job.processing[i])) {
             block.eligible.push_back(static_cast<MachineId>(i));
             block.csr_p.push_back(job.processing[i]);
           }

@@ -39,16 +39,20 @@
 // model's arrival order; Instance sorts batch input the same way). Reading
 // a retired job aborts — schedulers only touch pending/running jobs, so a
 // read below the frontier is a bug, never a recoverable condition.
+//
+// Validation is instance/job_rules.hpp, the rules Instance applies too, plus
+// the store's payload-form rules: one form per submission, metadata-only
+// toward a generator, a non-empty payload otherwise.
 #pragma once
 
 #include <algorithm>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "instance/instance.hpp"
+#include "instance/job_rules.hpp"
 #include "instance/row_tile.hpp"
 #include "instance/stream_job.hpp"
 #include "util/check.hpp"
@@ -79,12 +83,16 @@ class StreamingJobStore {
 
   /// Allocation-free structural check of one submission (the hot-path
   /// form): true iff append() would accept the job.
-  bool job_ok(const StreamJob& job) const { return check_job(job, nullptr); }
+  bool job_ok(const StreamJob& job) const {
+    return job_ok_after(job, last_release_);
+  }
 
   /// Diagnostic form of job_ok: empty string = acceptable, else a
   /// description of every problem. Only builds its message machinery when
   /// the job is actually invalid.
-  std::string validate_job(const StreamJob& job) const;
+  std::string validate_job(const StreamJob& job) const {
+    return job_ok(job) ? std::string() : diagnose_after(job, last_release_);
+  }
 
   /// Appends the job and returns its id. Aborts on invalid input — callers
   /// wanting recoverable rejection run job_ok/validate_job first.
@@ -136,12 +144,10 @@ class StreamingJobStore {
       return generator_->entry(j, i);
     }
     const std::size_t offset = offset_of(j);
-    const MachineId* base = b.eligible.data();
-    const MachineId* begin = base + b.eligible_offsets[offset];
-    const MachineId* end = base + b.eligible_offsets[offset + 1];
-    const MachineId* it = std::lower_bound(begin, end, i);
-    if (it == end || *it != i) return kTimeInfinity;
-    return b.csr_p[static_cast<std::size_t>(it - base)];
+    const std::uint32_t begin = b.eligible_offsets[offset];
+    return job_rules::csr_lookup(b.eligible.data() + begin,
+                                 b.csr_p.data() + begin,
+                                 b.eligible_offsets[offset + 1] - begin, i);
   }
 
   /// Job j's contiguous p_{., j} row, same contract as
@@ -170,7 +176,7 @@ class StreamingJobStore {
   }
 
   bool eligible(MachineId i, JobId j) const {
-    return processing(i, j) < kTimeInfinity;
+    return job_rules::eligible(processing(i, j));
   }
 
   EligibleMachines eligible_machines(JobId j) const {
@@ -201,16 +207,24 @@ class StreamingJobStore {
   Work min_processing(JobId j) const;
 
  private:
-  /// The one validation predicate behind job_ok/validate_job/append: null
-  /// sink = fast boolean short-circuit, non-null = collect every problem.
-  /// `last_release` is the release the job must not precede (the store's
-  /// high-water mark, or the preceding job of a batch); `have_last` is
-  /// false for the very first submission.
-  bool check_job_after(const StreamJob& job, Time last_release, bool have_last,
-                       std::ostringstream* problems) const;
-  bool check_job(const StreamJob& job, std::ostringstream* problems) const {
-    return check_job_after(job, last_release_, num_jobs_ > 0, problems);
+  /// The acceptance predicate behind job_ok/validate_batch/append: the
+  /// store's payload-form rules, then the shared job rules. `previous` is
+  /// the release the job must not precede (the store's high-water mark, or
+  /// the preceding job of a batch).
+  bool job_ok_after(const StreamJob& job, Time previous) const {
+    if (!job_rules::fields_ok(job) ||
+        !job_rules::release_order_ok(job.release, previous)) {
+      return false;
+    }
+    const bool has_dense = !job.processing.empty();
+    const bool has_sparse = !job.entries.empty();
+    if (backend_ == StorageBackend::kGenerator) return !has_dense && !has_sparse;
+    if (has_dense == has_sparse) return false;  // both forms, or neither
+    return has_dense ? job_rules::dense_row_ok(job.processing, num_machines_)
+                     : job_rules::sparse_row_ok(job.entries, num_machines_);
   }
+  /// Diagnostic form of job_ok_after: every problem, "" when there is none.
+  std::string diagnose_after(const StreamJob& job, Time previous) const;
 
   struct Block {
     std::vector<Job> jobs;
@@ -267,7 +281,8 @@ class StreamingJobStore {
   mutable std::vector<Work> min_row_;
   std::size_t num_jobs_ = 0;
   JobId begin_id_ = 0;
-  Time last_release_ = 0.0;
+  /// Release of the last appended job; -infinity before the first.
+  Time last_release_ = -kTimeInfinity;
   /// blocks_[b] covers ids [b*B, (b+1)*B); retired blocks are null.
   std::vector<std::unique_ptr<Block>> blocks_;
   /// Compact-backend row cache. Mutable: serving a row is logically const.

@@ -265,6 +265,46 @@ TEST(DispatchIndex, Theorem1NearTiesMatchLinearScanOnEveryStore) {
   }
 }
 
+TEST(DispatchIndex, Theorem1HeapTieGoesToTheLowerMachineId) {
+  // Two machines tie in exact lambda but not in bound, so the tie is
+  // settled inside the heap loop of the indexed sweep: with eps = 0.25 and
+  // the last job's p = 1 on both machines,
+  //   machine 0 queues p = 2:           bound 6 * margin, lambda 4 + 1 + 1
+  //   machine 1 queues p = 0.25, 0.75:  bound 5.5 * margin, lambda 4 + 2 + 0
+  // Machine 1 seeds the search and machine 0 ties it from the heap; the
+  // lexicographic (lambda, id) rule must pick machine 0, as the linear scan
+  // does. Both machines run a long job, so the sweep (not the ordered path)
+  // decides, and p = 100 on the other machine pins every earlier job.
+  std::vector<Job> jobs(6);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].id = static_cast<JobId>(j);
+  }
+  // processing[i][j]: columns are jobs L0, L1, q2, q0.25, q0.75, arrival.
+  const std::vector<std::vector<Work>> processing = {
+      {10.0, 100.0, 2.0, 100.0, 100.0, 1.0},
+      {100.0, 10.0, 100.0, 0.25, 0.75, 1.0},
+  };
+  const Instance dense(jobs, processing);
+  ASSERT_EQ(dense.validate(), "");
+  for (const Instance& instance :
+       {dense, dense.with_backend(StorageBackend::kSparseCsr)}) {
+    RejectionFlowOptions linear;
+    linear.epsilon = 0.25;
+    linear.dispatch = DispatchMode::kLinearScan;
+    RejectionFlowOptions indexed = linear;
+    indexed.dispatch = DispatchMode::kIndexed;
+    const std::string context =
+        std::string("heap tie ") + to_string(instance.backend());
+    const RejectionFlowResult reference = run_rejection_flow(instance, linear);
+    const RejectionFlowResult result = run_rejection_flow(instance, indexed);
+    expect_same_t1(result, reference, context);
+    EXPECT_EQ(reference.rule1_rejections + reference.rule2_rejections, 0u)
+        << context;
+    EXPECT_EQ(result.schedule.record(5).machine, 0) << context;
+    EXPECT_EQ(result.lambda[5], 0.25 / 1.25 * 6.0) << context;
+  }
+}
+
 TEST(DispatchIndex, WeightedExtIndexedEqualsLinearScan) {
   for (const double density : kDensities) {
     for (const std::size_t m : kMachineCounts) {

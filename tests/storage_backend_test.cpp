@@ -9,7 +9,9 @@
 // CSR edge cases (single-eligible-machine jobs, the uint16 order table's
 // ceiling at m = 65535/65536/65537), the façade accessor equivalences the
 // checkers/metrics rely on, the row-tile lifetime contract, and the
-// generated family's materialize-vs-synthesize bit equality.
+// generated family's materialize-vs-synthesize bit equality. The acceptance
+// wall at the end pins one verdict per submitted job across Instance and
+// the streaming store.
 //
 // The rotating OSCHED_FUZZ_SEED hook lets CI explore fresh instances every
 // run, reproducibly. `ctest -L backend-matrix` selects this wall.
@@ -19,6 +21,8 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -584,6 +588,301 @@ TEST(StorageBackend, StoreBytesCollapseForSparseFamilies) {
   const Instance gen_dense =
       workload::make_closed_form_instance(config, StorageBackend::kDense);
   EXPECT_GE(gen_dense.store_bytes(), 4 * gen.store_bytes());
+}
+
+// ---- Acceptance wall: one verdict for a submitted job ----
+//
+// A job is valid or not regardless of who is asked: the batch Instance
+// (dense, sparse-CSR or generator) and the streaming store must return the
+// same verdict on the same fields and payload. Each input below is one job
+// on m = 3 machines; a dense row goes through the dense Instance and both
+// matrix stores, a sparse row through from_sparse_rows and both matrix
+// stores, and the job fields alone through from_generator and the
+// generator store. The store's diagnostic form must agree with its fast
+// form, so validate_job(job) is empty exactly when job_ok(job) holds.
+
+constexpr std::size_t kWallMachines = 3;
+
+std::shared_ptr<const RowGenerator> wall_generator() {
+  workload::ClosedFormConfig config;
+  config.num_jobs = 4;
+  config.num_machines = kWallMachines;
+  return workload::make_closed_form_generator(config);
+}
+
+Job wall_job(Time release, Weight weight, Time deadline) {
+  Job job;
+  job.id = 0;
+  job.release = release;
+  job.weight = weight;
+  job.deadline = deadline;
+  return job;
+}
+
+StreamJob wall_stream_job(const Job& job) {
+  StreamJob out;
+  out.release = job.release;
+  out.weight = job.weight;
+  out.deadline = job.deadline;
+  return out;
+}
+
+/// job_ok on a fresh store of `backend`, cross-checked against validate_job.
+bool store_accepts(StorageBackend backend, const StreamJob& job) {
+  const service::StreamingJobStore store(
+      kWallMachines, 4096, backend,
+      backend == StorageBackend::kGenerator ? wall_generator() : nullptr);
+  const bool ok = store.job_ok(job);
+  EXPECT_EQ(ok, store.validate_job(job).empty())
+      << to_string(backend) << ": " << store.validate_job(job);
+  return ok;
+}
+
+std::string describe(const Job& job) {
+  std::ostringstream out;
+  out << "release " << job.release << " weight " << job.weight
+      << " deadline " << job.deadline;
+  return out.str();
+}
+
+/// The dense row through the dense Instance and both matrix stores.
+void expect_dense_agreement(const Job& job, const std::vector<Work>& row,
+                            const std::string& what) {
+  std::vector<std::vector<Work>> processing;
+  for (const Work p : row) processing.push_back({p});
+  const Instance instance({job}, processing);
+  const bool batch_ok = instance.validate().empty();
+  StreamJob streamed = wall_stream_job(job);
+  streamed.processing = row;
+  std::ostringstream context;
+  context << what << " (" << describe(job) << ", dense row";
+  for (const Work p : row) context << ' ' << p;
+  context << "): instance says '" << instance.validate() << "'";
+  EXPECT_EQ(batch_ok, store_accepts(StorageBackend::kDense, streamed))
+      << context.str();
+  EXPECT_EQ(batch_ok, store_accepts(StorageBackend::kSparseCsr, streamed))
+      << context.str();
+}
+
+/// The sparse row through from_sparse_rows and both matrix stores.
+void expect_sparse_agreement(const Job& job,
+                             const std::vector<SparseEntry>& entries,
+                             const std::string& what) {
+  const Instance instance =
+      Instance::from_sparse_rows({job}, kWallMachines, {entries});
+  const bool batch_ok = instance.validate().empty();
+  StreamJob streamed = wall_stream_job(job);
+  streamed.entries = entries;
+  std::ostringstream context;
+  context << what << " (" << describe(job) << ", sparse row";
+  for (const SparseEntry& e : entries) {
+    context << ' ' << e.machine << ':' << e.p;
+  }
+  context << "): instance says '" << instance.validate() << "'";
+  EXPECT_EQ(batch_ok, store_accepts(StorageBackend::kDense, streamed))
+      << context.str();
+  EXPECT_EQ(batch_ok, store_accepts(StorageBackend::kSparseCsr, streamed))
+      << context.str();
+}
+
+/// The job fields alone through from_generator and the generator store.
+void expect_metadata_agreement(const Job& job, const std::string& what) {
+  const Instance instance =
+      Instance::from_generator({job}, kWallMachines, wall_generator());
+  EXPECT_EQ(instance.validate().empty(),
+            store_accepts(StorageBackend::kGenerator, wall_stream_job(job)))
+      << what << " (" << describe(job) << "): instance says '"
+      << instance.validate() << "'";
+}
+
+void expect_agreement(const Job& job, const std::vector<Work>& row,
+                      const std::vector<SparseEntry>& entries,
+                      const std::string& what) {
+  expect_dense_agreement(job, row, what);
+  expect_sparse_agreement(job, entries, what);
+  expect_metadata_agreement(job, what);
+}
+
+TEST(StorageBackend, InstanceAndStoreAcceptTheSameJobs) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = kTimeInfinity;
+  constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const Job good = wall_job(1.0, 1.0, kInf);
+
+  // Processing values, in both payload forms (the sparse form lists the
+  // value on machine 1 next to a finite entry on machine 0).
+  const struct {
+    const char* what;
+    std::vector<Work> row;
+    bool accepted;
+  } dense_rows[] = {
+      {"finite row", {1.0, 2.0, 3.0}, true},
+      {"NaN p", {kNaN, 1.0, 1.0}, false},
+      {"-0.0 p", {-0.0, 1.0, 1.0}, false},
+      {"+0.0 p", {0.0, 1.0, 1.0}, false},
+      {"negative p", {1.0, -2.0, 1.0}, false},
+      {"-inf p", {1.0, -kInf, 1.0}, false},
+      {"subnormal p", {kSubnormal, 1.0, 1.0}, true},
+      {"DBL_MAX p", {1.0, kMax, 1.0}, true},
+      {"all +inf", {kInf, kInf, kInf}, false},
+      {"+inf and finite", {kInf, 2.0, kInf}, true},
+      {"+inf, finite and NaN", {kInf, 2.0, kNaN}, false},
+  };
+  for (const auto& c : dense_rows) {
+    expect_dense_agreement(good, c.row, c.what);
+    const StreamJob probe = [&] {
+      StreamJob job = wall_stream_job(good);
+      job.processing = c.row;
+      return job;
+    }();
+    EXPECT_EQ(store_accepts(StorageBackend::kDense, probe), c.accepted)
+        << c.what;
+  }
+  for (const double p : {kNaN, -0.0, 0.0, -2.0, -kInf, kSubnormal, kMax,
+                         kInf}) {
+    expect_sparse_agreement(good, {SparseEntry{0, 1.0}, SparseEntry{1, p}},
+                            "sparse p value");
+    expect_sparse_agreement(good, {SparseEntry{2, p}}, "sparse single p");
+  }
+
+  // Job fields, in every payload form.
+  const std::vector<Work> row = {1.0, kInf, 2.0};
+  const std::vector<SparseEntry> entries = {SparseEntry{0, 1.0},
+                                            SparseEntry{2, 2.0}};
+  const struct {
+    const char* what;
+    Job job;
+    bool accepted;
+  } fields[] = {
+      {"valid fields", good, true},
+      {"release +inf", wall_job(kInf, 1.0, kInf), false},
+      {"release NaN", wall_job(kNaN, 1.0, kInf), false},
+      {"release -0.0", wall_job(-0.0, 1.0, kInf), true},
+      {"release negative", wall_job(-1.0, 1.0, kInf), false},
+      {"weight NaN", wall_job(1.0, kNaN, kInf), false},
+      {"weight 0", wall_job(1.0, 0.0, kInf), false},
+      {"weight +inf", wall_job(1.0, kInf, kInf), false},
+      {"weight subnormal", wall_job(1.0, kSubnormal, kInf), true},
+      {"deadline == release", wall_job(1.0, 1.0, 1.0), false},
+      {"deadline NaN", wall_job(1.0, 1.0, kNaN), false},
+      {"deadline before release", wall_job(5.0, 1.0, 4.0), false},
+      {"finite deadline after release", wall_job(1.0, 1.0, 1.5), true},
+  };
+  for (const auto& c : fields) {
+    expect_agreement(c.job, row, entries, c.what);
+    EXPECT_EQ(store_accepts(StorageBackend::kGenerator,
+                            wall_stream_job(c.job)),
+              c.accepted)
+        << c.what;
+  }
+
+  // Sparse structure.
+  const struct {
+    const char* what;
+    std::vector<SparseEntry> entries;
+  } sparse_rows[] = {
+      {"empty row", {}},
+      {"machine -1", {SparseEntry{-1, 1.0}}},
+      {"machine m", {SparseEntry{0, 1.0}, SparseEntry{3, 1.0}}},
+      {"machine far out of range", {SparseEntry{1000, 1.0}}},
+      {"duplicate", {SparseEntry{1, 1.0}, SparseEntry{1, 2.0}}},
+      {"descending", {SparseEntry{2, 1.0}, SparseEntry{0, 2.0}}},
+      {"descending after a gap",
+       {SparseEntry{0, 1.0}, SparseEntry{2, 1.0}, SparseEntry{1, 1.0}}},
+      {"out of range then valid", {SparseEntry{5, 1.0}, SparseEntry{1, 1.0}}},
+      {"ascending", {SparseEntry{0, 1.0}, SparseEntry{1, 1.0},
+                     SparseEntry{2, 1.0}}},
+  };
+  for (const auto& c : sparse_rows) {
+    expect_sparse_agreement(good, c.entries, c.what);
+  }
+
+  // Release order: the generator Instance and the store both demand
+  // non-decreasing releases (dense and sparse Instances sort instead).
+  for (const auto& [first, second] :
+       std::vector<std::pair<double, double>>{
+           {2.0, 1.0}, {1.0, 1.0}, {1.0, 2.0}, {0.0, -0.0}, {2.0, kNaN}}) {
+    const Job a = wall_job(first, 1.0, kInf);
+    Job b = wall_job(second, 1.0, kInf);
+    b.id = 1;
+    const Instance instance =
+        Instance::from_generator({a, b}, kWallMachines, wall_generator());
+    service::StreamingJobStore store(kWallMachines, 4096,
+                                     StorageBackend::kGenerator,
+                                     wall_generator());
+    store.append(wall_stream_job(a));
+    EXPECT_EQ(instance.validate().empty(), store.job_ok(wall_stream_job(b)))
+        << "releases " << first << ", " << second << ": instance says '"
+        << instance.validate() << "', store says '"
+        << store.validate_job(wall_stream_job(b)) << "'";
+    EXPECT_EQ(store.job_ok(wall_stream_job(b)),
+              store.validate_job(wall_stream_job(b)).empty());
+  }
+}
+
+TEST(StorageBackend, InstanceAndStoreAcceptTheSameMutatedJobs) {
+  // Seeded mutations of a valid job: each round replaces one to three
+  // fields, processing values or sparse machine ids with an edge value and
+  // asks every owner for its verdict.
+  std::mt19937_64 rng(base_seed() + 97);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             -0.0,
+                             0.0,
+                             -1.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             kTimeInfinity,
+                             -kTimeInfinity,
+                             0.5,
+                             3.0};
+  const MachineId ids[] = {-1, 0, 1, 2, 3, 7};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t accepted = 0;
+  constexpr int kRounds = 600;
+  for (int round = 0; round < kRounds; ++round) {
+    Job job = wall_job(1.0, 1.0, kTimeInfinity);
+    std::vector<Work> row = {1.0, 2.0, 3.0};
+    std::vector<SparseEntry> entries = {SparseEntry{0, 1.0},
+                                        SparseEntry{1, 2.0},
+                                        SparseEntry{2, 3.0}};
+    const std::size_t mutations = 1 + pick(3);
+    for (std::size_t k = 0; k < mutations; ++k) {
+      const double value = specials[pick(std::size(specials))];
+      switch (pick(7)) {
+        case 0: job.release = value; break;
+        case 1: job.weight = value; break;
+        case 2:
+          job.deadline = pick(2) == 0 ? value : job.release + value;
+          break;
+        case 3: row[pick(row.size())] = value; break;
+        case 4:
+          if (!entries.empty()) entries[pick(entries.size())].p = value;
+          break;
+        case 5:
+          if (!entries.empty()) {
+            entries[pick(entries.size())].machine = ids[pick(std::size(ids))];
+          }
+          break;
+        case 6:
+          if (!entries.empty()) {
+            entries.erase(entries.begin() +
+                          static_cast<std::ptrdiff_t>(pick(entries.size())));
+          }
+          break;
+      }
+    }
+    const std::string what = "mutation round " + std::to_string(round);
+    expect_agreement(job, row, entries, what);
+    StreamJob probe = wall_stream_job(job);
+    probe.processing = row;
+    accepted += store_accepts(StorageBackend::kDense, probe) ? 1 : 0;
+  }
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kRounds));
 }
 
 }  // namespace
