@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/flow/dual_accounting.hpp"
 #include "core/flow/rejection_flow.hpp"
@@ -118,6 +119,10 @@ class RejectionFlowPolicy final
     pend_min_p_.assign(m, std::numeric_limits<float>::max());
     live_pos_.assign(m, 0);
     live_list_.reserve(m);
+    idle_bias_.assign(m, 0.0);
+    for (const std::uint32_t down : fleet_.inactive_list()) {
+      idle_bias_[down] = kTimeInfinity;
+    }
     lb_.assign(m, 0.0f);
     block_min_.assign(m / 8 + 1, std::numeric_limits<float>::max());
     heap_.reserve(m);
@@ -149,10 +154,10 @@ class RejectionFlowPolicy final
     double best_lambda = 0.0;
     const MachineId best_machine = pick(j, now, &best_lambda);
 
-    // No active eligible machine (fleet mode only): the job cannot run
-    // anywhere — forced rejection at arrival, outside the rule counters and
-    // with a zero dual contribution (the certificate is diagnostic under a
-    // fleet plan anyway).
+    // No active eligible machine with a finite lambda (the fleet mask left
+    // none, or every lambda overflowed): the job cannot run anywhere —
+    // forced rejection at arrival, outside the rule counters and with a
+    // zero dual contribution, which keeps the certificate <= OPT.
     if (best_machine == kInvalidMachine) {
       dual_.set_lambda(j, 0.0);
       lambda_[static_cast<std::size_t>(j)] = 0.0;
@@ -246,15 +251,19 @@ class RejectionFlowPolicy final
   /// over inputs rounded DOWN (float_lower), with kDispatchBoundMarginF
   /// absorbing the float roundings — the bound never exceeds the rounded
   /// exact lambda, so a candidate whose bound exceeds the incumbent can
-  /// never be the lexicographic argmin.
+  /// never be the lexicographic argmin. A bound past the float range
+  /// saturates at FLT_MAX, still below a lambda that large (an overflowed
+  /// +inf would prune a machine whose double lambda is finite).
   float lambda_lower_bound(float p, std::size_t i) const {
-    return p * empty_coeff_margin_ +
-           pend_cnt_margin_[i] * std::min(p, pend_min_p_[i]);
+    return std::min(p * empty_coeff_margin_ +
+                        pend_cnt_margin_[i] * std::min(p, pend_min_p_[i]),
+                    std::numeric_limits<float>::max());
   }
 
   /// Reference dispatch (PolicyCore::linear_argmin over the exact lambda).
-  /// kInvalidMachine only under a fleet mask — with an empty plan active()
-  /// is constant true and eligibility is non-empty by validation.
+  /// kInvalidMachine when no active eligible machine has a finite lambda:
+  /// the fleet mask left none, or every p_ij is so large that lambda
+  /// overflows (a valid job may carry p up to DBL_MAX).
   MachineId dispatch_linear_scan(JobId j, double* best_lambda_out) const {
     const Time release = store_.job(j).release;
     return this->linear_argmin(
@@ -265,18 +274,24 @@ class RejectionFlowPolicy final
         best_lambda_out);
   }
 
-  /// Indexed dispatch: one vectorizable sweep computes every candidate's
-  /// lower bound, the argmin-bound machine seeds the incumbent, and the
-  /// remaining candidates are visited best-first until the next bound
-  /// exceeds the incumbent lambda. Returns the same (lambda, machine) as
-  /// dispatch_linear_scan, bit for bit.
   /// Ordered path of the dispatch index, used while few machines have
-  /// pending work (the common state under SPT draining): the best machine
-  /// with an EMPTY queue is the first idle entry of the job's precomputed
-  /// (p, id)-order — lambda = p/eps + p is monotone in p — and every other
-  /// contender has a non-empty queue, i.e. sits in the live list, whose
-  /// members are evaluated exactly. Cost is O(|live|), independent of m.
-  /// Returns the same lexicographic (lambda, id) argmin as the sweep.
+  /// pending work (the common state under SPT draining). Every contender
+  /// with a non-empty queue sits in the live list, whose members are
+  /// screened by their cached bound and evaluated exactly. The best machine
+  /// with an EMPTY queue (lambda = p/eps + p, monotone in p) comes from one
+  /// of two places:
+  ///  * the order walk: the first idle entry of the job's precomputed
+  ///    (p, id)-order plus its id-tie walk, O(|live|) and independent of m;
+  ///  * the idle scan, wherever no sound order exists: one masked minimum
+  ///    p_min = min(row[i] + idle_bias_[i]) over the eligible span — no
+  ///    branch and no division per machine — then the exact lambda only
+  ///    for the near-tie band p <= p_min * (1 + 2^-40) (+ an absolute
+  ///    slack for subnormal p; the band argument sits at the scan), plus
+  ///    an exact evaluation of each idle speed-scaled machine.
+  /// A candidate whose lambda overflows to +inf never wins: when no lambda
+  /// is finite the result is kInvalidMachine and the caller force-rejects,
+  /// the linear scan's rule. Returns the same lexicographic (lambda, id)
+  /// argmin as dispatch_linear_scan, bit for bit.
   MachineId dispatch_ordered(JobId j, Time release,
                              const EligibleMachines& eligible,
                              double* best_lambda_out) {
@@ -337,23 +352,83 @@ class RejectionFlowPolicy final
     } else {
       // No precomputed order (streaming or generator store, m >= 65536
       // batch instance), or the table is unsound under active speed
-      // multipliers: derive the idle argmin from the double row directly.
-      // The exact scan returns the lexicographic (lambda, id) argmin. The
-      // effective p is scaled from the row entry the scan already holds,
-      // never a per-machine store lookup (a block lookup on dense stores,
-      // a closed-form evaluation on generator stores, a binary search on
-      // CSR ones).
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto i = static_cast<std::size_t>(
-            dense ? static_cast<MachineId>(k) : eligible.first[k]);
+      // multipliers: derive the idle argmin from the double row directly,
+      // scaling the entry the scan already holds (never a per-machine store
+      // lookup).
+      //
+      // idle_bias_[i] is 0.0 for an idle, active, unscaled machine and +inf
+      // otherwise, so row[i] + idle_bias_[i] is p exactly or +inf and one
+      // masked minimum finds p_min over the unmasked machines. They share
+      // one divisor s (the base speed), so each one's exact idle lambda is
+      //   g(p) = fl(fl(q / eps) + q),   q = fl(p / s)   (q = p when s = 1),
+      // non-decreasing in p: their lexicographic argmin is the smallest id
+      // with g(p) == g(p_min). The band below holds every such machine.
+      // With fl(x) = x(1 + d) + e, |d| <= u = 2^-53 and |e| <= 2^-1075 (e
+      // is nonzero only for a subnormal result), and no step overflowing,
+      //   g(p) = p(1 + 1/eps)/s * (1 + t) + E,
+      //   (1 - u)^3 <= 1 + t <= (1 + u)^3,   |E| < 2^-1075 * (4 + 1/eps),
+      // so a finite g(p) == g(p_min) forces p <= p_min(1 + 7u) + s*2^-1072.
+      // For normal p_min the relative slack 2^-40 covers that with room to
+      // spare, even after the band's own roundings; below the normal range
+      // it vanishes (p_min * 2^-40 is under half an ulp) and the absolute
+      // slack tie_abs = max(s, 1) * 2^-1000 covers the subnormal error
+      // terms alone. (2^-1000 is a normal number on purpose: a subnormal
+      // operand costs a microcode assist on every dispatch.) An overflowing step makes g(p) = +inf, which is never
+      // equal to a finite g(p_min) and never wins; the band is clamped to
+      // DBL_MAX so masked (+inf) entries never enter it. Exact lambdas are
+      // taken in ascending id order, so the strict less keeps the smallest
+      // id among ties.
+      const double* __restrict bias = idle_bias_.data();
+      const double tie_abs = std::max(options_.speed, 1.0) * 0x1p-1000;
+      // One body for both index shapes: full rows index the row directly,
+      // which measured faster than reading the identity adjacency.
+      const auto idle_scan = [&](auto machine_of) {
+        double m0 = kTimeInfinity, m1 = kTimeInfinity;
+        double m2 = kTimeInfinity, m3 = kTimeInfinity;
+        std::size_t k = 0;
+        for (; k + 4 <= count; k += 4) {
+          m0 = std::min(m0, rowd[machine_of(k)] + bias[machine_of(k)]);
+          m1 = std::min(m1, rowd[machine_of(k + 1)] + bias[machine_of(k + 1)]);
+          m2 = std::min(m2, rowd[machine_of(k + 2)] + bias[machine_of(k + 2)]);
+          m3 = std::min(m3, rowd[machine_of(k + 3)] + bias[machine_of(k + 3)]);
+        }
+        for (; k < count; ++k) {
+          m0 = std::min(m0, rowd[machine_of(k)] + bias[machine_of(k)]);
+        }
+        const double p_min = std::min(std::min(m0, m1), std::min(m2, m3));
+        if (!(p_min < kTimeInfinity)) return;  // no unmasked candidate
+        const double band = std::min(p_min * (1.0 + 0x1p-40) + tie_abs,
+                                     std::numeric_limits<double>::max());
+        for (k = 0; k < count; ++k) {
+          const std::size_t i = machine_of(k);
+          if (!(rowd[i] + bias[i] <= band)) continue;
+          const Work p = effective_of(static_cast<MachineId>(i), rowd[i]);
+          const double lambda = p / options_.epsilon + p;  // empty-queue
+          if (lambda < best_lambda) {
+            best_lambda = lambda;
+            best_machine = static_cast<MachineId>(i);
+          }
+        }
+      };
+      if (dense) {
+        idle_scan([](std::size_t k) { return k; });
+      } else {
+        const MachineId* ids = eligible.first;
+        idle_scan(
+            [ids](std::size_t k) { return static_cast<std::size_t>(ids[k]); });
+      }
+      // Idle speed-scaled machines are masked above; each has its own
+      // divisor, so each is evaluated exactly (an ineligible one reads
+      // p = +inf and never wins).
+      for (const std::uint32_t i : fleet_.scaled_list()) {
         if (pend_n_[i] != 0 || !fleet_.active(i)) continue;
-        const Work p = effective_of(static_cast<MachineId>(i), rowd[i]);
+        const auto machine = static_cast<MachineId>(i);
+        const Work p = effective_of(machine, rowd[i]);
         const double lambda = p / options_.epsilon + p;  // empty-queue
         if (lambda < best_lambda ||
-            (lambda == best_lambda &&
-             static_cast<MachineId>(i) < best_machine)) {
+            (lambda == best_lambda && machine < best_machine)) {
           best_lambda = lambda;
-          best_machine = static_cast<MachineId>(i);
+          best_machine = machine;
         }
       }
     }
@@ -383,10 +458,8 @@ class RejectionFlowPolicy final
         best_machine = machine;
       }
     }
-    if (best_machine == kInvalidMachine) {
-      OSCHED_CHECK(fleet_.enabled())
-          << "job " << j << " has no eligible machine";
-      *best_lambda_out = kTimeInfinity;
+    if (!(best_lambda < kTimeInfinity)) {
+      *best_lambda_out = kTimeInfinity;  // no finite lambda: force-reject
       return kInvalidMachine;
     }
 
@@ -416,6 +489,12 @@ class RejectionFlowPolicy final
     return best_machine;
   }
 
+  /// Indexed dispatch: the ordered path while few machines are busy;
+  /// otherwise one vectorizable sweep computes every candidate's lower
+  /// bound, the argmin-bound machine seeds the incumbent, and the remaining
+  /// candidates are visited best-first until the next bound exceeds the
+  /// incumbent lambda. Returns the same (lambda, machine) as
+  /// dispatch_linear_scan, bit for bit.
   MachineId dispatch_indexed(JobId j, double* best_lambda_out) {
     const Time release = store_.job(j).release;
     const auto eligible = store_.eligible_machines(j);
@@ -483,11 +562,13 @@ class RejectionFlowPolicy final
       // rival screen below.
       const util::ArgminResult seed =
           util::block_minima_argmin(lb, m, block_min_.data());
-      OSCHED_CHECK_LT(seed.index, m) << "no finite dispatch bound";
+      // Every active bound overflowed the float range: the exact scan
+      // settles it (see the float-range note after the heap loop).
+      if (seed.index == m) return dispatch_linear_scan(j, best_lambda_out);
       seed_k = seed.index;
       seed_p = float_lower(row[seed_k]);
     } else {
-      float seed_lb = std::numeric_limits<float>::max();
+      float seed_lb = std::numeric_limits<float>::infinity();
       for (std::size_t k = 0; k < count; ++k) {
         const auto i = static_cast<std::size_t>(eligible.first[k]);
         if (!fleet_.active(i)) {
@@ -534,11 +615,15 @@ class RejectionFlowPolicy final
     // division and next-up no longer covers the exact value — leave the
     // threshold saturated so every bounded candidate reaches the heap's
     // exact re-check (outcome unchanged, just less pruning).
+    // Capped at FLT_MAX, which keeps every +inf bound (masked, or past the
+    // float range) out of the heap; every other bound is at most FLT_MAX.
     if (speed_is_one_ && !(fleet_speed_ && fleet_.any_speed_scaled())) {
       const float p_up = float_next_up(seed_p);
-      threshold = (p_up * empty_coeff_up_ +
-                   static_cast<float>(pend_n_[seed_i]) * p_up * 1.0001f) *
-                  1.0001f;
+      threshold = std::min(
+          (p_up * empty_coeff_up_ +
+           static_cast<float>(pend_n_[seed_i]) * p_up * 1.0001f) *
+              1.0001f,
+          std::numeric_limits<float>::max());
     }
     bool has_rivals = false;
     if (dense) {
@@ -592,8 +677,18 @@ class RejectionFlowPolicy final
         best_machine = machine;
       }
     }
+    // Float range: lb_fill leaves a bound past FLT_MAX at +inf, which
+    // never enters the heap (the threshold is capped at FLT_MAX). Such a
+    // machine's lambda exceeds FLT_MAX, so it can only win when the
+    // incumbent's does too — then the exact scan settles it. The other
+    // bounds saturate at FLT_MAX (lambda_lower_bound) and are screened in.
+    if (dense && !(best_lambda < std::numeric_limits<float>::max())) {
+      return dispatch_linear_scan(j, best_lambda_out);
+    }
     *best_lambda_out = best_lambda;
-    return best_machine;
+    // No finite lambda (every candidate overflowed): force-reject, as the
+    // linear scan does.
+    return best_lambda < kTimeInfinity ? best_machine : kInvalidMachine;
   }
 
   // ---- pending-queue mutations keep the cached lambda inputs in sync
@@ -643,6 +738,7 @@ class RejectionFlowPolicy final
   void live_add(std::size_t i) {
     live_pos_[i] = static_cast<std::uint32_t>(live_list_.size()) + 1;
     live_list_.push_back(static_cast<std::uint32_t>(i));
+    idle_bias_[i] = kTimeInfinity;
   }
 
   void live_remove(std::size_t i) {
@@ -652,6 +748,17 @@ class RejectionFlowPolicy final
     live_pos_[last] = pos + 1;
     live_list_.pop_back();
     live_pos_[i] = 0;
+    idle_bias_[i] = idle_bias_of(i);
+  }
+
+  /// The idle scan's mask entry: 0.0 for an idle, active machine at the
+  /// shared base speed, +inf otherwise. live_add/live_remove (the only
+  /// places pend_n_ crosses zero) and on_machine_change keep it current.
+  double idle_bias_of(std::size_t i) const {
+    return pend_n_[i] == 0 && fleet_.active(i) &&
+                   fleet_.speed_multiplier(i) == 1.0
+               ? 0.0
+               : kTimeInfinity;
   }
 
   void start_next(MachineId machine, Time now) {
@@ -767,9 +874,12 @@ class RejectionFlowPolicy final
     dual_.finalize(j, store_.job(j).release, now);
   }
 
-  /// kSpeedChange: refresh the machine's UP-rounded float divisor so the
-  /// bound sweeps stay sound under the new multiplier.
-  void on_speed_change(std::size_t i) {
+  /// A fleet event on machine i: refresh its idle-scan mask entry and its
+  /// UP-rounded float divisor, so the bound sweeps stay sound under a new
+  /// multiplier.
+  void on_machine_change(std::size_t i) {
+    idle_bias_[i] = idle_bias_of(i);
+    if (!fleet_speed_) return;
     const double s = options_.speed * fleet_.speed_multiplier(i);
     speed_div_up_[i] = s == 1.0 ? 1.0f : float_next_up(static_cast<float>(s));
   }
@@ -811,6 +921,9 @@ class RejectionFlowPolicy final
   std::vector<float> pend_min_p_;        ///< float_lower(min pending p)
   std::vector<std::uint32_t> live_list_;  ///< machines with pend_n_ > 0
   std::vector<std::uint32_t> live_pos_;   ///< position + 1 in live_list_
+  /// Idle-scan mask: 0.0 for an idle, active, unscaled machine, +inf
+  /// otherwise (see idle_bias_of).
+  std::vector<double> idle_bias_;
 
   // ---- dispatch scratch, reused across arrivals ----
   std::vector<float> lb_;

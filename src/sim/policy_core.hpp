@@ -44,7 +44,8 @@
 //   reset_machine(i)               clear i's rule counters after a fail
 //   on_rejected(j, now)            a fault/forced rejection was recorded
 //   on_completed(j, now)           a completion was recorded
-//   on_speed_change(i)             i's multiplier just changed
+//   on_machine_change(i)           a fleet event just changed i's
+//                                  availability or multiplier
 //   book_charged_shed(i, id, p, now)  accounting for an ε-charged shed
 //
 // Determinism invariants the hooks must keep (the committed baselines and
@@ -76,12 +77,13 @@ class PolicyCore : public SimulationHooks {
   /// rescheduled, and pending keys keep their dispatch-time effective p
   /// (re-keying would reorder queues mid-run and break the batch ==
   /// streamed equivalence the tie order guarantees).
+  /// The policy hears of every event through on_machine_change before a
+  /// kFail re-decides anything, so its per-machine dispatch masks already
+  /// reflect the event when the orphans are re-dispatched.
   void on_fleet(const FleetEvent& event, Time now) override {
-    if (fleet_.apply(event)) {
-      handle_fail(event.machine, now);
-    } else if (event.kind == FleetEventKind::kSpeedChange) {
-      derived().on_speed_change(static_cast<std::size_t>(event.machine));
-    }
+    const bool failed = fleet_.apply(event);
+    derived().on_machine_change(static_cast<std::size_t>(event.machine));
+    if (failed) handle_fail(event.machine, now);
   }
 
   void on_event(const SimEvent& event, Time now) override {
@@ -141,7 +143,7 @@ class PolicyCore : public SimulationHooks {
   void reset_machine(std::size_t /*i*/) {}
   void on_rejected(JobId /*j*/, Time /*now*/) {}
   void on_completed(JobId /*j*/, Time /*now*/) {}
-  void on_speed_change(std::size_t /*i*/) {}
+  void on_machine_change(std::size_t /*i*/) {}
   void book_charged_shed(std::size_t /*i*/, JobId /*id*/, Work /*p*/,
                          Time /*now*/) {}
 
@@ -188,11 +190,11 @@ class PolicyCore : public SimulationHooks {
     completion_event_[i] = events_.schedule(end, machine, j);
   }
 
-  /// Forced rejection: no active eligible machine can take `j` (fleet mode
-  /// only). Outside the rule counters; consumes fault budget while any
-  /// remains but is never blocked by exhaustion.
+  /// Forced rejection: no active eligible machine can take `j` — the fleet
+  /// mask leaves none, or every candidate's score overflows to +inf.
+  /// Outside the rule counters; consumes fault budget while any remains but
+  /// is never blocked by exhaustion.
   void force_reject(JobId j, Time now, bool was_running) {
-    OSCHED_CHECK(fleet_.enabled()) << "job " << j << " has no eligible machine";
     if (was_running) {
       rec_.mark_rejected_running(j, now);
     } else {
@@ -227,7 +229,8 @@ class PolicyCore : public SimulationHooks {
   /// Reference dispatch (DispatchMode::kLinearScan, the oracle of
   /// tests/dispatch_index_test.cpp): exact lambda for every ACTIVE eligible
   /// machine in ascending id order; strict-less keeps the smallest id on
-  /// ties. Returns kInvalidMachine when the fleet mask leaves no candidate.
+  /// ties. Returns kInvalidMachine when no candidate has a finite score (the
+  /// fleet mask leaves none, or every score overflowed).
   template <class LambdaFn>
   MachineId linear_argmin(JobId j, const LambdaFn& lambda_of,
                           double* best_lambda_out) const {

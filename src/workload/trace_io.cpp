@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 
+#include "instance/job_rules.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 
@@ -299,8 +300,11 @@ std::size_t TraceStreamReader::next_chunk(std::size_t max_jobs,
                         " but the trace has " + std::to_string(num_machines_) +
                         " machines");
         }
+        // The range check above runs on the parsed uint64, before the cast
+        // to MachineId could wrap an id past its range; the ascending rule
+        // is the shared job rule's.
         const auto machine = static_cast<MachineId>(*id);
-        if (previous != kInvalidMachine && machine <= previous) {
+        if (!job_rules::sparse_id_ok(machine, previous, num_machines_)) {
           return reject("entries are not strictly ascending by machine");
         }
         previous = machine;

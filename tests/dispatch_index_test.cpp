@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -303,6 +304,277 @@ TEST(DispatchIndex, Theorem1HeapTieGoesToTheLowerMachineId) {
     EXPECT_EQ(result.schedule.record(5).machine, 0) << context;
     EXPECT_EQ(result.lambda[5], 0.25 / 1.25 * 6.0) << context;
   }
+}
+
+// Runs `instance` through every Theorem 1 path that must agree with the
+// batch linear scan: batch indexed (dense and sparse stores) and streamed
+// dense and sparse sessions, which have no order table and so take the
+// idle scan. Returns the reference.
+RejectionFlowResult expect_every_path_matches_linear(
+    const Instance& instance, const RejectionFlowOptions& options,
+    const std::string& context) {
+  RejectionFlowOptions linear = options;
+  linear.dispatch = DispatchMode::kLinearScan;
+  RejectionFlowOptions indexed = options;
+  indexed.dispatch = DispatchMode::kIndexed;
+  const RejectionFlowResult reference = run_rejection_flow(instance, linear);
+  expect_same_t1(run_rejection_flow(instance, indexed), reference,
+                 context + " batch");
+  const Instance sparse = instance.with_backend(StorageBackend::kSparseCsr);
+  expect_same_t1(run_rejection_flow(sparse, indexed),
+                 run_rejection_flow(sparse, linear), context + " batch sparse");
+  if (options.speed != 1.0) return reference;  // sessions run at base speed 1
+  for (const StorageBackend storage :
+       {StorageBackend::kDense, StorageBackend::kSparseCsr}) {
+    service::SessionOptions session;
+    session.storage = storage;
+    session.run.epsilon = options.epsilon;
+    session.run.fleet = options.fleet;
+    const api::RunSummary streamed = service::streamed_session_run(
+        api::Algorithm::kTheorem1, instance, session, 64);
+    const std::string where = context + " streamed " + to_string(storage);
+    expect_same_schedule(streamed.schedule, reference.schedule, where);
+    EXPECT_EQ(streamed.rule1_rejections, reference.rule1_rejections) << where;
+    EXPECT_EQ(streamed.rule2_rejections, reference.rule2_rejections) << where;
+    EXPECT_EQ(streamed.fleet.forced_rejections,
+              reference.fleet.forced_rejections)
+        << where;
+    EXPECT_EQ(streamed.dispatch_order_width, 0) << where;
+  }
+  return reference;
+}
+
+// A job may carry p up to DBL_MAX, where lambda = p/eps + p overflows to
+// +inf on every machine. Every path then follows the linear scan: no
+// finite lambda means no machine, a forced rejection with a zero dual
+// contribution — never an abort, never a dispatch at lambda = +inf.
+TEST(DispatchIndex, Theorem1NoFiniteLambdaIsAForcedRejection) {
+  std::vector<Job> one(1);
+  one[0].id = 0;
+  const Instance single(one, {{1e308}, {1e308}});
+  ASSERT_EQ(single.validate(), "");
+  RejectionFlowOptions options;
+  options.epsilon = 0.1;
+  const RejectionFlowResult lone =
+      expect_every_path_matches_linear(single, options, "single job");
+  EXPECT_EQ(lone.schedule.record(0).fate, JobFate::kRejectedPending);
+  EXPECT_EQ(lone.schedule.record(0).machine, kInvalidMachine);
+  EXPECT_EQ(lone.fleet.forced_rejections, 1u);
+  EXPECT_EQ(lone.lambda[0], 0.0);
+
+  // A mix: jobs that overflow everywhere, jobs that overflow on some
+  // machines only, some ineligible entries, and bursts of normal jobs that
+  // back every machine up so the bound sweep (dense and sparse) decides
+  // too. The last third holds jobs near 1e38, whose lambda is finite but
+  // whose float bounds leave the float range; they come last because a
+  // normal job queued behind one would start at about 1e38, where its
+  // duration is lost to rounding.
+  for (const std::size_t m : {std::size_t{4}, std::size_t{16}}) {
+    util::Rng rng(base_seed() + 5 * m);
+    const std::size_t n = 40 * m;
+    std::vector<Job> jobs(n);
+    std::vector<std::vector<Work>> processing(m, std::vector<Work>(n));
+    Time release = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) {
+        const double jitter = 1.0 + 0.125 * static_cast<double>(rng.index(8));
+        Work p = 0.5 * jitter;
+        const bool last_third = 3 * j >= 2 * n;
+        if (j % 6 == 0) p = std::numeric_limits<double>::max() / jitter;
+        if (last_third && j % 6 != 0) p = 1e38 * jitter;
+        if (!last_third && j % 6 == 2 && i % 2 == 0) p = 1e308 / jitter;
+        if (j % 6 == 3 && i == j % m) p = kTimeInfinity;
+        processing[i][j] = p;
+      }
+      jobs[j].id = static_cast<JobId>(j);
+      jobs[j].release = release;
+      release += j % (3 * m) < 2 * m ? 0.01 : 0.5;
+    }
+    const Instance mixed(std::move(jobs), std::move(processing));
+    ASSERT_EQ(mixed.validate(), "");
+    for (const double eps : {0.1, 0.99}) {
+      options.epsilon = eps;
+      const RejectionFlowResult reference = expect_every_path_matches_linear(
+          mixed, options,
+          "overflow m=" + std::to_string(m) + " eps=" + std::to_string(eps));
+      EXPECT_GT(reference.fleet.forced_rejections, 0u);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (reference.schedule.record(static_cast<JobId>(j)).machine ==
+            kInvalidMachine) {
+          EXPECT_EQ(reference.lambda[j], 0.0) << "job " << j;
+        }
+      }
+    }
+  }
+}
+
+// Float bounds past the float range, in the dense sweep. At eps = 0.01,
+// machine 0 queues one p = 1 job and twenty p = 1e38 jobs, so the last
+// job's p = 3e36 there has a finite float bound (its queue minimum is 1)
+// but an exact lambda above FLT_MAX. Machine 1 is idle with p = 3.4e36:
+// its bound overflows the float range, yet its lambda (3.434e38) is the
+// smallest. Machines 2 and 3 are busy (so the sweep decides, not the
+// ordered path), and machine 4, drained before the last two arrivals,
+// would have the smallest lambda of all but must stay masked. The very
+// last job is sparse: p = 1e308 wherever it is eligible and active, so no
+// lambda is finite, and the sparse sweep's rival screen must still keep
+// the drained machine out.
+TEST(DispatchIndex, Theorem1BoundsPastTheFloatRangeStaySound) {
+  constexpr Work kInf = kTimeInfinity;
+  std::vector<Job> jobs;
+  std::vector<std::vector<Work>> rows;  // job-major here, transposed below
+  const auto add = [&](Time release, std::vector<Work> row) {
+    Job job;
+    job.id = static_cast<JobId>(jobs.size());
+    job.release = release;
+    jobs.push_back(job);
+    rows.push_back(std::move(row));
+  };
+  add(0.0, {1e300, kInf, kInf, kInf, kInf});  // runs on 0
+  add(0.0, {kInf, kInf, 1e300, kInf, kInf});  // runs on 2
+  add(0.0, {kInf, kInf, kInf, 1e300, kInf});  // runs on 3
+  add(0.0, {kInf, kInf, 1.0, kInf, kInf});    // queued on 2
+  add(0.0, {kInf, kInf, kInf, 1.0, kInf});    // queued on 3
+  add(0.0, {1.0, kInf, kInf, kInf, kInf});    // 0's queue minimum
+  for (int k = 0; k < 20; ++k) add(0.0, {1e38, kInf, kInf, kInf, kInf});
+  add(1.0, {3e36, 3.4e36, 1e300, 1e300, 1.0});
+  add(1.0, {1e308, kInf, 1e308, 1e308, 1.0});
+  std::vector<std::vector<Work>> processing(5, std::vector<Work>(jobs.size()));
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (std::size_t i = 0; i < 5; ++i) processing[i][j] = rows[j][i];
+  }
+  const Instance dense(std::move(jobs), std::move(processing));
+  ASSERT_EQ(dense.validate(), "");
+  const auto no_finite = static_cast<JobId>(dense.num_jobs() - 1);
+  const JobId past_float = no_finite - 1;
+  for (const Instance& instance :
+       {dense, dense.with_backend(StorageBackend::kSparseCsr)}) {
+    RejectionFlowOptions linear;
+    linear.epsilon = 0.01;
+    linear.dispatch = DispatchMode::kLinearScan;
+    linear.fleet.events = {{0.5, 4, FleetEventKind::kDrain}};
+    RejectionFlowOptions indexed = linear;
+    indexed.dispatch = DispatchMode::kIndexed;
+    const std::string context =
+        std::string("float range ") + to_string(instance.backend());
+    const RejectionFlowResult reference = run_rejection_flow(instance, linear);
+    expect_same_t1(run_rejection_flow(instance, indexed), reference, context);
+    EXPECT_EQ(reference.schedule.record(past_float).machine, 1) << context;
+    EXPECT_EQ(reference.schedule.record(no_finite).machine, kInvalidMachine)
+        << context;
+  }
+}
+
+// Edges of the idle scan (the dispatch's idle argmin wherever no sound
+// order table exists). Rows mix p values whose minimum is shared by
+// several machines or lies one ulp below them, values just inside and
+// outside the 2^-40 near-tie band, subnormal p (where the band's relative
+// slack vanishes and distinct p can share a rounded lambda), and p near
+// DBL_MAX on some machines. Arrivals alternate between bursts and lulls so
+// the live list both stays short (the idle scan decides) and overflows
+// the cutover (the sweep decides).
+Instance make_idle_edge_workload(std::size_t m, std::uint64_t seed,
+                                 std::size_t n) {
+  util::Rng rng(seed);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Job> jobs(n);
+  std::vector<std::vector<Work>> processing(m, std::vector<Work>(n));
+  Time release = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Work p = j % 4 == 3 ? tiny * static_cast<double>(1 + rng.index(4))
+                              : 0.25 + 0.125 * static_cast<double>(rng.index(12));
+    const Work near[] = {p,
+                         p > tiny ? std::nextafter(p, 0.0) : p,
+                         std::nextafter(p, kTimeInfinity),
+                         p * (1.0 + 0x1p-41),
+                         p * (1.0 + 0x1p-39),
+                         tiny * static_cast<double>(1 + rng.index(3)),
+                         std::numeric_limits<double>::max() /
+                             static_cast<double>(1 + rng.index(3))};
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t pick = rng.index(10);
+      processing[i][j] =
+          pick < 7 ? near[pick] : p * (2.0 + static_cast<double>(pick));
+    }
+    if (j % 5 == 4) processing[rng.index(m)][j] = kTimeInfinity;
+    jobs[j].id = static_cast<JobId>(j);
+    jobs[j].release = release;
+    release += j % (4 * m) < m ? 0.002 : rng.exponential(2.0 * m);
+  }
+  return Instance(std::move(jobs), std::move(processing));
+}
+
+// A fleet plan whose membership and speed changes land on machines that go
+// idle: machine 0 runs at half speed for the whole run (so a batch run
+// never walks its order table), the last machine starts down and joins
+// mid-run, and others drain, fail, rejoin and change speed mid-run.
+FleetPlan make_idle_edge_plan(std::size_t m, Time horizon) {
+  FleetPlan plan;
+  const auto at = [&](double f) { return f * horizon; };
+  const auto id = [&](std::size_t i) { return static_cast<MachineId>(i % m); };
+  plan.events = {
+      {0.0, id(0), FleetEventKind::kSpeedChange, 0.5},
+      {at(0.1), id(1), FleetEventKind::kDrain},
+      {at(0.2), id(2), FleetEventKind::kSpeedChange, 0.5},
+      {at(0.3), id(1), FleetEventKind::kJoin},
+      {at(0.3), id(m - 1), FleetEventKind::kJoin},
+      {at(0.35), id(3), FleetEventKind::kFail},
+      {at(0.5), id(2), FleetEventKind::kSpeedChange, 1.0},
+      {at(0.55), id(3), FleetEventKind::kJoin},
+      {at(0.6), id(4), FleetEventKind::kSpeedChange, 1.5},
+      {at(0.7), id(5), FleetEventKind::kDrain},
+      {at(0.8), id(4), FleetEventKind::kFail},
+      {at(0.85), id(5), FleetEventKind::kJoin},
+      {at(0.9), id(4), FleetEventKind::kJoin},
+  };
+  plan.initially_down = {id(m - 1)};
+  plan.rejection_budget = 4;
+  return plan;
+}
+
+TEST(DispatchIndex, Theorem1IdleScanEdgesMatchLinearScan) {
+  for (const std::size_t m : {std::size_t{8}, std::size_t{37}}) {
+    const Instance instance =
+        make_idle_edge_workload(m, base_seed() + 3 * m, 30 * m);
+    ASSERT_EQ(instance.validate(), "");
+    const FleetPlan plan =
+        make_idle_edge_plan(m, instance.job(instance.num_jobs() - 1).release);
+    for (const double eps : {0.01, 0.1, 0.5, 0.99}) {
+      for (const bool with_plan : {false, true}) {
+        for (const double speed : {1.0, 1.5}) {
+          RejectionFlowOptions options;
+          options.epsilon = eps;
+          options.speed = speed;
+          if (with_plan) options.fleet = plan;
+          expect_every_path_matches_linear(
+              instance, options,
+              "idle edges m=" + std::to_string(m) + " eps=" +
+                  std::to_string(eps) + " speed=" + std::to_string(speed) +
+                  (with_plan ? " plan" : ""));
+        }
+      }
+    }
+  }
+}
+
+// Subnormal ties the relative band alone would miss: at base speed 1.5,
+// p = 2 and p = 1 (in units of the smallest subnormal) both round to
+// q = fl(p / 1.5) = 1 unit, so their lambdas are equal and the lower id —
+// the LARGER p — must win. A machine-0 multiplier from t = 0 keeps the
+// batch run off its order table.
+TEST(DispatchIndex, Theorem1SubnormalTieGoesToTheLowerMachineId) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Job> jobs(1);
+  jobs[0].id = 0;
+  const Instance instance(jobs, {{1.0}, {2.0 * tiny}, {tiny}});
+  RejectionFlowOptions options;
+  options.epsilon = 0.5;
+  options.speed = 1.5;
+  options.fleet.events = {{0.0, 0, FleetEventKind::kSpeedChange, 2.0}};
+  ASSERT_EQ((2.0 * tiny) / 1.5, tiny / 1.5);
+  const RejectionFlowResult reference =
+      expect_every_path_matches_linear(instance, options, "subnormal tie");
+  EXPECT_EQ(reference.schedule.record(0).machine, 1);
 }
 
 TEST(DispatchIndex, WeightedExtIndexedEqualsLinearScan) {
