@@ -12,7 +12,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,6 +55,19 @@ std::string count_mismatch(std::size_t records, std::size_t jobs);
 std::string job_violation(JobId j, JobFate fate, const char* what);
 std::string duration_mismatch(JobId j, Time actual, Time required);
 std::string deadline_miss(JobId j, Time deadline, Time end);
+
+/// Two ulps of `end` (0 at ±inf): the most that rounding end = start + d
+/// and then end − start can move the recorded duration away from d. It is
+/// far below `tol` at ordinary magnitudes and matters only once the start
+/// time dwarfs the duration (start 1e38, d 0.5: end == start).
+inline double end_rounding(Time end) {
+  const double a = std::abs(end);
+  if (!(a < kTimeInfinity)) return 0.0;
+  // Keeping only the exponent bits gives 2^⌊log2 a⌋ (0 for subnormals).
+  const double scale = std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) &
+                                             0x7ff0000000000000ull);
+  return 2.0 * scale * std::numeric_limits<double>::epsilon();
+}
 
 /// Groups `busy` (in job order) by machine, keeping job order within each
 /// machine, sorts each machine by start time and reports every adjacent
@@ -131,7 +147,11 @@ std::vector<std::string> validate_schedule(const Schedule& schedule,
     if (rec.fate == JobFate::kCompleted) {
       const Time required = p / rec.speed;
       const Time actual = rec.end - rec.start;
-      if (std::abs(actual - required) > tol * std::max(1.0, required)) {
+      const double error = std::abs(actual - required);
+      const double allowed = tol * std::max(1.0, required);
+      // The rounding slack is worked out only when `tol` alone fails: adding
+      // it on every record made this loop measurably slower.
+      if (error > allowed && error > allowed + vd::end_rounding(rec.end)) {
         violations.push_back(vd::duration_mismatch(j, actual, required));
       }
       if (options.require_deadlines && job.has_deadline() &&
@@ -144,7 +164,9 @@ std::vector<std::string> validate_schedule(const Schedule& schedule,
       }
       // An interrupted job must not have exceeded its full processing need
       // (otherwise it should have completed).
-      if (rec.end - rec.start > p / rec.speed + tol) {
+      const Time ran = rec.end - rec.start;
+      const Time limit = p / rec.speed + tol;
+      if (ran > limit && ran > limit + vd::end_rounding(rec.end)) {
         fail("ran longer than its processing requirement");
       }
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -18,11 +17,20 @@ namespace osched::workload {
 
 namespace {
 
-std::string format_value(double v) {
-  if (v >= kTimeInfinity) return "inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// Appends what std::to_chars(args...) prints.
+template <typename... Args>
+void append_chars(std::string& out, Args... args) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), args...).ptr);
+}
+
+/// Appends `v` as "%.17g" prints it, and +infinity as "inf".
+void append_value(std::string& out, double v) {
+  if (v >= kTimeInfinity) {
+    out += "inf";
+  } else {
+    append_chars(out, v, std::chars_format::general, 17);
+  }
 }
 
 // Read sizes: the constructor needs only the header, so the first fill
@@ -31,7 +39,6 @@ constexpr std::size_t kHeaderBlock = std::size_t{4} << 10;
 constexpr std::size_t kBlock = std::size_t{64} << 10;
 
 std::optional<double> parse_value(std::string_view s) {
-  if (s == "inf") return kTimeInfinity;
   double v = 0.0;
   const char* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), last, v);
@@ -88,19 +95,24 @@ void TraceStreamWriter::write_job(const StreamJob& job) {
     OSCHED_CHECK_EQ(job.processing.size(), num_machines_)
         << "trace row arity mismatch";
   }
-  util::CsvWriter writer(out_);
-  std::vector<std::string> row{format_value(job.release),
-                               format_value(job.weight),
-                               format_value(job.deadline)};
+  // No formatted value holds a ',', '"' or line break, so the row needs no
+  // CSV quoting and goes out in one write.
+  std::string& row = row_;
+  row.clear();
+  append_value(row, job.release);
+  row += ',';
+  append_value(row, job.weight);
+  row += ',';
+  append_value(row, job.deadline);
+  row += ',';
   if (format_ == TraceFormat::kSparse) {
     // Eligible entries only, `i:p` pairs — converting a dense payload just
-    // drops its infinities.
-    std::string field;
-    auto append = [&field](MachineId i, Work p) {
-      if (!field.empty()) field += ' ';
-      field += std::to_string(i);
-      field += ':';
-      field += format_value(p);
+    // drops its infinities. The first pair follows the ',' directly.
+    auto append = [&row](MachineId i, Work p) {
+      if (row.back() != ',') row += ' ';
+      append_chars(row, i);
+      row += ':';
+      append_value(row, p);
     };
     if (has_dense) {
       for (std::size_t i = 0; i < job.processing.size(); ++i) {
@@ -115,21 +127,25 @@ void TraceStreamWriter::write_job(const StreamJob& job) {
         append(entry.machine, entry.p);
       }
     }
-    row.push_back(std::move(field));
-  } else if (has_dense) {
-    for (const Work p : job.processing) row.push_back(format_value(p));
   } else {
-    // Sparse payload into the dense dialect: scatter over an all-"inf" row.
-    std::vector<std::string> dense(num_machines_, "inf");
-    for (const SparseEntry& entry : job.entries) {
-      OSCHED_CHECK(static_cast<std::size_t>(entry.machine) < num_machines_)
-          << "trace row machine id out of range";
-      dense[static_cast<std::size_t>(entry.machine)] = format_value(entry.p);
+    // A sparse payload scatters over an all-inf row first.
+    std::vector<Work> scattered;
+    if (!has_dense) {
+      scattered.assign(num_machines_, kTimeInfinity);
+      for (const SparseEntry& entry : job.entries) {
+        OSCHED_CHECK(static_cast<std::size_t>(entry.machine) < num_machines_)
+            << "trace row machine id out of range";
+        scattered[static_cast<std::size_t>(entry.machine)] = entry.p;
+      }
     }
-    row.insert(row.end(), std::make_move_iterator(dense.begin()),
-               std::make_move_iterator(dense.end()));
+    for (const Work p : has_dense ? job.processing : scattered) {
+      append_value(row, p);
+      row += ',';
+    }
+    row.pop_back();  // the ',' after the last value
   }
-  writer.write_row(row);
+  row += '\n';
+  out_.write(row.data(), static_cast<std::streamsize>(row.size()));
   ++rows_written_;
 }
 
@@ -212,36 +228,74 @@ bool TraceStreamReader::next_line(std::string_view& line) {
   }
 }
 
-bool TraceStreamReader::next_row() {
+bool TraceStreamReader::next_data_line(std::string_view& line) {
   if (!ok()) return false;
-  std::string_view line;
   while (next_line(line)) {
     ++line_number_;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;  // blank separator lines are tolerated
-    fields_.clear();
-    if (std::memchr(line.data(), '"', line.size()) != nullptr ||
-        std::memchr(line.data(), '\r', line.size()) != nullptr) {
-      auto rows = util::parse_csv(line);
-      if (!rows.has_value() || rows->size() != 1) return fail("malformed CSV");
-      quoted_ = std::move((*rows)[0]);
-      if (quoted_.size() == 1 && quoted_[0].empty()) continue;
-      fields_.assign(quoted_.begin(), quoted_.end());
-      return true;
-    }
-    const char* field = line.data();
-    const char* const last = field + line.size();
-    for (;;) {
-      const auto* comma = static_cast<const char*>(
-          std::memchr(field, ',', static_cast<std::size_t>(last - field)));
-      if (comma == nullptr) break;
-      fields_.emplace_back(field, static_cast<std::size_t>(comma - field));
-      field = comma + 1;
-    }
-    fields_.emplace_back(field, static_cast<std::size_t>(last - field));
-    return true;
+    if (!line.empty()) return true;  // blank separator lines are tolerated
   }
   return false;  // clean EOF
+}
+
+bool TraceStreamReader::split_fields(std::string_view line) {
+  fields_.clear();
+  if (std::memchr(line.data(), '"', line.size()) != nullptr ||
+      std::memchr(line.data(), '\r', line.size()) != nullptr) {
+    auto rows = util::parse_csv(line);
+    if (!rows.has_value() || rows->size() != 1) return fail("malformed CSV");
+    quoted_ = std::move((*rows)[0]);
+    if (quoted_.size() == 1 && quoted_[0].empty()) return false;
+    fields_.assign(quoted_.begin(), quoted_.end());
+    return true;
+  }
+  const char* field = line.data();
+  const char* const last = field + line.size();
+  for (;;) {
+    const auto* comma = static_cast<const char*>(
+        std::memchr(field, ',', static_cast<std::size_t>(last - field)));
+    if (comma == nullptr) break;
+    fields_.emplace_back(field, static_cast<std::size_t>(comma - field));
+    field = comma + 1;
+  }
+  fields_.emplace_back(field, static_cast<std::size_t>(last - field));
+  return true;
+}
+
+bool TraceStreamReader::next_row() {
+  std::string_view line;
+  while (next_data_line(line)) {
+    if (split_fields(line)) return true;
+  }
+  return false;
+}
+
+bool TraceStreamReader::parse_dense_row(std::string_view line,
+                                        StreamJob& job) const {
+  const char* at = line.data();
+  const char* const last = at + line.size();
+  // One field: from_chars must accept it, read no NaN and stop exactly at
+  // the comma that ends the field, or at the end of the line for the last.
+  const auto field = [&at, last](double& v, bool last_field) {
+    const auto [ptr, ec] = std::from_chars(at, last, v);
+    if (ec != std::errc() || std::isnan(v)) return false;
+    if (last_field) return ptr == last;
+    if (ptr == last || *ptr != ',') return false;
+    at = ptr + 1;
+    return true;
+  };
+  job.processing.resize(num_machines_);
+  job.entries.clear();
+  if (!field(job.release, false) || !field(job.weight, false) ||
+      !field(job.deadline, false)) {
+    return false;
+  }
+  Work* const p = job.processing.data();
+  const std::size_t m = num_machines_;
+  for (std::size_t i = 0; i + 1 < m; ++i) {
+    if (!field(p[i], false)) return false;
+  }
+  return field(p[m - 1], true);
 }
 
 std::size_t TraceStreamReader::next_chunk(std::size_t max_jobs,
@@ -254,7 +308,23 @@ std::size_t TraceStreamReader::next_chunk(std::size_t max_jobs,
   const std::size_t arity =
       format_ == TraceFormat::kSparse ? 4 : num_machines_ + 3;
   std::size_t count = 0;
-  while (count < max_jobs && next_row()) {
+  std::string_view line;
+  while (count < max_jobs && next_data_line(line)) {
+    // Reuse the storage of the jobs already in `out`, as fill_stream_job
+    // does: a steady-state chunk allocates nothing.
+    if (count == out.size()) out.emplace_back();
+    StreamJob& job = out[count];
+    if (format_ == TraceFormat::kDense && parse_dense_row(line, job)) {
+      ++count;
+      ++rows_read_;
+      continue;
+    }
+    // Everything the single pass does not take whole: split the line and
+    // diagnose it field by field.
+    if (!split_fields(line)) {
+      if (!ok()) break;  // the rows before a malformed line still count
+      continue;
+    }
     if (fields_.size() != arity) return reject("has wrong arity");
     const auto release = parse_value(fields_[0]);
     const auto weight = parse_value(fields_[1]);
@@ -262,10 +332,6 @@ std::size_t TraceStreamReader::next_chunk(std::size_t max_jobs,
     if (!release || !weight || !deadline) {
       return reject("has non-numeric job fields");
     }
-    // Reuse the storage of the jobs already in `out`, as fill_stream_job
-    // does: a steady-state chunk allocates nothing.
-    if (count == out.size()) out.emplace_back();
-    StreamJob& job = out[count];
     job.release = *release;
     job.weight = *weight;
     job.deadline = *deadline;

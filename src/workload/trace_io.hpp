@@ -13,7 +13,9 @@
 //           trace at m = 4096 is a few pairs per row instead of >99%
 //           literal "inf" tokens.
 //
-// Both dialects round-trip every double exactly through %.17g formatting.
+// Both dialects round-trip every double exactly through %.17g formatting
+// (the writer prints it with std::to_chars(general, 17), which gives the
+// same bytes).
 // The dense form is the compatibility dialect — every pre-existing trace
 // parses unchanged; the writer picks the sparse form for sparse-CSR
 // instances (and on request).
@@ -28,15 +30,28 @@
 // Reader mechanics. The reader owns one bounded read-ahead buffer: the
 // first fill is a small block (the constructor needs only the header),
 // every later one a 64 KiB istream::read. The buffer grows only to hold
-// the longest row plus one block. Rows are found with memchr and split
-// into string_views on ',' in place; only a row holding a '"' or a stray
-// '\r' goes through util::parse_csv, so quoting rules live in one place.
-// Because of the read-ahead, the istream's position runs ahead of the last
-// row returned: the reader owns the stream until it is done with it.
+// the longest row plus one block. Rows are found with memchr. A dense row
+// is then read in one left-to-right pass: std::from_chars parses each
+// field in place, and its end pointer must land on the ',' that ends the
+// field (on the end of the line for the last one). The pass either takes
+// the whole row or hands the line on, unchanged, to the split path: a
+// wrong field count, a field from_chars refuses or reads as NaN, or a field
+// that does not end at a delimiter (quotes, a stray '\r', a leading '+' or
+// blank, hex floats, out-of-range magnitudes). The split path cuts the line
+// into string_views on ',' in place (a row holding a '"' or a stray '\r'
+// goes through util::parse_csv, so quoting rules live in one place) and
+// diagnoses it field by field: arity first, then the job fields, then
+// p_ij. Sparse rows always take the split path. Because of the read-ahead,
+// the istream's position runs ahead of the last row returned: the reader
+// owns the stream until it is done with it.
 //
-// Numeric grammar. "inf" is +infinity. Every other value is what strtod
-// accepts over the whole field: std::from_chars parses the common case,
-// and anything it refuses — a leading '+' or blank, hex floats,
+// Numeric grammar. Every value is what strtod reads over the whole field,
+// "inf" (+infinity) included. The single pass agrees by construction: ','
+// belongs to no float pattern, so a from_chars call over the rest of the
+// line that stops exactly at the comma has read the same characters, and
+// the same value, as one over the field alone, and from_chars and strtod
+// both round correctly. On the split path from_chars parses the common
+// case, and anything it refuses — a leading '+' or blank, hex floats,
 // magnitudes that overflow to inf or underflow to 0 — or reads as NaN
 // falls back to strtod, so every parsed bit is strtod's. Machine counts
 // and sparse machine ids are decimal digits only (no sign, no blank).
@@ -82,6 +97,7 @@ class TraceStreamWriter {
   std::size_t num_machines_;
   TraceFormat format_;
   std::size_t rows_written_ = 0;
+  std::string row_;  ///< the row being formatted, reused across calls
 };
 
 /// Incremental, bounded-memory trace reader: parses the header on
@@ -109,8 +125,17 @@ class TraceStreamReader {
 
  private:
   bool fail(const std::string& message);
-  /// Reads the next non-blank data row into fields_; false at EOF/error.
+  /// Reads the next row into fields_ (the header); false at EOF/error.
   bool next_row();
+  /// The next non-blank line, without its '\n' or a trailing '\r'; false
+  /// at end of input or after an error.
+  bool next_data_line(std::string_view& line);
+  /// Splits `line` into fields_. False for a line that holds no row (one
+  /// empty quoted field) and for malformed CSV, which also sets error().
+  bool split_fields(std::string_view line);
+  /// The single pass over a dense row: parses every field into `job` where
+  /// from_chars stops, or returns false to hand the line to split_fields.
+  bool parse_dense_row(std::string_view line, StreamJob& job) const;
   /// The next physical line, without its '\n'; false at end of input.
   bool next_line(std::string_view& line);
 
@@ -125,8 +150,8 @@ class TraceStreamReader {
   std::size_t begin_ = 0;     ///< first unconsumed byte of buffer_
   std::size_t end_ = 0;       ///< one past the last byte read into buffer_
   bool eof_ = false;
-  /// The current row: views into buffer_, or into quoted_ when the row
-  /// went through util::parse_csv.
+  /// The header or a row on the split path: views into buffer_, or into
+  /// quoted_ when the row went through util::parse_csv.
   std::vector<std::string_view> fields_;
   std::vector<std::string> quoted_;
 };

@@ -3,6 +3,7 @@
 // validator.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -417,6 +418,34 @@ TEST(Validator, RejectedRunningOverrunCaught) {
   const auto violations = validate_schedule(schedule, instance);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations[0].find("longer than its processing"), std::string::npos);
+}
+
+TEST(Validator, DurationSlackFollowsTheEndTimesRounding) {
+  // At start 1e38 a p = 0.5 duration is far below one ulp, so the recorded
+  // end may sit up to two ulps from start + p; three ulps is still caught.
+  const auto ulps_after = [](Time t, int k) {
+    for (int i = 0; i < k; ++i) t = std::nextafter(t, kTimeInfinity);
+    return t;
+  };
+  const Instance instance = single_machine_instance({{0.0, 0.5}, {0.0, 0.5}});
+  for (const int k : {0, 1, 2, 3}) {
+    Schedule schedule(2);
+    schedule.mark_dispatched(0, 0);
+    schedule.mark_started(0, 1e38, 1.0);
+    schedule.mark_completed(0, ulps_after(1e38, k));
+    schedule.mark_dispatched(1, 0);
+    schedule.mark_started(1, 2e38, 1.0);
+    schedule.mark_rejected_running(1, ulps_after(2e38, k));
+    const auto violations = validate_schedule(schedule, instance);
+    if (k <= 2) {
+      EXPECT_TRUE(violations.empty()) << k << " ulps: " << violations.front();
+      continue;
+    }
+    ASSERT_EQ(violations.size(), 2u);
+    EXPECT_NE(violations[0].find("duration mismatch"), std::string::npos);
+    EXPECT_NE(violations[1].find("longer than its processing"),
+              std::string::npos);
+  }
 }
 
 TEST(Validator, AcceptsRejectionAtArrivalWithoutDispatch) {

@@ -27,6 +27,7 @@
 #include "service/scheduler_session.hpp"
 #include "service/shard_driver.hpp"
 #include "sim/schedule_io.hpp"
+#include "sim/validator.hpp"
 #include "workload/generated_family.hpp"
 #include "workload/generators.hpp"
 
@@ -266,6 +267,45 @@ TEST(StreamingSession, LowMemoryAggregatesMatchBatchExactly) {
   // The memory contract: the working set tracked the live window, which for
   // this near-critically-loaded workload is far below the trace length.
   EXPECT_LT(max_live, instance.num_jobs() / 2) << "live high-water " << max_live;
+}
+
+TEST(StreamingSession, DurationsLostToRoundingAtHugeStartTimesStillValidate) {
+  // Job 0 holds machine 0 until 1e38; the p = 0.5 jobs queued behind it
+  // start there, where end = start + 0.5 rounds back to start. The
+  // validating drain and api::run must accept that schedule, not abort.
+  constexpr double kInf = kTimeInfinity;
+  std::vector<Job> jobs;
+  for (int j = 0; j < 4; ++j) {
+    jobs.push_back(Job{static_cast<JobId>(j), static_cast<Time>(j), 1.0, kInf});
+  }
+  const Instance instance(std::move(jobs), {{1e38, 0.5, 0.5, 0.5},
+                                            {kInf, kInf, kInf, kInf},
+                                            {kInf, kInf, kInf, kInf},
+                                            {kInf, kInf, kInf, kInf}});
+  ASSERT_EQ(instance.validate(), "");
+  api::RunOptions run;
+  run.epsilon = 0.1;
+  ASSERT_TRUE(run.validate);
+  const api::RunSummary batch =
+      api::run(api::Algorithm::kTheorem1, instance, run);
+
+  service::SessionOptions options;
+  options.run = run;
+  service::SchedulerSession session(api::Algorithm::kTheorem1,
+                                    instance.num_machines(), options);
+  for (std::size_t idx = 0; idx < instance.num_jobs(); ++idx) {
+    session.submit(make_stream_job(instance, static_cast<JobId>(idx), 0.0));
+  }
+  const api::RunSummary streamed = session.drain();
+  expect_bit_identical(batch, streamed, "rounded durations");
+  EXPECT_TRUE(validate_schedule(streamed.schedule, instance).empty());
+  // At least one short job started behind the long one and was recorded
+  // with a zero duration: the case the rounding slack exists for.
+  bool zero_duration = false;
+  for (const JobRecord& rec : streamed.schedule.records()) {
+    zero_duration |= rec.fate == JobFate::kCompleted && rec.end == rec.start;
+  }
+  EXPECT_TRUE(zero_duration);
 }
 
 TEST(StreamingSession, ValidateJobReportsRecoverableProblems) {

@@ -11,13 +11,19 @@
 // Seed rotation: OSCHED_FUZZ_SEED (decimal env var), logged for repro.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fuzz_seed.hpp"
+#include "util/csv.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
 
@@ -546,6 +552,319 @@ TEST(TraceRoundTrip, WriterConvertsBetweenPayloadFormsAndDialects) {
             serialize(sparse_form, TraceFormat::kDense));
   EXPECT_EQ(serialize(dense_form, TraceFormat::kSparse),
             serialize(sparse_form, TraceFormat::kSparse));
+}
+
+// ------------------------------------------- writer bytes vs snprintf
+//
+// The writer formats with std::to_chars(general, 17); its bytes must be
+// what "%.17g" printed, with +infinity as "inf", in both dialects.
+
+std::string snprintf_value(double v) {
+  if (v >= kTimeInfinity) return "inf";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::vector<double> writer_values(std::uint64_t seed) {
+  const double dmin = std::numeric_limits<double>::min();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, 1.0 / 3.0, 0.1, 1e21, 1e22, 123456789012345678.0,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      dmin, std::nextafter(dmin, 0.0), std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), kTimeInfinity, -kTimeInfinity,
+      std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> small(0.0, 8.0);
+  for (int k = 0; k < 20000; ++k) {
+    values.push_back(k % 2 == 0 ? std::bit_cast<double>(rng()) : small(rng));
+  }
+  return values;
+}
+
+TEST(TraceWriterBytes, RowsMatchTheSnprintfReferenceInBothDialects) {
+  constexpr std::size_t kM = 5;
+  const std::vector<double> values = writer_values(base_seed() + 500);
+  std::ostringstream dense_out;
+  std::ostringstream sparse_out;
+  std::ostringstream scattered_out;  // sparse payload, dense dialect
+  std::ostringstream listed_out;     // sparse payload, sparse dialect
+  TraceStreamWriter dense(dense_out, kM, TraceFormat::kDense);
+  TraceStreamWriter sparse(sparse_out, kM, TraceFormat::kSparse);
+  TraceStreamWriter scattered(scattered_out, kM, TraceFormat::kDense);
+  TraceStreamWriter listed(listed_out, kM, TraceFormat::kSparse);
+  std::string dense_text = "release,weight,deadline,p_0,p_1,p_2,p_3,p_4\n";
+  std::string sparse_text = "release,weight,deadline,eligible:5\n";
+  std::string scattered_text = dense_text;
+  std::string listed_text = sparse_text;
+
+  std::size_t at = 0;
+  const auto next = [&] { return values[at++ % values.size()]; };
+  for (std::size_t row = 0; row * (3 + kM) < values.size() + 3 + kM; ++row) {
+    StreamJob job;
+    job.release = next();
+    job.weight = next();
+    job.deadline = next();
+    for (std::size_t i = 0; i < kM; ++i) job.processing.push_back(next());
+    std::string fields = snprintf_value(job.release);
+    for (const double v : {job.weight, job.deadline}) {
+      fields += ',';
+      fields += snprintf_value(v);
+    }
+    std::string dense_row = fields;
+    std::string pairs;
+    for (std::size_t i = 0; i < kM; ++i) {
+      dense_row += ',';
+      dense_row += snprintf_value(job.processing[i]);
+      if (job.processing[i] < kTimeInfinity) {
+        if (!pairs.empty()) pairs += ' ';
+        pairs += std::to_string(i);
+        pairs += ':';
+        pairs += snprintf_value(job.processing[i]);
+      }
+    }
+    dense.write_job(job);
+    dense_text += dense_row + "\n";
+    sparse.write_job(job);
+    sparse_text += fields + "," + pairs + "\n";
+
+    // The same values as explicit entries on every other machine.
+    StreamJob entries = job;
+    entries.processing.clear();
+    std::string scattered_row = fields;
+    std::string listed_pairs;
+    for (std::size_t i = 0; i < kM; ++i) {
+      if (i % 2 == row % 2) {
+        entries.entries.push_back(
+            SparseEntry{static_cast<MachineId>(i), job.processing[i]});
+        scattered_row += ',';
+        scattered_row += snprintf_value(job.processing[i]);
+        if (!listed_pairs.empty()) listed_pairs += ' ';
+        listed_pairs += std::to_string(i);
+        listed_pairs += ':';
+        listed_pairs += snprintf_value(job.processing[i]);
+      } else {
+        scattered_row += ",inf";
+      }
+    }
+    scattered.write_job(entries);
+    scattered_text += scattered_row + "\n";
+    listed.write_job(entries);
+    listed_text += fields + "," + listed_pairs + "\n";
+  }
+  EXPECT_EQ(dense_out.str(), dense_text);
+  EXPECT_EQ(sparse_out.str(), sparse_text);
+  EXPECT_EQ(scattered_out.str(), scattered_text);
+  EXPECT_EQ(listed_out.str(), listed_text);
+}
+
+// ------------------------------------------ reader differential fuzz
+//
+// Random dense traces mixing the writer's own numerals with every quirk
+// the dialect admits or refuses, read at several chunk sizes and compared
+// with an independent reference: lines split on ',' (or, for a line
+// holding '"' or '\r', by util::parse_csv, the dialect's one home of
+// quoting rules), each field's value exactly what strtod reads over the
+// whole field ("inf" included), and the first failing row diagnosed
+// arity first, then job fields, then p_ij.
+
+/// A field that strtod reads whole: the reader's numeric grammar.
+bool strtod_field(const std::string& field, double& v) {
+  char* end = nullptr;
+  v = std::strtod(field.c_str(), &end);
+  return end != field.c_str() && *end == '\0';
+}
+
+struct ReferenceRead {
+  std::vector<std::vector<double>> rows;  // release, weight, deadline, p...
+  std::string error;                      // empty: clean end of trace
+  bool keeps_partial_chunk = true;        // false: the failing chunk is dropped
+};
+
+ReferenceRead reference_read(const std::string& text, std::size_t m) {
+  ReferenceRead read;
+  std::vector<std::string> lines;
+  std::size_t from = 0;
+  while (from < text.size()) {
+    const std::size_t newline = text.find('\n', from);
+    const std::size_t to = newline == std::string::npos ? text.size() : newline;
+    lines.push_back(text.substr(from, to - from));
+    from = to + 1;
+  }
+  const auto reject = [&](std::size_t line, const char* what) {
+    read.error = "row " + std::to_string(line) + " " + what;
+    read.keeps_partial_chunk = false;
+  };
+  for (std::size_t line = 1; line < lines.size(); ++line) {
+    std::string text_line = lines[line];
+    if (!text_line.empty() && text_line.back() == '\r') text_line.pop_back();
+    if (text_line.empty()) continue;
+    std::vector<std::string> fields;
+    if (text_line.find_first_of("\"\r") != std::string::npos) {
+      auto rows = util::parse_csv(text_line);
+      if (!rows || rows->size() != 1) {
+        read.error = "malformed CSV";
+        return read;
+      }
+      fields = (*rows)[0];
+      if (fields.size() == 1 && fields[0].empty()) continue;
+    } else {
+      std::size_t start = 0;
+      for (;;) {
+        const std::size_t comma = text_line.find(',', start);
+        fields.push_back(text_line.substr(start, comma - start));
+        if (comma == std::string::npos) break;
+        start = comma + 1;
+      }
+    }
+    if (fields.size() != m + 3) {
+      reject(line, "has wrong arity");
+      return read;
+    }
+    std::vector<double> row(m + 3);
+    bool job_ok = true;
+    for (std::size_t k = 0; k < 3; ++k) job_ok &= strtod_field(fields[k], row[k]);
+    if (!job_ok) {
+      reject(line, "has non-numeric job fields");
+      return read;
+    }
+    for (std::size_t k = 3; k < m + 3; ++k) {
+      if (!strtod_field(fields[k], row[k])) {
+        reject(line, "has non-numeric p_ij");
+        return read;
+      }
+    }
+    read.rows.push_back(std::move(row));
+  }
+  return read;
+}
+
+void append_bits(std::string& dump, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx ",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  dump += buf;
+}
+
+std::string dump_bits_reader(const std::string& text, std::size_t chunk_size) {
+  std::istringstream in(text);
+  TraceStreamReader reader(in);
+  std::string dump;
+  std::vector<StreamJob> chunk;
+  while (reader.next_chunk(chunk_size, chunk) > 0) {
+    for (const StreamJob& job : chunk) {
+      append_bits(dump, job.release);
+      append_bits(dump, job.weight);
+      append_bits(dump, job.deadline);
+      for (const Work p : job.processing) append_bits(dump, p);
+      dump += '\n';
+    }
+  }
+  return dump + (reader.ok() ? "ok" : "error: " + reader.error());
+}
+
+std::string dump_bits_expected(const ReferenceRead& read,
+                               std::size_t chunk_size) {
+  // A row-level rejection drops the rows of the chunk it happens in.
+  const std::size_t kept =
+      read.keeps_partial_chunk
+          ? read.rows.size()
+          : read.rows.size() / chunk_size * chunk_size;
+  std::string dump;
+  for (std::size_t r = 0; r < kept; ++r) {
+    for (const double v : read.rows[r]) append_bits(dump, v);
+    dump += '\n';
+  }
+  return dump + (read.error.empty() ? "ok" : "error: " + read.error);
+}
+
+/// One dense field: mostly the writer's own numerals, sometimes a quirk;
+/// one quirk in sixteen is a field the reader must refuse.
+std::string fuzz_field(std::mt19937_64& rng, int quirk_percent) {
+  static const std::vector<std::string> kAccepted = {
+      "inf", "infinity", "INF", "Infinity", "-inf", "-0", "+1", " 2", "\t3",
+      "0x1p3", "0X1P-2", "1e400", "-1e400", "1e-400", "1e-310",
+      "4.9406564584124654e-324", "2.2250738585072009e-308", "nan", "NAN",
+      "-nan", "nan(123)", "\"1.5\"", "\"inf\"", "1.", ".5", "1e+5",
+      "1\r2", "3\r"};
+  static const std::vector<std::string> kRefused = {
+      "2 ", "\"\"", "\"1,5\"", "", "zap", "1e", "  ", "\"1", "1\"2", "0x",
+      "infx", "--1"};
+  if (static_cast<int>(rng() % 100) < quirk_percent) {
+    const auto& pool = rng() % 16 == 0 ? kRefused : kAccepted;
+    return pool[rng() % pool.size()];
+  }
+  double v = 0.0;
+  switch (rng() % 4) {
+    case 0: v = std::bit_cast<double>(rng()); break;
+    case 1: v = static_cast<double>(rng() % 1000) / 8.0; break;
+    default: v = std::ldexp(static_cast<double>(rng() >> 11), -53) * 8.0;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string fuzz_trace(std::mt19937_64& rng, std::size_t m) {
+  const int quirk_percent = static_cast<int>(rng() % 4) * 4;  // 0 to 12
+  const bool crlf = rng() % 4 == 0;
+  std::string text = "release,weight,deadline";
+  for (std::size_t i = 0; i < m; ++i) text += ",p_" + std::to_string(i);
+  text += crlf ? "\r\n" : "\n";
+  const std::size_t rows = 1 + rng() % 40;
+  for (std::size_t r = 0; r < rows; ++r) {
+    switch (rng() % 40) {
+      case 0: text += crlf ? "\r\n" : "\n"; break;  // blank line
+      case 1: text += "\"\"\n"; break;              // empty quoted line
+      default: break;
+    }
+    std::size_t arity = m + 3;
+    switch (rng() % 200) {
+      case 0: ++arity; break;
+      case 1: --arity; break;
+      default: break;
+    }
+    for (std::size_t k = 0; k < arity; ++k) {
+      if (k > 0) text += ',';
+      text += fuzz_field(rng, quirk_percent);
+    }
+    if (r + 1 < rows || rng() % 3 != 0) text += crlf ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+TEST(TraceReaderFuzz, SinglePassMatchesTheStrtodReference) {
+  std::mt19937_64 rng(base_seed() + 600);
+  std::size_t rows_read = 0;
+  std::size_t errors = 0;
+  std::set<std::string> diagnoses;
+  for (int trace = 0; trace < 600; ++trace) {
+    const std::size_t m = 1 + rng() % 6;
+    const std::string text = fuzz_trace(rng, m);
+    const ReferenceRead read = reference_read(text, m);
+    rows_read += read.rows.size();
+    if (!read.error.empty()) {
+      ++errors;
+      // "row N has ..." without its row number.
+      const std::size_t has = read.error.find("has");
+      diagnoses.insert(has == std::string::npos ? read.error
+                                                : read.error.substr(has));
+    }
+    for (const std::size_t chunk_size : {1ul, 7ul, 256ul}) {
+      ASSERT_EQ(dump_bits_reader(text, chunk_size),
+                dump_bits_expected(read, chunk_size))
+          << "trace " << trace << " chunk size " << chunk_size << ":\n"
+          << text;
+    }
+  }
+  // Both outcomes, and every diagnosis, must be well represented for the
+  // wall to mean anything.
+  EXPECT_GT(rows_read, 2000u);
+  EXPECT_GT(errors, 100u);
+  EXPECT_LT(errors, 500u);
+  EXPECT_EQ(diagnoses,
+            (std::set<std::string>{"has wrong arity", "has non-numeric job fields",
+                                   "has non-numeric p_ij", "malformed CSV"}));
 }
 
 }  // namespace
