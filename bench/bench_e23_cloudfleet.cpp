@@ -14,9 +14,9 @@
 //  2. A huge-m SPARSE cell at m = 262144 with ~64 eligible machines per
 //     job. No order table exists at this m (uint16 ids cannot name the
 //     machines), so the idle argmin walks the ~64 eligible entries. The
-//     per-job cost is still Theta(m): the batch InstanceView decompresses
-//     every dispatched row into an m-wide tile (the +infinity fill
-//     dominates).
+//     per-job cost is still Theta(m): the batch run's job store
+//     decompresses every dispatched row into an m-wide tile (the +infinity
+//     fill dominates).
 //     The cell's stored row work matches the dense m=64 cell (~64 entries
 //     each) while m grows 4096x, and the verdict asserts the throughput
 //     scaling exponent between the two stays below kMaxScalingExponent —

@@ -1,20 +1,22 @@
 #include "baselines/immediate_rejection.hpp"
 
 #include "baselines/immediate_rejection_policy.hpp"
-#include "instance/processing_store.hpp"
+#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
+
+using service::StreamingJobStore;
 
 ImmediateRejectionResult run_immediate_rejection(
     const Instance& instance, const ImmediateRejectionOptions& options) {
   instance.check_valid();
 
-  const InstanceView view(instance);
-  SimEngineFor<InstanceView> engine(view, &options.fleet);
-  Schedule schedule(view.num_jobs());
-  ImmediateRejectionPolicy<InstanceView, Schedule> policy(
-      view, schedule, engine.events(), options);
+  const StreamingJobStore store(instance);
+  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  ImmediateRejectionPolicy<StreamingJobStore, Schedule> policy(
+      store, schedule, engine.events(), options);
   engine.run(policy);
 
   ImmediateRejectionResult result;

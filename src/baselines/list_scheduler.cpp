@@ -1,10 +1,12 @@
 #include "baselines/list_scheduler.hpp"
 
 #include "baselines/list_scheduler_policy.hpp"
-#include "instance/processing_store.hpp"
+#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
+
+using service::StreamingJobStore;
 
 const char* to_string(DispatchRule rule) {
   switch (rule) {
@@ -28,11 +30,11 @@ Schedule run_list_scheduler(const Instance& instance,
                             FleetStats* fleet_stats) {
   instance.check_valid();
 
-  const InstanceView view(instance);
-  SimEngineFor<InstanceView> engine(view, &options.fleet);
-  Schedule schedule(view.num_jobs());
-  ListSchedulerPolicy<InstanceView, Schedule> policy(view, schedule,
-                                                     engine.events(), options);
+  const StreamingJobStore store(instance);
+  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  ListSchedulerPolicy<StreamingJobStore, Schedule> policy(
+      store, schedule, engine.events(), options);
   engine.run(policy);
   if (fleet_stats != nullptr) *fleet_stats = policy.fleet_stats();
   return schedule;

@@ -3,10 +3,12 @@
 #include <cmath>
 
 #include "core/energy_flow/energy_flow_policy.hpp"
-#include "instance/processing_store.hpp"
+#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
+
+using service::StreamingJobStore;
 
 double theorem2_gamma(double eps, double alpha) {
   OSCHED_CHECK_GT(eps, 0.0);
@@ -33,11 +35,11 @@ EnergyFlowResult run_energy_flow(const Instance& instance,
                                  const EnergyFlowOptions& options) {
   instance.check_valid();
 
-  const InstanceView view(instance);
-  SimEngineFor<InstanceView> engine(view, &options.fleet);
-  Schedule schedule(view.num_jobs());
-  EnergyFlowPolicy<InstanceView, Schedule> policy(view, schedule,
-                                                  engine.events(), options);
+  const StreamingJobStore store(instance);
+  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  EnergyFlowPolicy<StreamingJobStore, Schedule> policy(
+      store, schedule, engine.events(), options);
   engine.run(policy);
 
   EnergyFlowResult result;

@@ -1,10 +1,12 @@
 #include "core/flow/rejection_flow.hpp"
 
 #include "core/flow/rejection_flow_policy.hpp"
-#include "instance/processing_store.hpp"
+#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
+
+using service::StreamingJobStore;
 
 const char* to_string(Rule2Victim victim) {
   switch (victim) {
@@ -23,12 +25,12 @@ RejectionFlowResult run_rejection_flow(const Instance& instance,
   // Batch run = the resumable policy driven straight to quiescence.
   // Streaming sessions drive the same policy class one submit/advance at a
   // time (see service/scheduler_session.hpp).
-  const InstanceView view(instance);
-  const std::size_t n = view.num_jobs();
-  SimEngineFor<InstanceView> engine(view, &options.fleet);
+  const StreamingJobStore store(instance);
+  const std::size_t n = store.num_jobs();
+  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
   Schedule schedule(n);
-  RejectionFlowPolicy<InstanceView, Schedule> policy(view, schedule,
-                                                     engine.events(), options);
+  RejectionFlowPolicy<StreamingJobStore, Schedule> policy(
+      store, schedule, engine.events(), options);
   engine.run(policy);
 
   RejectionFlowResult result;

@@ -16,8 +16,8 @@
 // completions, definitive finishes) plus deterministic pseudo-random times.
 //
 // Templated over the Store like check_flow_dual_feasibility: any storage
-// backend's Instance façade or its InstanceView works — the checker only
-// touches the shared accessor surface.
+// backend's Instance façade or a StreamingJobStore borrowing it works — the
+// checker only touches the shared accessor surface.
 #pragma once
 
 #include <algorithm>

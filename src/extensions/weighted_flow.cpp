@@ -1,20 +1,22 @@
 #include "extensions/weighted_flow.hpp"
 
 #include "extensions/weighted_flow_policy.hpp"
-#include "instance/processing_store.hpp"
+#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
+
+using service::StreamingJobStore;
 
 WeightedFlowResult run_weighted_rejection_flow(
     const Instance& instance, const WeightedFlowOptions& options) {
   instance.check_valid();
 
-  const InstanceView view(instance);
-  SimEngineFor<InstanceView> engine(view, &options.fleet);
-  Schedule schedule(view.num_jobs());
-  WeightedFlowPolicy<InstanceView, Schedule> policy(view, schedule,
-                                                    engine.events(), options);
+  const StreamingJobStore store(instance);
+  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  WeightedFlowPolicy<StreamingJobStore, Schedule> policy(
+      store, schedule, engine.events(), options);
   engine.run(policy);
 
   WeightedFlowResult result;

@@ -20,11 +20,11 @@
 // Every backend answers the same façade accessors (processing, eligibility,
 // min_processing, ...) with identical values, and the schedulers make
 // bit-identical decisions over all three — tests/storage_backend_test.cpp
-// pins that down differentially. The *hot* accessor surface the batch
-// policies run on (m-wide processing_row rows for every backend,
-// p_order_row, processing_unchecked without CHECKs) is
-// InstanceView in instance/processing_store.hpp: one class over all three
-// backends, serving dense rows straight from this class's buffers.
+// pins that down differentially. The *hot* accessor surface the policies
+// run on (m-wide processing_row rows for every backend, p_order_row,
+// processing_unchecked without the machine-index CHECK) is
+// service::StreamingJobStore (service/job_store.hpp); a batch run's store
+// borrows this class's buffers without copying them.
 #pragma once
 
 #include <memory>
@@ -37,6 +37,10 @@
 #include "util/types.hpp"
 
 namespace osched {
+
+namespace service {
+class StreamingJobStore;
+}
 
 /// Lightweight view over one job's eligible machines (ascending machine
 /// index, the same order the dispatch loops used to scan). Iterable:
@@ -152,8 +156,7 @@ class Instance {
   /// 0 <= i < num_machines() and 0 <= j < num_jobs(). Dense: one load.
   /// Sparse: binary search of the job's adjacency slice (kTimeInfinity on a
   /// miss). Generator: one closed-form evaluation. Scheduling hot paths do
-  /// NOT come through here — they run on InstanceView
-  /// (processing_store.hpp).
+  /// NOT come through here — they run on service::StreamingJobStore.
   Work processing_unchecked(MachineId i, JobId j) const {
     switch (backend_) {
       case StorageBackend::kDense:
@@ -174,7 +177,7 @@ class Instance {
 
   /// Job j's contiguous p_{., j} row. DENSE BACKEND ONLY (the other
   /// backends have no materialized row to point into — hot-path row access
-  /// goes through InstanceView in processing_store.hpp).
+  /// goes through service::StreamingJobStore).
   const Work* processing_row(JobId j) const {
     OSCHED_CHECK(backend_ == StorageBackend::kDense);
     return processing_.data() + static_cast<std::size_t>(j) * num_machines_;
@@ -255,7 +258,8 @@ class Instance {
   void check_valid() const;
 
  private:
-  friend class InstanceView;
+  /// Its Instance constructor borrows these buffers for batch runs.
+  friend class service::StreamingJobStore;
 
   /// Build the per-job (p, id)-sorted machine order over the adjacency
   /// (CSR-shaped for every backend that has one; entry_p reads one entry's

@@ -1,4 +1,5 @@
-// The m-wide row-tile cache shared by every compact store.
+// The m-wide row-tile cache of service::StreamingJobStore's compact
+// backends.
 //
 // The policies read machine-indexed rows (processing_row). A sparse-CSR or
 // generator store has no such row in memory, so it builds one on demand: the
@@ -11,9 +12,9 @@
 // holds for them — so a policy sweeping a tile sees the same bits it would
 // see over a dense row.
 //
-// The cache only fills and finds rows. Each owner keeps its own rule for
-// when a hit may be served (the streaming store also refuses rows whose
-// block was retired) and for point lookups (see each owner's comments).
+// The cache only fills and finds rows. Its owner decides when a hit may be
+// served (the store refuses rows whose block was retired) and keeps point
+// lookups off the tiles (see service/job_store.hpp).
 #pragma once
 
 #include <algorithm>

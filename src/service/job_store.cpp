@@ -1,6 +1,7 @@
 #include "service/job_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -11,11 +12,13 @@ StreamingJobStore::StreamingJobStore(
     StorageBackend backend, std::shared_ptr<const RowGenerator> generator)
     : num_machines_(num_machines),
       jobs_per_block_(jobs_per_block),
+      block_shift_(std::countr_zero(jobs_per_block)),
       backend_(backend),
       generator_(std::move(generator)),
       tiles_(num_machines) {
   OSCHED_CHECK_GT(num_machines, 0u);
-  OSCHED_CHECK_GT(jobs_per_block, 0u);
+  OSCHED_CHECK(std::has_single_bit(jobs_per_block))
+      << "jobs_per_block must be a power of two, got " << jobs_per_block;
   if (backend_ == StorageBackend::kGenerator) {
     OSCHED_CHECK(generator_ != nullptr)
         << "a generator-backed store needs the closed form";
@@ -27,7 +30,27 @@ StreamingJobStore::StreamingJobStore(
     identity_machines_.resize(num_machines_);
     std::iota(identity_machines_.begin(), identity_machines_.end(),
               MachineId{0});
+    identity_ = identity_machines_.data();
   }
+}
+
+StreamingJobStore::StreamingJobStore(const Instance& instance)
+    : num_machines_(instance.num_machines()),
+      // One block over every id: the smallest power of two above n.
+      jobs_per_block_(std::size_t{1} << std::bit_width(instance.num_jobs())),
+      block_shift_(std::bit_width(instance.num_jobs())),
+      backend_(instance.backend()),
+      generator_(instance.generator_),
+      borrowed_(true),
+      identity_(instance.identity_machines_.data()),
+      p_order_(instance.p_order_.empty() ? nullptr
+                                         : instance.p_order_.data()),
+      num_jobs_(instance.num_jobs()),
+      tiles_(num_machines_) {
+  blocks_.push_back(Block{instance.jobs_.data(), instance.processing_.data(),
+                          instance.eligible_flat_.data(),
+                          instance.eligible_offsets_.data(),
+                          instance.csr_p_.data()});
 }
 
 std::string StreamingJobStore::diagnose_after(const StreamJob& job,
@@ -81,10 +104,11 @@ void StreamingJobStore::validate_batch(std::span<const StreamJob> jobs) const {
 }
 
 JobId StreamingJobStore::append_trusted(const StreamJob& job) {
-  const std::size_t block_index = num_jobs_ / jobs_per_block_;
+  OSCHED_CHECK(!borrowed_) << "append to a store that borrows an Instance";
+  const std::size_t block_index = num_jobs_ >> block_shift_;
   if (block_index == blocks_.size()) {
-    blocks_.push_back(std::make_unique<Block>());
-    Block& fresh = *blocks_.back();
+    blocks_.emplace_back();
+    BlockData& fresh = data_.emplace_back();
     fresh.jobs.reserve(jobs_per_block_);
     if (backend_ == StorageBackend::kDense) {
       fresh.processing.reserve(jobs_per_block_ * num_machines_);
@@ -94,7 +118,7 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
       fresh.eligible_offsets.push_back(0);
     }
   }
-  Block& block = *blocks_[block_index];
+  BlockData& block = data_[block_index];
 
   const auto id = static_cast<JobId>(num_jobs_);
   Job stored;
@@ -132,8 +156,7 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
           }
         }
       }
-      block.eligible_offsets.push_back(
-          static_cast<std::uint32_t>(block.eligible.size()));
+      block.eligible_offsets.push_back(block.eligible.size());
       bump_matrix_bytes(num_machines_ * sizeof(Work));
       break;
     case StorageBackend::kSparseCsr:
@@ -151,8 +174,7 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
           }
         }
       }
-      block.eligible_offsets.push_back(
-          static_cast<std::uint32_t>(block.eligible.size()));
+      block.eligible_offsets.push_back(block.eligible.size());
       bump_matrix_bytes((block.eligible_offsets.back() -
                          block.eligible_offsets[block.jobs.size() - 1]) *
                         sizeof(Work));
@@ -162,6 +184,7 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
       // shared identity row. Nothing else to store.
       break;
   }
+  blocks_[block_index] = block.view();
 
   last_release_ = job.release;
   ++num_jobs_;
@@ -179,19 +202,23 @@ const RowTileCache::Row& StreamingJobStore::tile(JobId j) const {
     return tiles_.fill_generated(j, *generator_);
   }
   const std::size_t offset = offset_of(j);
-  const std::uint32_t begin = b.eligible_offsets[offset];
-  return tiles_.fill_sparse(j, b.eligible.data() + begin,
-                            b.csr_p.data() + begin,
+  const std::size_t begin = b.eligible_offsets[offset];
+  return tiles_.fill_sparse(j, b.eligible + begin, b.csr_p + begin,
                             b.eligible_offsets[offset + 1] - begin);
 }
 
 void StreamingJobStore::retire_below(JobId frontier) {
+  OSCHED_CHECK(!borrowed_) << "retire from a store that borrows an Instance";
   if (frontier <= begin_id_) return;
+  // Blocks below the old frontier's were released by earlier calls.
+  const std::size_t first_unreleased =
+      static_cast<std::size_t>(begin_id_) >> block_shift_;
   begin_id_ = std::min(frontier, static_cast<JobId>(num_jobs_));
   const std::size_t first_live_block =
-      static_cast<std::size_t>(begin_id_) / jobs_per_block_;
-  for (std::size_t b = 0; b < first_live_block && b < blocks_.size(); ++b) {
-    release_block(blocks_[b]);
+      static_cast<std::size_t>(begin_id_) >> block_shift_;
+  for (std::size_t b = first_unreleased;
+       b < first_live_block && b < blocks_.size(); ++b) {
+    release_block(b);
   }
 }
 
@@ -208,19 +235,18 @@ Work StreamingJobStore::min_processing(JobId j) const {
     case StorageBackend::kSparseCsr: {
       const Block& b = block_of(j);
       const std::size_t offset = offset_of(j);
-      for (std::uint32_t e = b.eligible_offsets[offset];
+      for (std::size_t e = b.eligible_offsets[offset];
            e < b.eligible_offsets[offset + 1]; ++e) {
         best = std::min(best, b.csr_p[e]);
       }
       break;
     }
     case StorageBackend::kGenerator:
-      // One fill_row (bit-identical to m entry() calls by its contract, at
-      // one evaluation of the job's factors) into a scratch row of its own,
-      // not a tile: the caller may hold row pointers into the tiles.
-      min_row_.resize(num_machines_);
-      generator_->fill_row(j, num_machines_, min_row_.data());
-      for (const Work p : min_row_) best = std::min(best, p);
+      // Point evaluations, not a tile: the caller may hold row pointers
+      // into the tiles.
+      for (std::size_t i = 0; i < num_machines_; ++i) {
+        best = std::min(best, generator_->entry(j, static_cast<MachineId>(i)));
+      }
       break;
   }
   return best;

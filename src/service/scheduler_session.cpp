@@ -229,8 +229,7 @@ class SchedulerSession::Impl {
     JobId id = kInvalidJob;
     const SubmitOutcome outcome = try_submit(job, &id);
     OSCHED_CHECK(outcome == SubmitOutcome::kAccepted)
-        << "live window saturated (cap " << options_.live_window_cap
-        << ", live " << live_jobs()
+        << "live window saturated (cap " << cap_ << ", live " << live_jobs()
         << "); bounded-ingest callers use try_submit()";
     return id;
   }
@@ -292,8 +291,8 @@ class SchedulerSession::Impl {
     for (const StreamJob& job : jobs) {
       loop_.fire_until(job.release, hooks);
       OSCHED_CHECK(make_room(job.release))
-          << "live window saturated mid-batch (cap "
-          << options_.live_window_cap << ", live " << live_jobs()
+          << "live window saturated mid-batch (cap " << cap_ << ", live "
+          << live_jobs()
           << "); bounded-ingest callers use try_submit()";
       const JobId j = store_.append_trusted(job);
       total_weight_ += job.weight;

@@ -10,12 +10,11 @@
 // policies and lives here once.
 //
 // Each policy is a template over
-//   Store — where job data comes from: the batch `InstanceView`
-//           (instance/processing_store.hpp) or the streaming session's
-//           `service::StreamingJobStore`. Must provide
-//           job(j), processing_unchecked(i, j), processing_row(j),
-//           eligible_machines(j) and num_machines() with Instance's
-//           semantics.
+//   Store — where job data comes from: `service::StreamingJobStore`,
+//           filled by a streaming session or borrowing a batch run's
+//           Instance. Must provide job(j), processing_unchecked(i, j),
+//           processing_row(j), eligible_machines(j) and num_machines()
+//           with Instance's semantics.
 //   Rec   — where decisions are recorded: the batch `Schedule`, or the
 //           session's windowed record store. Must provide the mark_*
 //           mutation surface of Schedule.

@@ -243,7 +243,8 @@ bool TraceStreamReader::split_fields(std::string_view line) {
   if (std::memchr(line.data(), '"', line.size()) != nullptr ||
       std::memchr(line.data(), '\r', line.size()) != nullptr) {
     auto rows = util::parse_csv(line);
-    if (!rows.has_value() || rows->size() != 1) return fail("malformed CSV");
+    if (!rows.has_value() || rows->size() > 1) return fail("malformed CSV");
+    if (rows->empty()) return false;  // only carriage returns: a blank line
     quoted_ = std::move((*rows)[0]);
     if (quoted_.size() == 1 && quoted_[0].empty()) return false;
     fields_.assign(quoted_.begin(), quoted_.end());

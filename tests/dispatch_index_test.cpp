@@ -698,7 +698,7 @@ TEST(DispatchIndex, OrderTableEndsAtTheUint16IdCeiling) {
 }
 
 // The same three boundary cells through the WEIGHTED policy (a second,
-// independent instantiation over InstanceView), dense rows this time so
+// independent instantiation over the job store), dense rows this time so
 // the order table, where it exists, covers every id from 0 to m-1
 // contiguously. Dense at m = 65537 would be 65537 doubles per job, so n is
 // kept tiny.

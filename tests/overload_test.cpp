@@ -16,6 +16,7 @@
 //    (the try_submit/sync retry contract), without losing a single job.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,27 @@ TEST(Overload, PlainSubmitAbortsAtSaturation) {
   session.submit(stream_job(0.0, 1.0, {10.0}));
   EXPECT_DEATH(session.submit(stream_job(1.0, 1.0, {10.0})),
                "live window saturated");
+}
+
+TEST(Overload, SaturationAbortNamesTheEffectiveCap) {
+  // Under the adaptive cap, live_window_cap is only the seed: clamped into
+  // [2, 2], the window holds two jobs, and both abort messages say so.
+  service::SessionOptions options;
+  options.live_window_cap = 7;
+  options.adaptive_cap.enabled = true;
+  options.adaptive_cap.min_cap = 2;
+  options.adaptive_cap.max_cap = 2;
+  options.adaptive_cap.window = 1.0;
+  options.adaptive_cap.target_delay = 1.0;
+  service::SchedulerSession session(api::Algorithm::kGreedySpt, 1, options);
+  session.submit(stream_job(0.0, 1.0, {10.0}));
+  session.submit(stream_job(0.5, 1.0, {10.0}));
+  EXPECT_EQ(session.current_window_cap(), 2u);
+  EXPECT_DEATH(session.submit(stream_job(1.0, 1.0, {10.0})),
+               "live window saturated \\(cap 2, live 2\\)");
+  const std::vector<StreamJob> batch = {stream_job(1.0, 1.0, {10.0})};
+  EXPECT_DEATH(session.submit(std::span<const StreamJob>(batch)),
+               "live window saturated mid-batch \\(cap 2, live 2\\)");
 }
 
 TEST(Overload, ShedEvictsLowestWeightLargestProcessingLargestId) {

@@ -33,7 +33,6 @@
 #include "float_lower_reference.hpp"
 #include "fuzz_seed.hpp"
 #include "instance/builders.hpp"
-#include "instance/processing_store.hpp"
 #include "instance/stream_job.hpp"
 #include "service/job_store.hpp"
 #include "sim/schedule_io.hpp"
@@ -166,19 +165,19 @@ TEST(StorageBackend, GeneratorMatchesMaterializedBackends) {
   }
 }
 
-TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
+TEST(StorageBackend, BorrowedGeneratorStoreServesRowsAndBounds) {
   workload::ClosedFormConfig config;
   config.num_jobs = 64;
   config.num_machines = 11;
   config.seed = base_seed() + 97;
   const Instance gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
-  const InstanceView view(gen);
+  const service::StreamingJobStore store(gen);
   for (std::size_t j = 0; j < config.num_jobs; ++j) {
     const auto job = static_cast<JobId>(j);
-    EXPECT_EQ(view.p_order_row(job), nullptr);
-    const Work* row = view.processing_row(job);
-    ASSERT_EQ(view.eligible_machines(job).size(), config.num_machines);
+    EXPECT_EQ(store.p_order_row(job), nullptr);
+    const Work* row = store.processing_row(job);
+    ASSERT_EQ(store.eligible_machines(job).size(), config.num_machines);
     for (std::size_t i = 0; i < config.num_machines; ++i) {
       const Work want =
           workload::closed_form_entry(config, job, static_cast<MachineId>(i));
@@ -194,17 +193,14 @@ TEST(StorageBackend, GeneratorViewServesRowsAndBounds) {
 
 /// The contract the dispatch relies on: a held processing_row(j) keeps
 /// reading row j while rows j+1..j+3 are fetched and other ids are
-/// point-probed. `probe_radius` is how far from j the point probes reach:
-/// 3 for the batch InstanceView (its compact-backend point lookups read
-/// through the tiles, so only the three neighbour slots are safe) and
-/// further for the streaming store, whose point lookups never touch a tile.
-/// `reference` is the dense materialization: ineligible machines must read
-/// +infinity, which the sweep rounds to FLT_MAX, bit for bit. Returns how
-/// many held entries were ineligible.
-template <class Store>
-std::size_t expect_held_rows_survive(const Store& store, const Instance& reference,
-                              std::size_t probe_radius,
-                              const std::string& context) {
+/// point-probed. The probes reach past the four tile slots: point lookups
+/// never touch a tile. `reference` is the dense materialization: ineligible
+/// machines must read +infinity, which the sweep rounds to FLT_MAX, bit for
+/// bit. Returns how many held entries were ineligible.
+std::size_t expect_held_rows_survive(const service::StreamingJobStore& store,
+                                     const Instance& reference,
+                                     const std::string& context) {
+  constexpr std::size_t probe_radius = 9;
   const std::size_t n = reference.num_jobs();
   const std::size_t m = reference.num_machines();
   std::size_t ineligible = 0;
@@ -245,7 +241,8 @@ std::size_t expect_held_rows_survive(const Store& store, const Instance& referen
 TEST(StorageBackend, HeldTileRowsSurviveNeighbourFillsAndProbes) {
   // Restricted family for the CSR users (about 3/4 of the machines
   // ineligible), fully eligible for the generator users. Small blocks put
-  // the streaming stores' rows across several blocks.
+  // the streamed stores' rows across several blocks; the borrowed stores
+  // hold one.
   workload::ClosedFormConfig config;
   config.num_jobs = 40;
   config.num_machines = 32;
@@ -261,11 +258,12 @@ TEST(StorageBackend, HeldTileRowsSurviveNeighbourFillsAndProbes) {
   const Instance full_gen =
       workload::make_closed_form_instance(config, StorageBackend::kGenerator);
 
-  EXPECT_GT(expect_held_rows_survive(InstanceView(restricted_sparse),
-                                     restricted_dense, 3, "sparse view"),
+  EXPECT_GT(expect_held_rows_survive(
+                service::StreamingJobStore(restricted_sparse),
+                restricted_dense, "borrowed sparse store"),
             0u);
-  expect_held_rows_survive(InstanceView(full_gen), full_dense, 3,
-                           "generator view");
+  expect_held_rows_survive(service::StreamingJobStore(full_gen), full_dense,
+                           "borrowed generator store");
 
   service::StreamingJobStore sparse_store(config.num_machines, 8,
                                           StorageBackend::kSparseCsr);
@@ -279,11 +277,10 @@ TEST(StorageBackend, HeldTileRowsSurviveNeighbourFillsAndProbes) {
     fill_stream_job_meta(full_gen.job(static_cast<JobId>(j)), 0.0, &job);
     gen_store.append(job);
   }
-  EXPECT_GT(expect_held_rows_survive(sparse_store, restricted_dense, 9,
+  EXPECT_GT(expect_held_rows_survive(sparse_store, restricted_dense,
                                      "sparse streaming store"),
             0u);
-  expect_held_rows_survive(gen_store, full_dense, 9,
-                           "generator streaming store");
+  expect_held_rows_survive(gen_store, full_dense, "generator streaming store");
 }
 
 // ------------------------------------------------- the dual-check template
@@ -305,10 +302,10 @@ TEST(StorageBackend, FlowDualCheckerAgreesAcrossBackends) {
   EXPECT_EQ(a.max_violation, b.max_violation);
   EXPECT_EQ(a.constraints_checked, b.constraints_checked);
 
-  // The batch view satisfies the checker's Store contract directly.
-  const InstanceView view(sparse);
+  // The batch store satisfies the checker's Store contract directly.
+  const service::StreamingJobStore store(sparse);
   const DualCheckReport c =
-      check_flow_dual_feasibility(view, sparse_result, 0.25);
+      check_flow_dual_feasibility(store, sparse_result, 0.25);
   EXPECT_EQ(a.max_violation, c.max_violation);
 
   // Full eligibility: Lemma 4 feasibility holds and every backend of the
@@ -420,7 +417,7 @@ TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
 TEST(StorageBackend, OrderWidthBoundaryGeneratorAgrees) {
   // Neither the generator backend nor a dense instance at m = 65536 builds
   // an order table — both take the order-less dispatch, through different
-  // views, and must match decision for decision. Fully eligible closed
+  // row sources, and must match decision for decision. Fully eligible closed
   // form, tiny n so the dense materialization stays a few megabytes.
   workload::ClosedFormConfig config;
   config.num_jobs = 6;
@@ -503,10 +500,10 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
   const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
   EXPECT_EQ(dense.processing_spread(), sparse.processing_spread());
   EXPECT_EQ(dense.total_weight(), sparse.total_weight());
-  // The batch view serves dense rows and both order tables straight from
-  // the Instance, never through the row tiles.
-  const InstanceView dense_view(dense);
-  const InstanceView sparse_view(sparse);
+  // The borrowed store serves dense rows and both order tables straight
+  // from the Instance, never through the row tiles.
+  const service::StreamingJobStore dense_store(dense);
+  const service::StreamingJobStore sparse_store(sparse);
   for (std::size_t j = 0; j < dense.num_jobs(); ++j) {
     const auto job = static_cast<JobId>(j);
     EXPECT_EQ(dense.min_processing(job), sparse.min_processing(job));
@@ -523,14 +520,91 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(oa[k], ob[k]);
     }
-    EXPECT_EQ(dense_view.p_order_row(job), oa);
-    EXPECT_EQ(sparse_view.p_order_row(job), ob);
-    EXPECT_EQ(dense_view.processing_row(job), dense.processing_row(job));
+    EXPECT_EQ(dense_store.p_order_row(job), oa);
+    EXPECT_EQ(sparse_store.p_order_row(job), ob);
+    EXPECT_EQ(dense_store.processing_row(job), dense.processing_row(job));
     for (std::size_t i = 0; i < dense.num_machines(); ++i) {
       EXPECT_EQ(dense.processing(static_cast<MachineId>(i), job),
                 sparse.processing(static_cast<MachineId>(i), job));
     }
   }
+}
+
+TEST(StorageBackend, BorrowedStoreMatchesTheInstanceFacade) {
+  // The batch store borrows its Instance: every accessor returns the
+  // façade's value, and the job records, adjacency, dense rows and order
+  // tables are the Instance's own memory, not copies.
+  workload::ClosedFormConfig config;
+  config.num_jobs = 90;
+  config.num_machines = 13;
+  config.seed = base_seed() + 307;
+  const Instance gen =
+      workload::make_closed_form_instance(config, StorageBackend::kGenerator);
+  const Instance dense = make_workload(0.4, base_seed() + 309, 90, 13);
+  const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
+  for (const Instance* instance : {&dense, &sparse, &gen}) {
+    const std::string context = to_string(instance->backend());
+    const service::StreamingJobStore store(*instance);
+    ASSERT_EQ(store.num_jobs(), instance->num_jobs()) << context;
+    ASSERT_EQ(store.num_machines(), instance->num_machines()) << context;
+    EXPECT_EQ(store.backend(), instance->backend()) << context;
+    EXPECT_EQ(store.matrix_bytes(), 0u) << context;
+    for (std::size_t j = 0; j < instance->num_jobs(); ++j) {
+      const auto job = static_cast<JobId>(j);
+      EXPECT_EQ(&store.job(job), &instance->job(job)) << context;
+      const EligibleMachines want = instance->eligible_machines(job);
+      const EligibleMachines got = store.eligible_machines(job);
+      EXPECT_EQ(got.begin(), want.begin()) << context << " job " << j;
+      EXPECT_EQ(got.end(), want.end()) << context << " job " << j;
+      EXPECT_EQ(store.p_order_row(job), instance->p_order_row(job))
+          << context << " job " << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(store.min_processing(job)),
+                std::bit_cast<std::uint64_t>(instance->min_processing(job)))
+          << context << " job " << j;
+      if (instance->backend() == StorageBackend::kDense) {
+        EXPECT_EQ(store.processing_row(job), instance->processing_row(job));
+      }
+      const Work* row = store.processing_row(job);
+      for (std::size_t i = 0; i < instance->num_machines(); ++i) {
+        const auto machine = static_cast<MachineId>(i);
+        const Work p = instance->processing(machine, job);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(store.processing(machine, job)),
+                  std::bit_cast<std::uint64_t>(p))
+            << context << " job " << j << " machine " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row[i]),
+                  std::bit_cast<std::uint64_t>(p))
+            << context << " job " << j << " machine " << i;
+        EXPECT_EQ(store.eligible(machine, job),
+                  instance->eligible(machine, job))
+            << context << " job " << j << " machine " << i;
+      }
+    }
+    if (instance->backend() == StorageBackend::kSparseCsr) {
+      const Work* values = store.csr_values(0);
+      const EligibleMachines ids = store.eligible_machines(0);
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(values[k], instance->processing(ids.first[k], 0));
+      }
+    }
+  }
+}
+
+TEST(StorageBackend, BorrowedStoreRefusesAppendAndRetire) {
+  const Instance dense = make_workload(1.0, base_seed() + 311, 20, 4);
+  StreamJob job;
+  fill_stream_job(dense, 19, 0.0, &job);
+  EXPECT_DEATH(
+      {
+        service::StreamingJobStore store(dense);
+        store.append(job);
+      },
+      "borrows an Instance");
+  EXPECT_DEATH(
+      {
+        service::StreamingJobStore store(dense);
+        store.retire_below(8);
+      },
+      "borrows an Instance");
 }
 
 TEST(StorageBackend, DispatchIndexFlagTracksTheOrderTable) {

@@ -708,7 +708,7 @@ TEST(StreamingSession, DenseStoreAdjacencySharesTheIdentityForFullRows) {
   // A dense row with every entry finite stores no adjacency: its span is
   // the store's one shared 0..m-1 row. Rows with +inf holes list their
   // finite ids, and a sparse submission keeps its explicit list even when
-  // it names every machine. Blocks of 3 rows put the cases on both sides
+  // it names every machine. Blocks of 4 rows put the cases on both sides
   // of block boundaries and of a retirement.
   constexpr Work kInf = kTimeInfinity;
   const std::vector<std::vector<Work>> dense_rows = {{1.0, 2.0, 3.0, 4.0},
@@ -719,7 +719,9 @@ TEST(StreamingSession, DenseStoreAdjacencySharesTheIdentityForFullRows) {
   const std::vector<std::vector<MachineId>> dense_ids = {
       all, {1, 2, 3}, {1, 3}, {2}};
 
-  service::StreamingJobStore store(4, /*jobs_per_block=*/3);
+  EXPECT_DEATH(service::StreamingJobStore(4, /*jobs_per_block=*/3),
+               "power of two");
+  service::StreamingJobStore store(4, /*jobs_per_block=*/4);
   std::vector<std::vector<MachineId>> expected;
   std::vector<bool> full_dense;
   StreamJob job;
@@ -763,9 +765,9 @@ TEST(StreamingSession, DenseStoreAdjacencySharesTheIdentityForFullRows) {
     }
   };
   check(0, 0, "appended");
-  // Retire the first two blocks (jobs 0..5); job 10 is the next full row.
-  store.retire_below(6);
-  check(6, 10, "after retire_below(6)");
+  // Retire the first two blocks (jobs 0..7); job 10 is the next full row.
+  store.retire_below(8);
+  check(8, 10, "after retire_below(8)");
 }
 
 TEST(ShardDriver, ThreadCountNeverChangesAnyTenantsOutcome) {
