@@ -9,6 +9,7 @@
 #include "core/energy_min/config_primal_dual.hpp"
 #include "core/flow/rejection_flow.hpp"
 #include "extensions/weighted_flow.hpp"
+#include "service/job_store.hpp"
 #include "sim/validator.hpp"
 #include "util/check.hpp"
 
@@ -151,13 +152,16 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
     }
   }
 
+  // Both read the job store directly: its accessors are inline, the
+  // Instance façade's are not.
+  const service::StreamingJobStore& jobs = instance.store();
   if (options.validate) {
     ValidationOptions validation;
     validation.allow_parallel_execution = parallel_execution;
     validation.require_deadlines = require_deadlines;
-    check_schedule(summary.schedule, instance, validation);
+    check_schedule(summary.schedule, jobs, validation);
   }
-  summary.report = evaluate(summary.schedule, instance, report_power);
+  summary.report = evaluate(summary.schedule, jobs, report_power);
   return summary;
 }
 

@@ -12,7 +12,7 @@ ImmediateRejectionResult run_immediate_rejection(
     const Instance& instance, const ImmediateRejectionOptions& options) {
   instance.check_valid();
 
-  const StreamingJobStore store(instance);
+  const StreamingJobStore store(instance.store());
   SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
   Schedule schedule(store.num_jobs());
   ImmediateRejectionPolicy<StreamingJobStore, Schedule> policy(

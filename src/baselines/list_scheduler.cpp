@@ -30,7 +30,7 @@ Schedule run_list_scheduler(const Instance& instance,
                             FleetStats* fleet_stats) {
   instance.check_valid();
 
-  const StreamingJobStore store(instance);
+  const StreamingJobStore store(instance.store());
   SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
   Schedule schedule(store.num_jobs());
   ListSchedulerPolicy<StreamingJobStore, Schedule> policy(

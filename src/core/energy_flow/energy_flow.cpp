@@ -35,7 +35,7 @@ EnergyFlowResult run_energy_flow(const Instance& instance,
                                  const EnergyFlowOptions& options) {
   instance.check_valid();
 
-  const StreamingJobStore store(instance);
+  const StreamingJobStore store(instance.store());
   SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
   Schedule schedule(store.num_jobs());
   EnergyFlowPolicy<StreamingJobStore, Schedule> policy(

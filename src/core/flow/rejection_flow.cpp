@@ -25,7 +25,7 @@ RejectionFlowResult run_rejection_flow(const Instance& instance,
   // Batch run = the resumable policy driven straight to quiescence.
   // Streaming sessions drive the same policy class one submit/advance at a
   // time (see service/scheduler_session.hpp).
-  const StreamingJobStore store(instance);
+  const StreamingJobStore store(instance.store());
   const std::size_t n = store.num_jobs();
   SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
   Schedule schedule(n);

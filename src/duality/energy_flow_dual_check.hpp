@@ -16,7 +16,7 @@
 // completions, definitive finishes) plus deterministic pseudo-random times.
 //
 // Templated over the Store like check_flow_dual_feasibility: any storage
-// backend's Instance façade or a StreamingJobStore borrowing it works — the
+// backend's Instance façade or the StreamingJobStore holding it works — the
 // checker only touches the shared accessor surface.
 #pragma once
 

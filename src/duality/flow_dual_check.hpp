@@ -15,8 +15,8 @@
 // with the scheduler's own accounting.
 //
 // The checker is a template over the Store it reads the instance through:
-// the Instance façade of any storage backend, or a StreamingJobStore
-// borrowing it (service/job_store.hpp) — only job / eligible_machines /
+// the Instance façade of any storage backend, or the StreamingJobStore
+// holding its data (service/job_store.hpp) — only job / eligible_machines /
 // processing_unchecked are touched, the surface every store answers with
 // identical values.
 #pragma once

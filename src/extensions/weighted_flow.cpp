@@ -12,7 +12,7 @@ WeightedFlowResult run_weighted_rejection_flow(
     const Instance& instance, const WeightedFlowOptions& options) {
   instance.check_valid();
 
-  const StreamingJobStore store(instance);
+  const StreamingJobStore store(instance.store());
   SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
   Schedule schedule(store.num_jobs());
   WeightedFlowPolicy<StreamingJobStore, Schedule> policy(

@@ -1,9 +1,13 @@
 #include "instance/instance.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <sstream>
+
+#include "instance/stream_job.hpp"
+#include "service/job_store.hpp"
 
 namespace osched {
 
@@ -18,8 +22,8 @@ const char* to_string(StorageBackend backend) {
 
 namespace {
 
-/// The (release, id) job order every backend normalizes to — release order
-/// is the order the online algorithms see arrivals.
+/// The (release, id) job order every matrix backend normalizes to —
+/// release order is the order the online algorithms see arrivals.
 std::vector<std::size_t> release_order(const std::vector<Job>& jobs) {
   std::vector<std::size_t> perm(jobs.size());
   std::iota(perm.begin(), perm.end(), 0u);
@@ -31,71 +35,53 @@ std::vector<std::size_t> release_order(const std::vector<Job>& jobs) {
   return perm;
 }
 
-std::vector<Job> apply_order(std::vector<Job> jobs,
-                             const std::vector<std::size_t>& perm) {
-  std::vector<Job> sorted(jobs.size());
-  for (std::size_t pos = 0; pos < perm.size(); ++pos) {
-    sorted[pos] = jobs[perm[pos]];
-    sorted[pos].id = static_cast<JobId>(pos);
-  }
-  return sorted;
+/// An Instance's store: one block over all n jobs.
+std::shared_ptr<service::StreamingJobStore> instance_store(
+    std::size_t num_jobs, std::size_t num_machines, StorageBackend backend,
+    std::shared_ptr<const RowGenerator> generator = nullptr) {
+  return std::make_shared<service::StreamingJobStore>(
+      num_machines, std::bit_ceil(std::max<std::size_t>(num_jobs, 1)),
+      backend, std::move(generator));
+}
+
+/// Copies the job fields into `out` bit for bit (the store numbers ids).
+void set_fields(const Job& job, StreamJob* out) {
+  out->release = job.release;
+  out->weight = job.weight;
+  out->deadline = job.deadline;
 }
 
 }  // namespace
 
 Instance::Instance(std::vector<Job> jobs,
-                   std::vector<std::vector<Work>> processing)
-    : jobs_(std::move(jobs)),
-      num_machines_(processing.size()),
-      backend_(StorageBackend::kDense) {
+                   std::vector<std::vector<Work>> processing) {
   for (const auto& row : processing) {
-    OSCHED_CHECK_EQ(row.size(), jobs_.size())
+    OSCHED_CHECK_EQ(row.size(), jobs.size())
         << "processing matrix row width must equal the number of jobs";
   }
-
-  // Sort jobs by (release, id) and renumber, permuting matrix columns to
-  // match. Release order is the order the online algorithms see arrivals.
-  const std::vector<std::size_t> perm = release_order(jobs_);
-  jobs_ = apply_order(std::move(jobs_), perm);
-
-  const std::size_t n = jobs_.size();
-  processing_.resize(num_machines_ * n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    Work* job_slice = processing_.data() + pos * num_machines_;
-    const std::size_t original = perm[pos];
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      job_slice[i] = processing[i][original];
-    }
-  }
-
-  // Per-job eligible-machine adjacency, ascending machine index, and the
-  // validation verdict under the shared job rules (instance/job_rules.hpp):
-  // an Instance is immutable, so the verdict is computed once here and
-  // validate() just returns it. A message is built only for a job that
-  // fails the fast form.
+  const std::size_t n = jobs.size();
+  const std::size_t m = processing.size();
+  const std::vector<std::size_t> perm = release_order(jobs);
+  auto store = instance_store(n, m, StorageBackend::kDense);
   std::ostringstream problems;
-  eligible_offsets_.assign(n + 1, 0);
-  eligible_flat_.reserve(num_machines_ > 0 ? n : 0);
+  StreamJob row;
+  row.processing.resize(m);
   for (std::size_t j = 0; j < n; ++j) {
-    const Job& job = jobs_[j];
-    const Work* job_slice = processing_.data() + j * num_machines_;
-    const std::span<const Work> row(job_slice, num_machines_);
+    const Job& job = jobs[perm[j]];
+    for (std::size_t i = 0; i < m; ++i) {
+      row.processing[i] = processing[i][perm[j]];
+    }
     if (!job_rules::fields_ok(job) ||
-        !job_rules::dense_row_ok(row, num_machines_)) {
+        !job_rules::dense_row_ok(row.processing, m)) {
       problems << "job " << j << ": ";
       job_rules::diagnose_fields(job.release, job.weight, job.deadline,
                                  problems);
-      job_rules::diagnose_dense_row(row, num_machines_, problems);
+      job_rules::diagnose_dense_row(row.processing, m, problems);
     }
-    for (std::size_t i = 0; i < num_machines_; ++i) {
-      if (job_rules::eligible(job_slice[i])) {
-        eligible_flat_.push_back(static_cast<MachineId>(i));
-      }
-    }
-    eligible_offsets_[j + 1] = eligible_flat_.size();
+    set_fields(job, &row);
+    store->append_trusted(row);
   }
-  validation_problems_ = problems.str();
-  build_p_order_dense();
+  adopt(std::move(store), problems.str());
 }
 
 Instance Instance::from_sparse_rows(std::vector<Job> jobs,
@@ -103,48 +89,44 @@ Instance Instance::from_sparse_rows(std::vector<Job> jobs,
                                     std::vector<std::vector<SparseEntry>> rows) {
   OSCHED_CHECK_EQ(rows.size(), jobs.size())
       << "one sparse row per job is required";
-  Instance instance;
-  instance.backend_ = StorageBackend::kSparseCsr;
-  instance.num_machines_ = num_machines;
-  instance.jobs_ = std::move(jobs);
-
-  const std::vector<std::size_t> perm = release_order(instance.jobs_);
-  instance.jobs_ = apply_order(std::move(instance.jobs_), perm);
-
-  const std::size_t n = instance.jobs_.size();
+  const std::size_t n = jobs.size();
+  const std::vector<std::size_t> perm = release_order(jobs);
+  auto store = instance_store(n, num_machines, StorageBackend::kSparseCsr);
+  std::size_t entries = 0;
+  for (const auto& row : rows) entries += row.size();
+  if (entries > 0) store->reserve_entries(entries);
   std::ostringstream problems;
-  std::size_t nnz = 0;
-  for (const auto& row : rows) nnz += row.size();
-  instance.eligible_offsets_.assign(n + 1, 0);
-  instance.eligible_flat_.reserve(nnz);
-  instance.csr_p_.reserve(nnz);
+  StreamJob row;
   for (std::size_t j = 0; j < n; ++j) {
-    const std::vector<SparseEntry>& row = rows[perm[j]];
-    const Job& job = instance.jobs_[j];
-    if (!job_rules::fields_ok(job) ||
-        !job_rules::sparse_row_ok(row, num_machines)) {
+    const Job& job = jobs[perm[j]];
+    row.entries = std::move(rows[perm[j]]);
+    const bool row_ok = job_rules::sparse_row_ok(row.entries, num_machines);
+    if (!job_rules::fields_ok(job) || !row_ok) {
       problems << "job " << j << ": ";
       job_rules::diagnose_fields(job.release, job.weight, job.deadline,
                                  problems);
-      job_rules::diagnose_sparse_row(row, num_machines, problems);
+      job_rules::diagnose_sparse_row(row.entries, num_machines, problems);
     }
-    // Strictly ascending in-range machine ids give the same adjacency order
-    // the dense pass produces, and make processing_unchecked a binary
-    // search. An entry that breaks that was diagnosed above and is left
-    // out, so the stored adjacency stays well-formed.
-    MachineId previous = kInvalidMachine;
-    for (const SparseEntry& entry : row) {
-      if (!job_rules::sparse_id_ok(entry.machine, previous, num_machines)) {
-        continue;
+    if (!row_ok) {
+      // An entry whose machine id is out of range, duplicated or out of
+      // order was diagnosed above and is left out, so the stored adjacency
+      // stays strictly ascending and in range.
+      std::size_t kept = 0;
+      MachineId previous = kInvalidMachine;
+      for (const SparseEntry& entry : row.entries) {
+        if (!job_rules::sparse_id_ok(entry.machine, previous, num_machines)) {
+          continue;
+        }
+        previous = entry.machine;
+        row.entries[kept++] = entry;
       }
-      previous = entry.machine;
-      instance.eligible_flat_.push_back(entry.machine);
-      instance.csr_p_.push_back(entry.p);
+      row.entries.resize(kept);
     }
-    instance.eligible_offsets_[j + 1] = instance.eligible_flat_.size();
+    set_fields(job, &row);
+    store->append_trusted(row);
   }
-  instance.validation_problems_ = problems.str();
-  instance.build_p_order_csr();
+  Instance instance;
+  instance.adopt(std::move(store), problems.str());
   return instance;
 }
 
@@ -152,19 +134,15 @@ Instance Instance::from_generator(
     std::vector<Job> jobs, std::size_t num_machines,
     std::shared_ptr<const RowGenerator> generator) {
   OSCHED_CHECK(generator != nullptr);
-  Instance instance;
-  instance.backend_ = StorageBackend::kGenerator;
-  instance.num_machines_ = num_machines;
-  instance.jobs_ = std::move(jobs);
-  instance.generator_ = std::move(generator);
-
+  auto store = instance_store(jobs.size(), num_machines,
+                              StorageBackend::kGenerator, std::move(generator));
   std::ostringstream problems;
-  for (std::size_t j = 0; j < instance.jobs_.size(); ++j) {
+  StreamJob meta;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     // The generator is indexed by final job id: require release order
     // instead of silently permuting entries out from under the closed form.
-    const Job& job = instance.jobs_[j];
-    const Time previous =
-        j > 0 ? instance.jobs_[j - 1].release : -kTimeInfinity;
+    const Job& job = jobs[j];
+    const Time previous = j > 0 ? jobs[j - 1].release : -kTimeInfinity;
     if (!job_rules::fields_ok(job) ||
         !job_rules::release_order_ok(job.release, previous)) {
       problems << "job " << j << ": ";
@@ -172,25 +150,31 @@ Instance Instance::from_generator(
                                  problems);
       job_rules::diagnose_release_order(job.release, previous, problems);
     }
-    instance.jobs_[j].id = static_cast<JobId>(j);
+    set_fields(job, &meta);
+    store->append_trusted(meta);
   }
-  instance.validation_problems_ = problems.str();
-  instance.identity_machines_.resize(num_machines);
-  std::iota(instance.identity_machines_.begin(),
-            instance.identity_machines_.end(), MachineId{0});
+  Instance instance;
+  instance.adopt(std::move(store), problems.str());
   return instance;
 }
 
+void Instance::adopt(std::shared_ptr<service::StreamingJobStore> store,
+                     std::string problems) {
+  store->build_p_order();
+  store_ = std::move(store);
+  validation_problems_ = std::move(problems);
+}
+
 Instance Instance::with_backend(StorageBackend target) const {
-  if (target == backend_) return *this;
+  if (target == backend()) return *this;
   OSCHED_CHECK(target != StorageBackend::kGenerator)
       << "a matrix has no closed form to recover; build generator instances "
          "with Instance::from_generator";
-  const std::size_t n = jobs_.size();
+  const std::size_t n = num_jobs();
   // The jobs are already release-sorted with ids 0..n-1, so the target
   // constructor's stable sort is the identity permutation and every p_ij
   // keeps its (i, j) address.
-  std::vector<Job> jobs = jobs_;
+  std::vector<Job> jobs = this->jobs();
   if (target == StorageBackend::kSparseCsr) {
     std::vector<std::vector<SparseEntry>> rows(n);
     for (std::size_t j = 0; j < n; ++j) {
@@ -200,10 +184,10 @@ Instance Instance::with_backend(StorageBackend target) const {
         rows[j].push_back(SparseEntry{i, processing_unchecked(i, job)});
       }
     }
-    return from_sparse_rows(std::move(jobs), num_machines_, std::move(rows));
+    return from_sparse_rows(std::move(jobs), num_machines(), std::move(rows));
   }
   std::vector<std::vector<Work>> processing(
-      num_machines_, std::vector<Work>(n, kTimeInfinity));
+      num_machines(), std::vector<Work>(n, kTimeInfinity));
   for (std::size_t j = 0; j < n; ++j) {
     const auto job = static_cast<JobId>(j);
     for (const MachineId i : eligible_machines(job)) {
@@ -213,111 +197,90 @@ Instance Instance::with_backend(StorageBackend target) const {
   return Instance(std::move(jobs), std::move(processing));
 }
 
+StorageBackend Instance::backend() const {
+  return store_ != nullptr ? store_->backend() : StorageBackend::kDense;
+}
+
+const service::StreamingJobStore& Instance::store() const {
+  OSCHED_CHECK(store_ != nullptr) << "a default-constructed Instance has no "
+                                     "store";
+  return *store_;
+}
+
 std::size_t Instance::store_bytes() const {
-  auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
-  return bytes(jobs_) + bytes(processing_) + bytes(csr_p_) +
-         bytes(identity_machines_) + bytes(p_order_) + bytes(eligible_flat_) +
-         bytes(eligible_offsets_);
+  return store_ != nullptr ? store_->store_bytes() : 0;
 }
 
-template <class EntryP>
-void Instance::build_p_order(EntryP&& entry_p) {
-  // Per-job (p, id)-sorted eligible machines for the dispatch index's
-  // idle-machine walk. Sorting runs over PACKED (p bit pattern, id) keys:
-  // the bit patterns of non-negative IEEE doubles order exactly like the
-  // values, and value compares beat a comparator that chases back into the
-  // matrix per call. `entry_p(j, k, id)` is the backend's way to read the
-  // adjacency entry's p value — one builder, so the dense and CSR order
-  // tables can't drift. Construction is batched per job: the sort scratch
-  // is one row's keys (capacity = the widest adjacency row, reused across
-  // jobs), so a build never holds more than the finished table plus one
-  // row of keys. Ids are uint16, so at m >= 65536 no table is built and
-  // dispatch takes its order-less sub-path.
-  if (num_machines_ >= 65536u) return;
-  const std::size_t n = jobs_.size();
-  p_order_.resize(eligible_flat_.size());
-  std::vector<detail::POrderKey> keys;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t begin = eligible_offsets_[j];
-    const std::size_t end = eligible_offsets_[j + 1];
-    keys.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      const auto id = static_cast<std::uint16_t>(eligible_flat_[k]);
-      keys.push_back(detail::POrderKey::make(entry_p(j, k, id), id));
-    }
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t k = begin; k < end; ++k) {
-      p_order_[k] = keys[k - begin].id;
-    }
-  }
+std::size_t Instance::num_jobs() const {
+  return store_ != nullptr ? store_->num_jobs() : 0;
 }
 
-void Instance::build_p_order_dense() {
-  build_p_order([this](std::size_t j, std::size_t /*k*/, std::size_t id) {
-    return processing_[j * num_machines_ + id];
-  });
+std::size_t Instance::num_machines() const {
+  return store_ != nullptr ? store_->num_machines() : 0;
 }
 
-void Instance::build_p_order_csr() {
-  // The CSR values are adjacency-aligned already: slice entry k IS p.
-  build_p_order([this](std::size_t /*j*/, std::size_t k, std::size_t /*id*/) {
-    return csr_p_[k];
-  });
+const Job& Instance::job(JobId j) const {
+  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < num_jobs());
+  return store_->job(j);
+}
+
+const std::vector<Job>& Instance::jobs() const {
+  static const std::vector<Job> kNoJobs;
+  return num_jobs() == 0 ? kNoJobs : store_->block_jobs(0);
+}
+
+Work Instance::processing(MachineId i, JobId j) const {
+  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < num_jobs());
+  return store_->processing(i, j);
+}
+
+Work Instance::processing_unchecked(MachineId i, JobId j) const {
+  return store_->processing_unchecked(i, j);
+}
+
+const Work* Instance::processing_row(JobId j) const {
+  OSCHED_CHECK(backend() == StorageBackend::kDense);
+  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < num_jobs());
+  return store_->processing_row(j);
+}
+
+const std::uint16_t* Instance::p_order_row(JobId j) const {
+  return store_ != nullptr ? store_->p_order_row(j) : nullptr;
+}
+
+int Instance::dispatch_order_width() const {
+  return p_order_row(0) != nullptr ? 16 : 0;
+}
+
+EligibleMachines Instance::eligible_machines(JobId j) const {
+  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < num_jobs());
+  return store_->eligible_machines(j);
 }
 
 Work Instance::min_processing(JobId j) const {
-  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < jobs_.size());
-  Work best = kTimeInfinity;
-  switch (backend_) {
-    case StorageBackend::kDense:
-      for (std::size_t i = 0; i < num_machines_; ++i) {
-        best =
-            std::min(best, processing_unchecked(static_cast<MachineId>(i), j));
-      }
-      break;
-    case StorageBackend::kSparseCsr: {
-      const std::size_t begin = eligible_offsets_[static_cast<std::size_t>(j)];
-      const std::size_t end =
-          eligible_offsets_[static_cast<std::size_t>(j) + 1];
-      for (std::size_t k = begin; k < end; ++k) {
-        best = std::min(best, csr_p_[k]);
-      }
-      break;
-    }
-    case StorageBackend::kGenerator:
-      for (std::size_t i = 0; i < num_machines_; ++i) {
-        best = std::min(best, generator_->entry(j, static_cast<MachineId>(i)));
-      }
-      break;
-  }
-  return best;
+  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < num_jobs());
+  return store_->min_processing(j);
+}
+
+const std::shared_ptr<const RowGenerator>& Instance::shared_generator() const {
+  OSCHED_CHECK(backend() == StorageBackend::kGenerator);
+  return store_->generator();
 }
 
 double Instance::processing_spread() const {
+  // Generator backend: a full closed-form sweep, analysis-only (never on a
+  // scheduling path).
   double lo = std::numeric_limits<double>::infinity();
   double hi = 0.0;
-  auto fold = [&](Work p) {
-    if (job_rules::eligible(p)) {
-      lo = std::min(lo, p);
-      hi = std::max(hi, p);
-    }
-  };
-  switch (backend_) {
-    case StorageBackend::kDense:
-      for (Work p : processing_) fold(p);
-      break;
-    case StorageBackend::kSparseCsr:
-      for (Work p : csr_p_) fold(p);
-      break;
-    case StorageBackend::kGenerator:
-      // Full closed-form sweep: analysis-only (never on a scheduling path).
-      for (std::size_t j = 0; j < jobs_.size(); ++j) {
-        for (std::size_t i = 0; i < num_machines_; ++i) {
-          fold(generator_->entry(static_cast<JobId>(j),
-                                 static_cast<MachineId>(i)));
-        }
+  for (std::size_t j = 0; j < num_jobs(); ++j) {
+    const auto job = static_cast<JobId>(j);
+    for (const MachineId i : eligible_machines(job)) {
+      const Work p = processing_unchecked(i, job);
+      if (job_rules::eligible(p)) {
+        lo = std::min(lo, p);
+        hi = std::max(hi, p);
       }
-      break;
+    }
   }
   if (hi == 0.0) return 1.0;
   return hi / lo;
@@ -325,18 +288,59 @@ double Instance::processing_spread() const {
 
 Weight Instance::total_weight() const {
   Weight total = 0.0;
-  for (const Job& job : jobs_) total += job.weight;
+  for (const Job& job : jobs()) total += job.weight;
   return total;
 }
 
 std::string Instance::validate() const {
   // Computed once at construction; an Instance is immutable afterwards.
-  if (num_machines_ == 0) return "no machines; " + validation_problems_;
+  if (num_machines() == 0) return "no machines; " + validation_problems_;
   return validation_problems_;
 }
 
 void Instance::check_valid() const {
   OSCHED_CHECK(validate().empty()) << "invalid instance: " << validate();
+}
+
+void fill_stream_job(const Instance& instance, JobId j, Time release_offset,
+                     StreamJob* out) {
+  const Job& src = instance.job(j);
+  out->release = release_offset + src.release;
+  out->weight = src.weight;
+  out->deadline = src.deadline;
+  const service::StreamingJobStore& store = instance.store();
+  if (instance.backend() == StorageBackend::kSparseCsr) {
+    // Eligible entries only, already ascending in the adjacency, with the
+    // CSR values aligned: no m-wide vector is ever touched.
+    out->processing.clear();
+    out->entries.clear();
+    const EligibleMachines eligible = store.eligible_machines(j);
+    const Work* values = store.csr_values(j);
+    out->entries.reserve(eligible.size());
+    for (std::size_t k = 0; k < eligible.size(); ++k) {
+      out->entries.push_back(SparseEntry{eligible.first[k], values[k]});
+    }
+    return;
+  }
+  out->entries.clear();
+  if (instance.backend() == StorageBackend::kDense) {
+    // Dense fast path (the feed loops' case): one contiguous row copy.
+    const Work* row = store.processing_row(j);
+    out->processing.assign(row, row + instance.num_machines());
+    return;
+  }
+  // Generator rows are fully eligible by contract: synthesize the dense row
+  // through the closed form (O(m) is inherent in materializing it at all).
+  out->processing.resize(instance.num_machines());
+  instance.generator().fill_row(j, instance.num_machines(),
+                                out->processing.data());
+}
+
+StreamJob make_stream_job(const Instance& instance, JobId j,
+                          Time release_offset) {
+  StreamJob out;
+  fill_stream_job(instance, j, release_offset, &out);
+  return out;
 }
 
 }  // namespace osched

@@ -1,30 +1,32 @@
-// Unrelated-machines problem instance — a thin façade over a pluggable
-// processing-time store.
+// Unrelated-machines problem instance — a façade over one job store.
 //
 // The paper states the model over an n×m matrix of per-machine processing
 // requirements p_ij (+infinity marks "job j cannot run on machine i",
-// restricted assignment). How that matrix is *stored* is a backend choice:
+// restricted assignment). How that matrix is *stored* is a backend choice
+// (instance/storage.hpp):
 //
 //  * kDense     — one flat job-major buffer (a job's p_ij across machines is
-//                 contiguous, the access pattern of the dispatch scans) plus
-//                 a per-job (p, id) machine order (uint16 ids, built below
-//                 65536 machines).
-//  * kSparseCsr — eligible entries only: p and the (p, id) order are stored
-//                 per job over the eligibility adjacency, so a
-//                 restricted-assignment family at eligibility q costs ~q of
-//                 the dense bytes instead of all of them.
+//                 contiguous, the access pattern of the dispatch scans); a
+//                 row with every entry finite shares one identity adjacency.
+//  * kSparseCsr — eligible entries only, CSR over the eligibility
+//                 adjacency, so a restricted-assignment family at
+//                 eligibility q costs ~q of the dense bytes.
 //  * kGenerator — no matrix at all: p_ij is synthesized on demand from a
 //                 workload family's closed form (RowGenerator). Fully
 //                 eligible by contract; huge-m sweeps never materialize n×m.
 //
-// Every backend answers the same façade accessors (processing, eligibility,
-// min_processing, ...) with identical values, and the schedulers make
-// bit-identical decisions over all three — tests/storage_backend_test.cpp
-// pins that down differentially. The *hot* accessor surface the policies
-// run on (m-wide processing_row rows for every backend, p_order_row,
-// processing_unchecked without the machine-index CHECK) is
-// service::StreamingJobStore (service/job_store.hpp); a batch run's store
-// borrows this class's buffers without copying them.
+// An Instance keeps no buffers of its own: each builder sorts the jobs by
+// (release, id), computes validate()'s verdict, and appends every job
+// through service::StreamingJobStore's row writer — the one a streaming
+// session uses — into a single block, then has the store build the (p, id)
+// machine order table (dense and sparse, below 65536 machines). The store
+// is held by shared_ptr<const>, so copies of an Instance share it and
+// outlive nothing. Every backend answers the same façade accessors with
+// identical values, and the schedulers make bit-identical decisions over
+// all three — tests/storage_backend_test.cpp pins that down
+// differentially. Policies run on a copy of store(): the copy shares the
+// blocks read-only and has its own row tiles, so a const Instance can be
+// run from several threads.
 #pragma once
 
 #include <memory>
@@ -33,6 +35,7 @@
 
 #include "instance/job.hpp"
 #include "instance/job_rules.hpp"
+#include "instance/storage.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
@@ -42,57 +45,9 @@ namespace service {
 class StreamingJobStore;
 }
 
-/// Lightweight view over one job's eligible machines (ascending machine
-/// index, the same order the dispatch loops used to scan). Iterable:
-///   for (MachineId i : instance.eligible_machines(j)) ...
-struct EligibleMachines {
-  const MachineId* first = nullptr;
-  const MachineId* last = nullptr;
-
-  const MachineId* begin() const { return first; }
-  const MachineId* end() const { return last; }
-  std::size_t size() const { return static_cast<std::size_t>(last - first); }
-  bool empty() const { return first == last; }
-};
-
-/// Which representation an Instance keeps its p_ij matrix in. The choice
-/// never changes any scheduling outcome — only memory footprint and the
-/// constant factors of the accessors.
-enum class StorageBackend {
-  kDense,      ///< flat job-major n×m buffer (+ order table)
-  kSparseCsr,  ///< eligible entries only, CSR over the adjacency
-  kGenerator,  ///< p_ij synthesized on demand from a closed form
-};
-
-const char* to_string(StorageBackend backend);
-
-/// Closed-form p_ij source for generator-backed instances.
-///
-/// Contract: entry(j, i) is a PURE function of (j, i) — no internal state —
-/// returning a finite positive processing time for every machine (generator
-/// instances are fully eligible; restricted families belong to the sparse
-/// backend, whose adjacency is explicit). `j` is the final, release-sorted
-/// job id. Purity is what makes the backend exchangeable: materializing the
-/// same generator into a dense or sparse instance reproduces every double
-/// bit for bit, which the storage differential wall asserts.
-class RowGenerator {
- public:
-  virtual ~RowGenerator() = default;
-
-  virtual Work entry(JobId j, MachineId i) const = 0;
-
-  /// Fills one whole row (m entries). Override when the family can batch
-  /// per-row work (e.g. hoisting the job-dependent factors out of the
-  /// machine loop); the default just loops entry().
-  virtual void fill_row(JobId j, std::size_t num_machines, Work* out) const {
-    for (std::size_t i = 0; i < num_machines; ++i) {
-      out[i] = entry(j, static_cast<MachineId>(i));
-    }
-  }
-};
-
 class Instance {
  public:
+  /// No jobs, no machines and no store: cheap to build and to assign over.
   Instance() = default;
 
   /// Dense backend. `processing[i][j]` is p_ij; every row must have
@@ -129,96 +84,65 @@ class Instance {
   /// is no closed form to recover from a matrix).
   Instance with_backend(StorageBackend target) const;
 
-  StorageBackend backend() const { return backend_; }
+  StorageBackend backend() const;
+
+  /// The job store holding this instance's data. Batch runs copy it: the
+  /// copy shares every block and the order table read-only and owns its
+  /// row tiles, so concurrent runs over one const Instance never share
+  /// mutable state. Aborts on a default-constructed Instance.
+  const service::StreamingJobStore& store() const;
 
   /// Exact byte footprint of the stored representation (matrix payload,
-  /// order table, adjacency, job records). Deterministic for a
-  /// given instance — bench reports treat it as an exact-match metric.
+  /// order table, adjacency, job records): store().store_bytes().
+  /// Deterministic for a given instance — bench reports treat it as an
+  /// exact-match metric.
   std::size_t store_bytes() const;
 
-  std::size_t num_jobs() const { return jobs_.size(); }
-  std::size_t num_machines() const { return num_machines_; }
+  std::size_t num_jobs() const;
+  std::size_t num_machines() const;
 
-  const Job& job(JobId j) const {
-    OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < jobs_.size());
-    return jobs_[static_cast<std::size_t>(j)];
-  }
-  const std::vector<Job>& jobs() const { return jobs_; }
+  const Job& job(JobId j) const;
+  const std::vector<Job>& jobs() const;
 
-  Work processing(MachineId i, JobId j) const {
-    OSCHED_CHECK(i >= 0 && static_cast<std::size_t>(i) < num_machines_);
-    OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < jobs_.size());
-    return processing_unchecked(i, j);
-  }
+  /// p_ij with both indices CHECKed.
+  Work processing(MachineId i, JobId j) const;
 
-  /// p_ij without bounds CHECKs, for validated loops (the duality checkers'
-  /// constraint sweeps, metrics evaluation). Callers must have established
-  /// 0 <= i < num_machines() and 0 <= j < num_jobs(). Dense: one load.
-  /// Sparse: binary search of the job's adjacency slice (kTimeInfinity on a
-  /// miss). Generator: one closed-form evaluation. Scheduling hot paths do
-  /// NOT come through here — they run on service::StreamingJobStore.
-  Work processing_unchecked(MachineId i, JobId j) const {
-    switch (backend_) {
-      case StorageBackend::kDense:
-        return processing_[static_cast<std::size_t>(j) * num_machines_ +
-                           static_cast<std::size_t>(i)];
-      case StorageBackend::kSparseCsr: {
-        const auto row = static_cast<std::size_t>(j);
-        const std::size_t begin = eligible_offsets_[row];
-        return job_rules::csr_lookup(eligible_flat_.data() + begin,
-                                     csr_p_.data() + begin,
-                                     eligible_offsets_[row + 1] - begin, i);
-      }
-      case StorageBackend::kGenerator:
-        return generator_->entry(j, i);
-    }
-    return kTimeInfinity;  // unreachable
-  }
+  /// p_ij without the machine-index CHECK, for validated loops (the duality
+  /// checkers' constraint sweeps, metrics evaluation). Callers must have
+  /// established 0 <= i < num_machines() and 0 <= j < num_jobs(). Dense:
+  /// one load. Sparse: binary search of the job's adjacency slice
+  /// (kTimeInfinity on a miss). Generator: one closed-form evaluation.
+  /// Scheduling hot paths do NOT come through here — they run on a copy of
+  /// store().
+  Work processing_unchecked(MachineId i, JobId j) const;
 
   /// Job j's contiguous p_{., j} row. DENSE BACKEND ONLY (the other
   /// backends have no materialized row to point into — hot-path row access
-  /// goes through service::StreamingJobStore).
-  const Work* processing_row(JobId j) const {
-    OSCHED_CHECK(backend_ == StorageBackend::kDense);
-    return processing_.data() + static_cast<std::size_t>(j) * num_machines_;
-  }
+  /// goes through a copy of store(), whose row tiles serve them).
+  const Work* processing_row(JobId j) const;
 
   /// Job j's eligible machines sorted by (p_ij, machine id) ascending, as
-  /// uint16 ids — precomputed at construction for the dense and sparse
-  /// backends (the table is CSR-shaped either way). nullptr when there is
-  /// no table: generator backend (sorting would materialize the row work
-  /// the backend avoids), empty instances, and m >= 65536 (ids no longer
-  /// fit uint16).
-  const std::uint16_t* p_order_row(JobId j) const {
-    if (p_order_.empty()) return nullptr;
-    return p_order_.data() + eligible_offsets_[static_cast<std::size_t>(j)];
-  }
+  /// uint16 ids — built once at construction for the dense and sparse
+  /// backends. nullptr when there is no table: generator backend (sorting
+  /// would materialize the row work the backend avoids), empty instances,
+  /// and m >= 65536 (ids no longer fit uint16).
+  const std::uint16_t* p_order_row(JobId j) const;
 
   /// Machine-id width of the order table in bits: 16 when it exists, 0 when
   /// it does not (see p_order_row) — then dispatch derives the idle argmin
   /// from the row instead of the indexed idle-machine walk. Surfaced
   /// through api::RunSummary::dispatch_order_width for Theorem 1 runs so
   /// perf baselines are attributable to the code path that produced them.
-  int dispatch_order_width() const { return p_order_.empty() ? 0 : 16; }
+  int dispatch_order_width() const;
 
   bool eligible(MachineId i, JobId j) const {
     return job_rules::eligible(processing(i, j));
   }
 
   /// The machines that can run j (finite p_ij), ascending machine index.
-  /// Dense/sparse: the precomputed adjacency. Generator: a shared
-  /// 0..m-1 identity row (fully eligible by contract).
-  EligibleMachines eligible_machines(JobId j) const {
-    OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < jobs_.size());
-    if (backend_ == StorageBackend::kGenerator) {
-      const MachineId* base = identity_machines_.data();
-      return EligibleMachines{base, base + num_machines_};
-    }
-    const auto idx = static_cast<std::size_t>(j);
-    const MachineId* base = eligible_flat_.data();
-    return EligibleMachines{base + eligible_offsets_[idx],
-                            base + eligible_offsets_[idx + 1]};
-  }
+  /// Rows with every machine eligible (all generator rows) share one
+  /// 0..m-1 identity row.
+  EligibleMachines eligible_machines(JobId j) const;
 
   /// min_i p_ij — the fastest any machine can serve j. Used by lower bounds.
   Work min_processing(JobId j) const;
@@ -231,18 +155,12 @@ class Instance {
   Weight total_weight() const;
 
   /// The closed-form source of a generator-backed instance.
-  const RowGenerator& generator() const {
-    OSCHED_CHECK(backend_ == StorageBackend::kGenerator);
-    return *generator_;
-  }
+  const RowGenerator& generator() const { return *shared_generator(); }
 
   /// The same closed form as a shareable handle — the value to hand to
   /// SessionOptions::generator / SchedulerSession::restore when streaming
   /// this instance's jobs into a generator-backed session.
-  const std::shared_ptr<const RowGenerator>& shared_generator() const {
-    OSCHED_CHECK(backend_ == StorageBackend::kGenerator);
-    return generator_;
-  }
+  const std::shared_ptr<const RowGenerator>& shared_generator() const;
 
   /// Structural sanity under the job rules of instance/job_rules.hpp (the
   /// ones the streaming store applies too): job fields, plus the dense-row
@@ -258,44 +176,14 @@ class Instance {
   void check_valid() const;
 
  private:
-  /// Its Instance constructor borrows these buffers for batch runs.
-  friend class service::StreamingJobStore;
+  /// Has `store` build its order table after a builder's last append, then
+  /// takes it and validate()'s verdict.
+  void adopt(std::shared_ptr<service::StreamingJobStore> store,
+             std::string problems);
 
-  /// Build the per-job (p, id)-sorted machine order over the adjacency
-  /// (CSR-shaped for every backend that has one; entry_p reads one entry's
-  /// p value) into p_order_. Builds nothing at m >= 65536.
-  template <class EntryP>
-  void build_p_order(EntryP&& entry_p);
-  void build_p_order_dense();
-  void build_p_order_csr();
-
-  std::vector<Job> jobs_;
-  std::size_t num_machines_ = 0;
-  StorageBackend backend_ = StorageBackend::kDense;
-
-  // ---- dense backend ----
-  /// Flat p_ij buffer, job-major ([job * m + machine]): the hot dispatch
-  /// loops read p_{., j} for one job across machines, which this layout
-  /// serves from m/8 cache lines instead of m scattered ones.
-  std::vector<Work> processing_;
-
-  // ---- sparse-CSR backend (aligned with eligible_flat_ slices) ----
-  std::vector<Work> csr_p_;
-
-  // ---- generator backend ----
-  std::shared_ptr<const RowGenerator> generator_;
-  /// 0..m-1, the shared eligible_machines row of the fully-eligible
-  /// generator backend.
-  std::vector<MachineId> identity_machines_;
-
-  // ---- shared tables (dense + sparse) ----
-  /// Per-job eligible machines sorted by (p_ij, id); eligible_offsets_
-  /// slicing. Empty at m >= 65536 (see p_order_row).
-  std::vector<std::uint16_t> p_order_;
-  /// Eligible-machine ids grouped by job; eligible_offsets_[j]..[j+1) is
-  /// job j's slice of eligible_flat_.
-  std::vector<MachineId> eligible_flat_;
-  std::vector<std::size_t> eligible_offsets_;
+  /// Every job record, the matrix in its backend's layout and the order
+  /// table, in one block; null for a default-constructed Instance.
+  std::shared_ptr<const service::StreamingJobStore> store_;
   /// validate()'s cached verdict, filled at construction.
   std::string validation_problems_;
 };

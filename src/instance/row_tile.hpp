@@ -22,7 +22,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "instance/instance.hpp"
+#include "instance/storage.hpp"
 
 namespace osched {
 

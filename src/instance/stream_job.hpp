@@ -23,10 +23,12 @@
 
 #include <vector>
 
-#include "instance/instance.hpp"
+#include "instance/job.hpp"
 #include "util/types.hpp"
 
 namespace osched {
+
+class Instance;
 
 struct StreamJob {
   Time release = 0.0;
@@ -55,39 +57,8 @@ struct StreamJob {
 /// generator row is fully eligible, so dense IS its compact form). Feeders
 /// that share a closed form with a generator-backed session should submit
 /// metadata-only jobs instead (fill_stream_job_meta below).
-inline void fill_stream_job(const Instance& instance, JobId j,
-                            Time release_offset, StreamJob* out) {
-  const Job& src = instance.job(j);
-  out->release = release_offset + src.release;
-  out->weight = src.weight;
-  out->deadline = src.deadline;
-  if (instance.backend() == StorageBackend::kSparseCsr) {
-    // Eligible entries only, already ascending in the adjacency. The
-    // per-entry lookup is the CSR binary search, but over a single row the
-    // branch history makes it effectively a pointer walk; crucially no
-    // m-wide vector is ever touched.
-    out->processing.clear();
-    out->entries.clear();
-    const EligibleMachines eligible = instance.eligible_machines(j);
-    out->entries.reserve(eligible.size());
-    for (const MachineId i : eligible) {
-      out->entries.push_back(SparseEntry{i, instance.processing_unchecked(i, j)});
-    }
-    return;
-  }
-  out->entries.clear();
-  if (instance.backend() == StorageBackend::kDense) {
-    // Dense fast path (the feed loops' case): one contiguous row copy.
-    const Work* row = instance.processing_row(j);
-    out->processing.assign(row, row + instance.num_machines());
-    return;
-  }
-  // Generator rows are fully eligible by contract: synthesize the dense row
-  // through the closed form (O(m) is inherent in materializing it at all).
-  out->processing.resize(instance.num_machines());
-  instance.generator().fill_row(j, instance.num_machines(),
-                                out->processing.data());
-}
+void fill_stream_job(const Instance& instance, JobId j, Time release_offset,
+                     StreamJob* out);
 
 /// Metadata-only fill: job fields, no payload. The submission form for
 /// generator-backed sessions (SessionOptions::generator), whose store
@@ -102,11 +73,7 @@ inline void fill_stream_job_meta(const Job& src, Time release_offset,
   out->entries.clear();
 }
 
-inline StreamJob make_stream_job(const Instance& instance, JobId j,
-                                 Time release_offset = 0.0) {
-  StreamJob out;
-  fill_stream_job(instance, j, release_offset, &out);
-  return out;
-}
+StreamJob make_stream_job(const Instance& instance, JobId j,
+                          Time release_offset = 0.0);
 
 }  // namespace osched

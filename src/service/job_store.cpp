@@ -16,7 +16,6 @@ StreamingJobStore::StreamingJobStore(
       backend_(backend),
       generator_(std::move(generator)),
       tiles_(num_machines) {
-  OSCHED_CHECK_GT(num_machines, 0u);
   OSCHED_CHECK(std::has_single_bit(jobs_per_block))
       << "jobs_per_block must be a power of two, got " << jobs_per_block;
   if (backend_ == StorageBackend::kGenerator) {
@@ -30,27 +29,7 @@ StreamingJobStore::StreamingJobStore(
     identity_machines_.resize(num_machines_);
     std::iota(identity_machines_.begin(), identity_machines_.end(),
               MachineId{0});
-    identity_ = identity_machines_.data();
   }
-}
-
-StreamingJobStore::StreamingJobStore(const Instance& instance)
-    : num_machines_(instance.num_machines()),
-      // One block over every id: the smallest power of two above n.
-      jobs_per_block_(std::size_t{1} << std::bit_width(instance.num_jobs())),
-      block_shift_(std::bit_width(instance.num_jobs())),
-      backend_(instance.backend()),
-      generator_(instance.generator_),
-      borrowed_(true),
-      identity_(instance.identity_machines_.data()),
-      p_order_(instance.p_order_.empty() ? nullptr
-                                         : instance.p_order_.data()),
-      num_jobs_(instance.num_jobs()),
-      tiles_(num_machines_) {
-  blocks_.push_back(Block{instance.jobs_.data(), instance.processing_.data(),
-                          instance.eligible_flat_.data(),
-                          instance.eligible_offsets_.data(),
-                          instance.csr_p_.data()});
 }
 
 std::string StreamingJobStore::diagnose_after(const StreamJob& job,
@@ -103,12 +82,11 @@ void StreamingJobStore::validate_batch(std::span<const StreamJob> jobs) const {
   }
 }
 
-JobId StreamingJobStore::append_trusted(const StreamJob& job) {
-  OSCHED_CHECK(!borrowed_) << "append to a store that borrows an Instance";
+StreamingJobStore::Block& StreamingJobStore::tail_block() {
+  OSCHED_CHECK(p_order_ == nullptr) << "append after build_p_order";
   const std::size_t block_index = num_jobs_ >> block_shift_;
   if (block_index == blocks_.size()) {
-    blocks_.emplace_back();
-    BlockData& fresh = data_.emplace_back();
+    Block& fresh = *blocks_.emplace_back(std::make_shared<Block>());
     fresh.jobs.reserve(jobs_per_block_);
     if (backend_ == StorageBackend::kDense) {
       fresh.processing.reserve(jobs_per_block_ * num_machines_);
@@ -117,8 +95,23 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
       fresh.eligible_offsets.reserve(jobs_per_block_ + 1);
       fresh.eligible_offsets.push_back(0);
     }
+  } else if (blocks_[block_index].use_count() > 1) {
+    // Copy-on-write: a copy of this store still reads the block.
+    blocks_[block_index] = std::make_shared<Block>(*blocks_[block_index]);
   }
-  BlockData& block = data_[block_index];
+  return *blocks_[block_index];
+}
+
+void StreamingJobStore::reserve_entries(std::size_t num_entries) {
+  Block& block = tail_block();
+  block.eligible.reserve(block.eligible.size() + num_entries);
+  if (backend_ == StorageBackend::kSparseCsr) {
+    block.csr_p.reserve(block.csr_p.size() + num_entries);
+  }
+}
+
+JobId StreamingJobStore::append_trusted(const StreamJob& job) {
+  Block& block = tail_block();
 
   const auto id = static_cast<JobId>(num_jobs_);
   Job stored;
@@ -148,6 +141,7 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
         for (const Work p : job.processing) finite += job_rules::eligible(p);
         // A full row stores no ids: its empty span reads as the shared
         // identity row (eligible_machines).
+        has_ineligible_rows_ |= finite == 0 && num_machines_ > 0;
         if (finite != num_machines_) {
           for (std::size_t i = 0; i < job.processing.size(); ++i) {
             if (job_rules::eligible(job.processing[i])) {
@@ -184,7 +178,6 @@ JobId StreamingJobStore::append_trusted(const StreamJob& job) {
       // shared identity row. Nothing else to store.
       break;
   }
-  blocks_[block_index] = block.view();
 
   last_release_ = job.release;
   ++num_jobs_;
@@ -203,12 +196,65 @@ const RowTileCache::Row& StreamingJobStore::tile(JobId j) const {
   }
   const std::size_t offset = offset_of(j);
   const std::size_t begin = b.eligible_offsets[offset];
-  return tiles_.fill_sparse(j, b.eligible + begin, b.csr_p + begin,
+  return tiles_.fill_sparse(j, b.eligible.data() + begin,
+                            b.csr_p.data() + begin,
                             b.eligible_offsets[offset + 1] - begin);
 }
 
+void StreamingJobStore::build_p_order() {
+  // Sorting runs over PACKED (p bit pattern, id) keys: the bit patterns of
+  // non-negative IEEE doubles order exactly like the values, and value
+  // compares beat a comparator that chases back into the matrix per call.
+  // The sort scratch is one row's keys, reused across jobs, so a build
+  // never holds more than the finished table plus one row of keys.
+  if (backend_ == StorageBackend::kGenerator || num_machines_ >= 65536u) {
+    return;
+  }
+  OSCHED_CHECK_EQ(begin_id_, 0) << "build_p_order after retire_below";
+  auto table = std::make_shared<POrderTable>();
+  table->offsets.resize(num_jobs_ + 1, 0);
+  for (std::size_t j = 0; j < num_jobs_; ++j) {
+    table->offsets[j + 1] =
+        table->offsets[j] + eligible_machines(static_cast<JobId>(j)).size();
+  }
+  if (table->offsets.back() == 0) return;
+  table->ids.resize(table->offsets.back());
+  // A dense row is indexed by machine, CSR values by adjacency position.
+  const bool dense = backend_ == StorageBackend::kDense;
+  std::vector<detail::POrderKey> keys;
+  for (std::size_t j = 0; j < num_jobs_; ++j) {
+    const auto job = static_cast<JobId>(j);
+    const EligibleMachines ids = eligible_machines(job);
+    const Work* p = dense ? processing_row(job) : csr_values(job);
+    keys.clear();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const MachineId i = ids.first[k];
+      keys.push_back(detail::POrderKey::make(
+          p[dense ? static_cast<std::size_t>(i) : k],
+          static_cast<std::uint16_t>(i)));
+    }
+    std::sort(keys.begin(), keys.end());
+    std::uint16_t* out = table->ids.data() + table->offsets[j];
+    for (const detail::POrderKey& key : keys) *out++ = key.id;
+  }
+  p_order_ = std::move(table);
+}
+
+std::size_t StreamingJobStore::store_bytes() const {
+  auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
+  std::size_t total = bytes(identity_machines_);
+  for (const std::shared_ptr<Block>& b : blocks_) {
+    if (b == nullptr) continue;
+    total += bytes(b->jobs) + bytes(b->processing) + bytes(b->eligible) +
+             bytes(b->eligible_offsets) + bytes(b->csr_p);
+  }
+  if (p_order_ != nullptr) {
+    total += bytes(p_order_->ids) + bytes(p_order_->offsets);
+  }
+  return total;
+}
+
 void StreamingJobStore::retire_below(JobId frontier) {
-  OSCHED_CHECK(!borrowed_) << "retire from a store that borrows an Instance";
   if (frontier <= begin_id_) return;
   // Blocks below the old frontier's were released by earlier calls.
   const std::size_t first_unreleased =

@@ -7,11 +7,12 @@
 // decided and folded, the whole block's memory is handed back — the live
 // footprint tracks the in-flight window, not the full trace.
 //
-// A batch run borrows its Instance instead (the const Instance&
-// constructor): one read-only block aliases the Instance's job records,
-// dense rows, adjacency, CSR values and identity row without copying them,
-// and p_order_row serves the Instance's (p, id) order table. Appending to
-// or retiring from a borrowed store aborts.
+// An Instance keeps its data in a store too: it appends its release-sorted
+// jobs through the same row writer (append_trusted) into one block, then
+// calls build_p_order for the (p, id) machine order table that batch
+// dispatch walks. Copies of a store share its blocks and order table and
+// own their row tiles: a batch run copies its Instance's store, and an
+// append to a block another copy still holds clones the block first.
 //
 // Storage backends (the PR-5 batch trio, carried through the service layer):
 //  * kDense     — each block holds a job-major m-wide double matrix. The
@@ -58,9 +59,10 @@
 #include <string>
 #include <vector>
 
-#include "instance/instance.hpp"
+#include "instance/job.hpp"
 #include "instance/job_rules.hpp"
 #include "instance/row_tile.hpp"
+#include "instance/storage.hpp"
 #include "instance/stream_job.hpp"
 #include "util/check.hpp"
 
@@ -76,12 +78,6 @@ class StreamingJobStore {
       std::size_t num_machines, std::size_t jobs_per_block = 4096,
       StorageBackend backend = StorageBackend::kDense,
       std::shared_ptr<const RowGenerator> generator = nullptr);
-
-  /// The batch store: a read-only view of `instance`'s buffers (see the
-  /// header comment). Keep the Instance alive for the store's lifetime, and
-  /// use one store per run: the row tiles are as private to a policy as its
-  /// own scratch.
-  explicit StreamingJobStore(const Instance& instance);
 
   std::size_t num_machines() const { return num_machines_; }
   /// Total jobs ever appended (retired jobs included) — the id space size.
@@ -109,8 +105,8 @@ class StreamingJobStore {
   }
 
   /// Appends the job and returns its id. Aborts on invalid input — callers
-  /// wanting recoverable rejection run job_ok/validate_job first — and on a
-  /// borrowed store.
+  /// wanting recoverable rejection run job_ok/validate_job first — and
+  /// after build_p_order.
   JobId append(const StreamJob& job);
 
   /// One validation pass over a whole batch (each job checked against its
@@ -122,19 +118,40 @@ class StreamingJobStore {
   void validate_batch(std::span<const StreamJob> jobs) const;
 
   /// Appends WITHOUT the validity gate — legal only for jobs a
-  /// validate_batch pass (or an explicit job_ok) already accepted.
+  /// validate_batch pass (or an explicit job_ok) already accepted, and for
+  /// an Instance's jobs, whose verdict validate() reports instead (it
+  /// passes a sparse row only its well-formed machine ids, so nothing is
+  /// written out of bounds). The one writer of job rows: every append,
+  /// batch or streamed, lands here.
   JobId append_trusted(const StreamJob& job);
 
-  /// Frees every block that lies entirely below `frontier`. Aborts on a
-  /// borrowed store.
+  /// Room for `num_entries` more listed machine ids (and, for kSparseCsr,
+  /// their values) in the block the next append writes, so a builder that
+  /// knows its total (Instance::from_sparse_rows) grows them once.
+  void reserve_entries(std::size_t num_entries);
+
+  /// Builds the (p, id) order table over every stored job, once, after the
+  /// last append (an Instance's builders call it; streamed stores never
+  /// do, since sorting every append would sit on the ingest clock). Each
+  /// job's eligible machines sorted by (p, id) over packed keys, as uint16
+  /// ids. Builds nothing for kGenerator (sorting would materialize the row
+  /// work the backend avoids), at m >= 65536 (ids no longer fit uint16),
+  /// or when no job has an eligible machine.
+  void build_p_order();
+
+  /// Frees every block that lies entirely below `frontier`.
   void retire_below(JobId frontier);
+
+  /// Exact bytes of the stored representation: job records, dense rows,
+  /// CSR values, adjacency and its offsets, the identity row and the order
+  /// table. The row tiles are scratch and are not counted.
+  std::size_t store_bytes() const;
 
   /// Bytes currently held in p_ij payload across live blocks: dense rows
   /// and CSR value arrays. Job records, the eligibility adjacency and the
   /// fixed 4-row tile scratch are excluded — this is the
   /// number that collapses for compact backends (a kGenerator store reports
-  /// 0 forever, and so does a borrowed store, which holds no payload of its
-  /// own). matrix_peak_bytes() is its lifetime high-water mark, the
+  /// 0 forever). matrix_peak_bytes() is its lifetime high-water mark, the
   /// deterministic per-tenant memory metric the multi-tenant soak tracks.
   std::size_t matrix_bytes() const { return matrix_bytes_; }
   std::size_t matrix_peak_bytes() const { return matrix_peak_bytes_; }
@@ -142,9 +159,12 @@ class StreamingJobStore {
   // ---- Instance-compatible accessor surface (policies are templates over
   // it; semantics match Instance exactly) ----
 
-  const Job& job(JobId j) const {
-    const Block& b = block_of(j);
-    return b.jobs[offset_of(j)];
+  const Job& job(JobId j) const { return block_of(j).jobs[offset_of(j)]; }
+
+  /// The job records of j's block in id order: every record, for a store
+  /// whose jobs share one block (an Instance's).
+  const std::vector<Job>& block_jobs(JobId j) const {
+    return block_of(j).jobs;
   }
 
   /// Point lookup. NEVER routed through the row tiles: policies call this
@@ -162,7 +182,8 @@ class StreamingJobStore {
     }
     const std::size_t offset = offset_of(j);
     const std::size_t begin = b.eligible_offsets[offset];
-    return job_rules::csr_lookup(b.eligible + begin, b.csr_p + begin,
+    return job_rules::csr_lookup(b.eligible.data() + begin,
+                                 b.csr_p.data() + begin,
                                  b.eligible_offsets[offset + 1] - begin, i);
   }
 
@@ -174,20 +195,20 @@ class StreamingJobStore {
   /// lifetime the dispatch path needs.
   const Work* processing_row(JobId j) const {
     if (backend_ == StorageBackend::kDense) {
-      const Block& b = block_of(j);
-      return b.processing + offset_of(j) * num_machines_;
+      return block_of(j).processing.data() + offset_of(j) * num_machines_;
     }
     return tile(j).p.data();
   }
 
-  /// Job j's slice of the borrowed Instance's (p, id) order table, same
-  /// contract as Instance::p_order_row. Streamed stores have none: sorting
-  /// every append would sit on the ingest clock, and a just-appended row is
-  /// cache-hot anyway, so the dispatch's ordered path derives the idle
-  /// argmin from the double row instead (nullptr selects that sub-path).
+  /// Job j's slice of the (p, id) order table (build_p_order), same
+  /// contract as Instance::p_order_row. Streamed stores have none, and a
+  /// just-appended row is cache-hot anyway, so the dispatch's ordered path
+  /// derives the idle argmin from the double row instead (nullptr selects
+  /// that sub-path).
   const std::uint16_t* p_order_row(JobId j) const {
     if (p_order_ == nullptr) return nullptr;
-    return p_order_ + block_of(j).eligible_offsets[offset_of(j)];
+    return p_order_->ids.data() +
+           p_order_->offsets[static_cast<std::size_t>(j)];
   }
 
   Work processing(MachineId i, JobId j) const {
@@ -203,16 +224,22 @@ class StreamingJobStore {
     const Block& b = block_of(j);
     if (backend_ != StorageBackend::kGenerator) {
       const std::size_t offset = offset_of(j);
+      const MachineId* ids = b.eligible.data();
       const std::size_t begin = b.eligible_offsets[offset];
       const std::size_t end = b.eligible_offsets[offset + 1];
-      // Every stored row has an eligible machine, so an empty span can only
-      // be a full dense row (append_trusted stores no ids for it).
-      if (begin != end) {
-        return EligibleMachines{b.eligible + begin, b.eligible + end};
+      // A dense row lists no ids when every entry is finite (append_trusted
+      // stores none for it) or, in an invalid Instance only, when none is;
+      // then its first entry tells the two apart. Sparse rows are all
+      // explicit.
+      if (begin != end || backend_ == StorageBackend::kSparseCsr ||
+          (has_ineligible_rows_ &&
+           !job_rules::eligible(b.processing[offset * num_machines_]))) {
+        return EligibleMachines{ids + begin, ids + end};
       }
     }
     // Fully eligible: generator rows by contract, full dense rows by value.
-    return EligibleMachines{identity_, identity_ + num_machines_};
+    const MachineId* identity = identity_machines_.data();
+    return EligibleMachines{identity, identity + num_machines_};
   }
 
   /// kSparseCsr only: job j's stored values, aligned entry-for-entry with
@@ -221,7 +248,7 @@ class StreamingJobStore {
   const Work* csr_values(JobId j) const {
     OSCHED_CHECK(backend_ == StorageBackend::kSparseCsr);
     const Block& b = block_of(j);
-    return b.csr_p + b.eligible_offsets[offset_of(j)];
+    return b.csr_p.data() + b.eligible_offsets[offset_of(j)];
   }
 
   Work min_processing(JobId j) const;
@@ -246,42 +273,38 @@ class StreamingJobStore {
   /// Diagnostic form of job_ok_after: every problem, "" when there is none.
   std::string diagnose_after(const StreamJob& job, Time previous) const;
 
-  /// One block's arrays as the accessors read them: a streamed block's
-  /// point into its BlockData (every append re-points them), the borrowed
-  /// block's into the Instance's buffers.
+  /// One block's storage: jobs [b*B, (b+1)*B) of a streamed store, or all
+  /// of an Instance's.
   struct Block {
-    const Job* jobs = nullptr;
-    const Work* processing = nullptr;  ///< kDense: m per job, job-major
-    /// Eligibility adjacency (kDense and kSparseCsr). A streamed dense row
-    /// whose m entries are all finite stores an empty span and reads as the
-    /// shared identity row, like every kGenerator row (which stores
-    /// nothing).
-    const MachineId* eligible = nullptr;
-    const std::size_t* eligible_offsets = nullptr;  ///< one per job, + 1
-    /// kSparseCsr: stored p values, aligned with `eligible`.
-    const Work* csr_p = nullptr;
-  };
-
-  /// A streamed block's storage.
-  struct BlockData {
     std::vector<Job> jobs;
-    std::vector<Work> processing;
+    std::vector<Work> processing;  ///< kDense: m per job, job-major
+    /// Eligibility adjacency (kDense and kSparseCsr). A dense row whose m
+    /// entries are all finite stores an empty span and reads as the shared
+    /// identity row, like every kGenerator row (which stores nothing).
     std::vector<MachineId> eligible;
-    std::vector<std::size_t> eligible_offsets;
+    std::vector<std::size_t> eligible_offsets;  ///< one per job, + 1
+    /// kSparseCsr: stored p values, aligned with `eligible`.
     std::vector<Work> csr_p;
-
-    Block view() const {
-      return Block{jobs.data(), processing.data(), eligible.data(),
-                   eligible_offsets.data(), csr_p.data()};
-    }
   };
+
+  /// build_p_order's table: ids[offsets[j], offsets[j + 1]) is job j's
+  /// eligible machines in (p, id) order.
+  struct POrderTable {
+    std::vector<std::uint16_t> ids;
+    std::vector<std::size_t> offsets;
+  };
+
+  /// The block the next append writes: opened on a block boundary, cloned
+  /// first while a copy of this store still holds it. Aborts once the
+  /// order table is built (the table would not cover the new job).
+  Block& tail_block();
 
   /// Serves row j from its tile slot, filling it from the block (CSR) or
   /// the closed form (generator) on a miss.
   const RowTileCache::Row& tile(JobId j) const;
 
   /// p-payload bytes a block currently holds (the matrix_bytes unit).
-  std::size_t block_matrix_bytes(const BlockData& block) const {
+  std::size_t block_matrix_bytes(const Block& block) const {
     return (block.processing.size() + block.csr_p.size()) * sizeof(Work);
   }
   void bump_matrix_bytes(std::size_t bytes) {
@@ -289,16 +312,15 @@ class StreamingJobStore {
     matrix_peak_bytes_ = std::max(matrix_peak_bytes_, matrix_bytes_);
   }
   void release_block(std::size_t b) {
-    matrix_bytes_ -= block_matrix_bytes(data_[b]);
-    data_[b] = BlockData{};
-    blocks_[b] = Block{};
+    matrix_bytes_ -= block_matrix_bytes(*blocks_[b]);
+    blocks_[b].reset();
   }
 
   const Block& block_of(JobId j) const {
     OSCHED_CHECK(j >= begin_id_ && static_cast<std::size_t>(j) < num_jobs_)
         << "job " << j << " outside the live store window [" << begin_id_
         << ", " << num_jobs_ << ")";
-    return blocks_[static_cast<std::size_t>(j) >> block_shift_];
+    return *blocks_[static_cast<std::size_t>(j) >> block_shift_];
   }
 
   std::size_t offset_of(JobId j) const {
@@ -311,25 +333,23 @@ class StreamingJobStore {
   int block_shift_ = 0;
   StorageBackend backend_ = StorageBackend::kDense;
   std::shared_ptr<const RowGenerator> generator_;
-  /// Set by the Instance constructor: append and retire_below abort.
-  bool borrowed_ = false;
-  /// A streamed kDense or kGenerator store's 0..m-1 adjacency, which every
-  /// generator row and every full dense row shares (kSparseCsr rows are all
-  /// explicit). identity_ points at it, or at the borrowed Instance's.
+  /// A kDense or kGenerator store's 0..m-1 adjacency, which every generator
+  /// row and every full dense row shares (kSparseCsr rows are all
+  /// explicit).
   std::vector<MachineId> identity_machines_;
-  const MachineId* identity_ = nullptr;
-  /// The borrowed Instance's (p, id) order table, sliced like the
-  /// adjacency; null for streamed stores and where the Instance has none.
-  const std::uint16_t* p_order_ = nullptr;
+  /// Set once a dense row with no finite entry is stored (only an invalid
+  /// Instance stores one): then an empty adjacency span can mean "no
+  /// machine" as well as "every machine".
+  bool has_ineligible_rows_ = false;
+  /// Null until build_p_order builds one; shared by copies.
+  std::shared_ptr<const POrderTable> p_order_;
   std::size_t num_jobs_ = 0;
   JobId begin_id_ = 0;
   /// Release of the last appended job; -infinity before the first.
   Time last_release_ = -kTimeInfinity;
-  /// blocks_[b] reads ids [b*B, (b+1)*B), and data_[b] holds them for a
-  /// streamed store (a borrowed store has no data_); retirement frees
-  /// data_[b] and nulls blocks_[b].
-  std::vector<Block> blocks_;
-  std::vector<BlockData> data_;
+  /// blocks_[b] holds ids [b*B, (b+1)*B), shared with the store's copies;
+  /// retirement drops this store's hold on it.
+  std::vector<std::shared_ptr<Block>> blocks_;
   /// Compact-backend row cache. Mutable: serving a row is logically const.
   mutable RowTileCache tiles_;
   std::size_t matrix_bytes_ = 0;

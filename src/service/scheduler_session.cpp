@@ -171,6 +171,7 @@ class SchedulerSession::Impl {
         loop_(&options_.run.fleet),
         host_(make_host(algorithm, store_, records_, loop_.events(),
                         options.run)) {
+    OSCHED_CHECK_GT(num_machines, 0u);
     OSCHED_CHECK(options.retain_records || !options.run.validate)
         << "low-memory sessions keep no schedule to validate; set "
            "run.validate = false (or retain records)";

@@ -8,8 +8,8 @@
 // only at times strictly inside k's execution window.
 //
 // The engine is a template over the Store it reads arrivals from — the
-// Instance façade or the service::StreamingJobStore that batch runs borrow
-// it into (service/job_store.hpp). Only job(j).release and num_jobs() are
+// Instance façade or the service::StreamingJobStore that holds its data
+// (service/job_store.hpp). Only job(j).release and num_jobs() are
 // touched, so any Store the policies accept works here too. SimEngine is
 // the Instance-typed alias the generic callers use.
 #pragma once

@@ -11,8 +11,8 @@
 //
 // Each policy is a template over
 //   Store — where job data comes from: `service::StreamingJobStore`,
-//           filled by a streaming session or borrowing a batch run's
-//           Instance. Must provide job(j), processing_unchecked(i, j),
+//           filled by a streaming session, or a batch run's copy of its
+//           Instance's store. Must provide job(j), processing_unchecked(i, j),
 //           processing_row(j), eligible_machines(j) and num_machines()
 //           with Instance's semantics.
 //   Rec   — where decisions are recorded: the batch `Schedule`, or the

@@ -81,6 +81,68 @@ TEST(Instance, ValidateCatchesProblems) {
     Instance instance(jobs, {{1.0}});
     EXPECT_NE(instance.validate().find("weight"), std::string::npos);
   }
+  {
+    // No machines: constructs, and validate() names both problems — under
+    // every matrix backend and in every copy.
+    std::vector<Job> jobs(1);
+    jobs[0] = Job{0, 0.0, 1.0, kTimeInfinity};
+    const Instance instance(jobs, {});
+    const Instance sparse = instance.with_backend(StorageBackend::kSparseCsr);
+    for (const Instance& built :
+         {instance, sparse, sparse.with_backend(StorageBackend::kDense)}) {
+      const Instance copy = built;
+      for (const Instance* each : {&built, &copy}) {
+        EXPECT_EQ(each->validate(),
+                  "no machines; job 0: no eligible machine; ");
+        EXPECT_EQ(each->num_jobs(), 1u);
+        EXPECT_EQ(each->num_machines(), 0u);
+        EXPECT_TRUE(each->eligible_machines(0).empty());
+        EXPECT_EQ(each->dispatch_order_width(), 0);
+      }
+    }
+  }
+  {
+    // No jobs on three machines: valid, with no order table.
+    const Instance instance({}, {{}, {}, {}});
+    const Instance sparse = instance.with_backend(StorageBackend::kSparseCsr);
+    for (const Instance& built :
+         {instance, sparse, sparse.with_backend(StorageBackend::kDense)}) {
+      const Instance copy = built;
+      for (const Instance* each : {&built, &copy}) {
+        EXPECT_EQ(each->validate(), "");
+        EXPECT_EQ(each->num_jobs(), 0u);
+        EXPECT_TRUE(each->jobs().empty());
+        EXPECT_EQ(each->num_machines(), 3u);
+        EXPECT_EQ(each->dispatch_order_width(), 0);
+        EXPECT_EQ(each->p_order_row(0), nullptr);
+      }
+    }
+  }
+  {
+    // A row with no eligible machine lists none (it is not mistaken for a
+    // full row, which shares the identity adjacency).
+    std::vector<Job> jobs(2);
+    jobs[0] = Job{0, 0.0, 1.0, kTimeInfinity};
+    jobs[1] = Job{1, 1.0, 1.0, kTimeInfinity};
+    const Instance instance(jobs, {{kTimeInfinity, 1.0}, {kTimeInfinity, 2.0}});
+    EXPECT_NE(instance.validate().find("job 0: no eligible machine"),
+              std::string::npos);
+    EXPECT_TRUE(instance.eligible_machines(0).empty());
+    EXPECT_EQ(instance.eligible_machines(1).size(), 2u);
+  }
+  {
+    // Default-constructed: empty, and a valid instance assigns over it.
+    Instance instance;
+    EXPECT_EQ(instance.validate(), "no machines; ");
+    EXPECT_EQ(instance.num_jobs(), 0u);
+    EXPECT_TRUE(instance.jobs().empty());
+    EXPECT_EQ(instance.store_bytes(), 0u);
+    EXPECT_EQ(instance.dispatch_order_width(), 0);
+    instance = Instance({Job{0, 0.0, 1.0, kTimeInfinity}}, {{2.0}, {1.0}});
+    EXPECT_TRUE(instance.validate().empty());
+    EXPECT_EQ(instance.min_processing(0), 1.0);
+    EXPECT_EQ(instance.dispatch_order_width(), 16);
+  }
 }
 
 TEST(Instance, TotalWeight) {
