@@ -21,9 +21,7 @@
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
+#include "peak_rss.hpp"
 
 namespace {
 
@@ -34,28 +32,13 @@ using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
+using bench::peak_rss_mib;
 
 enum class Family {
   kDense = 0,    ///< fully unrelated: every machine eligible
   kSparse,       ///< restricted assignment: few eligible machines per job
   kAdversarial,  ///< bursty bimodal overload: heavy Rule 1/2 churn
 };
-
-/// Process peak RSS in MiB (0.0 where unsupported). Monotone over the
-/// process lifetime: meaningful for sizing single-unit (--jobs 1) runs.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 Instance hotpath_workload(Family family, std::size_t n, std::size_t m,
                           double eligibility, std::uint64_t seed) {

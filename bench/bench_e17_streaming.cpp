@@ -34,9 +34,7 @@
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
+#include "peak_rss.hpp"
 
 namespace {
 
@@ -47,6 +45,8 @@ using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
+// Peak RSS is monotone per process, hence the streaming-first grid order.
+using bench::peak_rss_mib;
 
 constexpr std::size_t kMachines = 16;
 constexpr std::size_t kChunk = 65536;
@@ -58,22 +58,6 @@ enum class Mode {
   kTraceFed,     ///< CSV written chunk-wise, then parse-and-feed streamed
   kBatch,        ///< api::run on the materialized twin of kStream's workload
 };
-
-/// Process peak RSS in MiB (0.0 where unsupported); monotone over the
-/// process lifetime, hence the streaming-first grid order.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 /// One 64k-job slice of the endless dense stream: heavy-tailed sizes at
 /// load 1.1 (the e16 dense family), seeded per (root, chunk) so any prefix

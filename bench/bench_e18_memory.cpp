@@ -30,9 +30,8 @@
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
+#include "peak_rss.hpp"
+
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -51,22 +50,8 @@ using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
-
-/// Process peak RSS in MiB (0.0 where unsupported); monotone over the
-/// process lifetime, hence compact-backends-first grid order.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
+// Peak RSS is monotone per process, hence compact backends first.
+using bench::peak_rss_mib;
 
 /// CURRENT resident set in MiB (0.0 where unsupported). Unlike the peak,
 /// this moves down when memory is returned, so before/after deltas isolate

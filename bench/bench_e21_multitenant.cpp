@@ -41,9 +41,7 @@
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
+#include "peak_rss.hpp"
 
 namespace {
 
@@ -54,6 +52,8 @@ using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
+// Peak RSS is monotone per process, hence the compact-cases-first grid order.
+using bench::peak_rss_mib;
 
 constexpr std::size_t kMachines = 4096;
 constexpr std::size_t kEligible = 8;
@@ -71,22 +71,6 @@ enum class TwinFamily {
   kRestricted = 0,  ///< bench-local k-of-m sparse closed form
   kClosedForm,      ///< workload/generated_family, fully eligible
 };
-
-/// Process peak RSS in MiB (0.0 where unsupported); monotone over the
-/// process lifetime, hence compact-cases-first grid order.
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 // --------------------------------------- the bench-local sparse closed form
 

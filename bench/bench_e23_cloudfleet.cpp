@@ -33,7 +33,7 @@
 // informationally instead of failing the diff: both paths make
 // bit-identical decisions (tests/dispatch_index_test.cpp).
 //
-// Tags: "perf" + "slow" like e16-e22; CI's e23 smoke gate runs it at
+// Tags: "perf" + "slow" like e16-e21; CI's e23 smoke gate runs it at
 // --scale 0.02 with --require-passed, so the sublinearity and
 // byte-equality verdicts gate merges at reduced scale too.
 #include <algorithm>
@@ -50,9 +50,7 @@
 #include "util/timer.hpp"
 #include "workload/generated_family.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
+#include "peak_rss.hpp"
 
 namespace {
 
@@ -63,6 +61,7 @@ using harness::Scenario;
 using harness::ScenarioReport;
 using harness::UnitContext;
 using harness::Verdict;
+using bench::peak_rss_mib;
 
 constexpr double kEpsilon = 0.25;
 constexpr std::size_t kFleetMachines = 4096;
@@ -85,20 +84,6 @@ enum class Mode {
   kDispatch,    ///< batch dispatch sweep cell (generator backend)
   kDispatchSparse,  ///< huge-m sparse cell: ~64 eligible machines per job
 };
-
-double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
-#endif
-#else
-  return 0.0;
-#endif
-}
 
 workload::ClosedFormConfig fleet_config(std::uint64_t seed, std::size_t n,
                                         std::size_t m) {

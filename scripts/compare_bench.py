@@ -16,8 +16,8 @@ Compares a baseline report against a current one, metric by metric:
 * Host metrics ("workers", the shard driver's resolved worker count) describe
   the machine the report was recorded on, not an output: a difference is a
   host note, never a regression or a mismatch.
-* Metrics prefixed "seeded_" are deterministic ONLY per seed (e20's chaos
-  schedule and e22's burst-warped workload move with --seed, and e22's
+* Metrics prefixed "seeded_" are deterministic ONLY per seed (e19's
+  workloads, chaos schedule and burst warp move with --seed, and its
   per-shard overload counters — seeded_hot_deferred, seeded_total_sheds,
   seeded_shard_shed_spread — derive from them): they are compared exactly,
   like the deterministic class below, but only when both reports carry the
@@ -39,7 +39,7 @@ downgrade the correctness gate to a warning.
 
 For e17's sharded cases the script also prints shard-scaling efficiency
 (jobs/s per worker relative to the single-session case) for both reports,
-and for e22's multi-tenant cases an informational fairness line (hot-tenant
+and for e19's multi-tenant DRR case an informational fairness line (hot-tenant
 deferrals and the per-shard shed spread).
 
 Exit codes: 0 OK, 1 perf regression beyond tolerance, 2 determinism
@@ -83,7 +83,7 @@ def is_rss_metric(name: str) -> bool:
 CORE_DETERMINISTIC = ("rejected", "completed", "total_flow")
 
 # Deterministic per seed, not per binary: the value is an exact function of
-# (root_seed, scale) — e20's chaos schedules are drawn from the root seed —
+# (root_seed, scale) — e19's chaos schedules are drawn from the root seed —
 # so exact comparison is only meaningful between same-seed, same-scale
 # reports. Everywhere else these are skipped, not warned about.
 SEEDED_PREFIX = "seeded_"
@@ -172,7 +172,7 @@ def report_shard_efficiency(side: str, cases: dict) -> None:
 
 
 def report_fairness_spread(side: str, cases: dict) -> None:
-    """Prints the multi-tenant fairness picture for every e22 DRR case.
+    """Prints the multi-tenant fairness picture for every e19 DRR case.
 
     Informational only (the gating comparison of these seeded_* columns
     happens in the main loop when seeds match): how often the hot tenant

@@ -482,12 +482,15 @@ class SchedulerSession::Impl {
         options_.shed_policy == ShedPolicy::kEpsilonCharged;
     for (std::size_t k = 0; k < deficit; ++k) {
       // kInvalidJob: every live job is already RUNNING (no pending queue
-      // anywhere holds a victim). Admit the overshoot — it is bounded by
-      // the machine count, and refusing here would mean a shed-then-refuse
-      // submit, which the determinism contract above forbids.
+      // anywhere holds a victim). Before any shed that is backpressure: a
+      // failed lookup changes nothing, so the refusal leaves no trace.
+      // After a partial shed (only an adaptive cap drop asks for more than
+      // one), admit the overshoot — it is bounded by the machine count, and
+      // a shed-then-refuse submit would break the determinism contract
+      // above.
       const JobId victim = charged ? host_->hooks().on_shed_charged(at)
                                    : host_->hooks().on_shed(at);
-      if (victim == kInvalidJob) break;
+      if (victim == kInvalidJob) return k > 0;
       ++sheds_spent_;
     }
     return true;

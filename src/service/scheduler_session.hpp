@@ -117,7 +117,8 @@ struct SessionOptions {
   /// Budgeted load-shed: total overload sheds the session may perform over
   /// its lifetime (0 = none). A saturated window first force-rejects the
   /// policy's lowest-value pending jobs (SimulationHooks::on_shed) to make
-  /// room for the arrival; once the budget is spent, saturation returns
+  /// room for the arrival; once the budget is spent, or when every live
+  /// job is already running and nothing can be shed, saturation returns
   /// kBackpressure. Sheds fire only when they make the triggering arrival
   /// admissible — a refused submit never sheds — so the shed sequence is a
   /// deterministic function of the accepted arrivals alone, which is what

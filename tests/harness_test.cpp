@@ -1,11 +1,16 @@
 // Tests for the scenario harness: registry registration/lookup/rejection,
 // deterministic parallel execution (--jobs invariance), report emission,
-// and the registered smoke scenario's Theorem 1 rejection budget.
+// the registered smoke scenario's Theorem 1 rejection budget, and that
+// every verdict clause of the degraded-mode soak fails when its column is
+// broken.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/registry.hpp"
 #include "harness/report.hpp"
@@ -353,6 +358,122 @@ TEST(SmokeScenario, DeterministicAcrossJobCounts) {
   const std::string b =
       to_json(run_batch({scenario}, parallel), {/*include_timing=*/false});
   EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------------ degraded-mode soak verdict
+
+// Overwrites one column of one case with a single sample.
+void set_metric(ScenarioReport* report, const std::string& label,
+                const std::string& metric, double value) {
+  for (CaseResult& c : report->cases) {
+    if (c.spec.label != label) continue;
+    for (std::size_t i = 0; i < c.metric_order.size(); ++i) {
+      if (c.metric_order[i] != metric) continue;
+      c.metrics[i] = util::RunningStats();
+      c.metrics[i].add(value);
+      return;
+    }
+  }
+  ADD_FAILURE() << label << "/" << metric << " missing from the report";
+}
+
+TEST(DegradedSoak, EveryVerdictClauseBites) {
+  const Scenario* scenario = ScenarioRegistry::global().find("e19_degraded");
+  ASSERT_NE(scenario, nullptr);
+  RunnerOptions options;
+  options.jobs = 1;
+  options.scale = 0.05;
+  options.seed = 1;
+  const ScenarioReport report = run_scenario(*scenario, options);
+  ASSERT_TRUE(report.verdict.pass) << report.verdict.note;
+  ASSERT_EQ(report.cases.size(), 25u);
+
+  struct Edit {
+    std::string label;
+    std::string metric;
+    double value;
+  };
+  // Applies the edits to a copy of the passing report and requires that
+  // the verdict fails with a note naming the broken clause.
+  const auto expect_fails = [&](const std::vector<Edit>& edits,
+                                const std::string& clause) {
+    ScenarioReport broken = report;
+    for (const Edit& edit : edits) {
+      set_metric(&broken, edit.label, edit.metric, edit.value);
+    }
+    const Verdict verdict = scenario->evaluate(broken);
+    EXPECT_FALSE(verdict.pass) << edits.front().label << "/"
+                               << edits.front().metric;
+    EXPECT_NE(verdict.note.find(clause), std::string::npos)
+        << "want '" << clause << "', got '" << verdict.note << "'";
+  };
+
+  // Per-cell 0/1 contract columns, by leg.
+  for (const CaseResult& c : report.cases) {
+    const std::string& label = c.spec.label;
+    std::vector<std::string> flags;
+    if (label.starts_with("faults ")) {
+      flags = {"jobs_accounted", "ckpt_match"};
+    } else if (label.starts_with("chaos ") || label.starts_with("adaptive ")) {
+      flags = {"jobs_accounted", "ckpt_match",       "window_respected",
+               "cap_bounded",    "budget_respected", "cap_moved"};
+    } else {
+      ASSERT_EQ(label, "multitenant drr");
+      flags = {"jobs_accounted", "fair_invariant", "hot_clipped",
+               "cold_never_deferred"};
+    }
+    for (const std::string& flag : flags) {
+      expect_fails({{label, flag, 0.0}}, label + ": " + flag + " != 1");
+    }
+  }
+
+  // The fixed plan's event counts are exact; the seeded plan's prefix
+  // guarantees a floor.
+  const std::pair<std::string, double> miscounts[] = {
+      {"fleet_fails", 1},   {"fleet_drains", 0}, {"fleet_joins", 1},
+      {"speed_changes", 1}, {"throttles", 0},    {"recoveries", 0},
+      {"min_speed", 1.0}};
+  for (const auto& [metric, bad] : miscounts) {
+    expect_fails({{"faults fifo dense", metric, bad}},
+                 "fleet schedule not fully observed (" + metric + ")");
+  }
+  for (const char* metric : {"seeded_fails", "seeded_drains", "seeded_joins",
+                             "seeded_throttles", "seeded_recoveries"}) {
+    expect_fails({{"chaos weighted dense", metric, 0.0}},
+                 std::string("chaos schedule not fully observed (") + metric +
+                     ")");
+  }
+
+  // Overload must bite in every regime. The triplet twins move with the
+  // flagship so that only the overload clause can fire.
+  std::vector<Edit> no_sheds;
+  for (const char* cell : {"chaos theorem1 dense", "chaos theorem1 sparse",
+                           "chaos theorem1 generator"}) {
+    no_sheds.push_back({cell, "seeded_sheds", 0.0});
+  }
+  expect_fails(no_sheds, "window cap never triggered a shed");
+  expect_fails({{"chaos theorem1 dense tightbudget", "seeded_backpressured",
+                 0.0}},
+               "backpressure not exercised");
+  expect_fails({{"adaptive theorem1 adaptive epscharged", "seeded_sheds", 0.0},
+                {"adaptive theorem1 adaptive epscharged",
+                 "seeded_backpressured", 0.0}},
+               "overload never engaged");
+
+  // Storage invisibility: each twin must match dense on every output.
+  for (const std::string leg : {"faults", "chaos"}) {
+    std::vector<std::string> metrics = {"seeded_rejected", "seeded_completed",
+                                        "seeded_total_flow"};
+    if (leg == "chaos") metrics.push_back("seeded_sheds");
+    for (const char* twin : {" theorem1 sparse", " theorem1 generator"}) {
+      for (const std::string& metric : metrics) {
+        const double dense =
+            report.case_result(leg + " theorem1 dense").metric(metric).mean();
+        expect_fails({{leg + twin, metric, dense + 1.0}},
+                     "backend mismatch on " + leg + " " + metric);
+      }
+    }
+  }
 }
 
 }  // namespace

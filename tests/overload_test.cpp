@@ -109,6 +109,53 @@ TEST(Overload, BackpressureAtTheCapAndAcceptanceAfterDecisions) {
   EXPECT_EQ(summary.report.num_rejected, 0u);
 }
 
+TEST(Overload, SaturatedWindowOfRunningJobsBackpressuresUnderEveryShedRule) {
+  // Cap 2 on two machines, each running one job: the window is full and no
+  // queue holds a victim. The shed allowance covers the deficit, but there
+  // is nothing to shed, so the arrival bounces instead of pushing the live
+  // window to 3, and the failed victim lookup spends nothing.
+  for (const auto policy : {service::ShedPolicy::kFixedBudget,
+                            service::ShedPolicy::kEpsilonCharged}) {
+    for (const auto algorithm :
+         {api::Algorithm::kTheorem1, api::Algorithm::kGreedySpt}) {
+      const std::string name = std::string(api::to_string(algorithm)) +
+                               (policy == service::ShedPolicy::kFixedBudget
+                                    ? " fixed"
+                                    : " charged");
+      service::SessionOptions options;
+      options.live_window_cap = 2;
+      options.shed_budget = 5;
+      options.shed_policy = policy;
+      options.run.epsilon = 0.45;  // floor(2·ε·3) = 2 charged sheds
+      service::SchedulerSession session(algorithm, 2, options);
+      ASSERT_EQ(session.try_submit(stream_job(0.0, 1.0, {4.0, 100.0})),
+                service::SubmitOutcome::kAccepted)
+          << name;
+      ASSERT_EQ(session.try_submit(stream_job(0.0, 1.0, {100.0, 4.0})),
+                service::SubmitOutcome::kAccepted)
+          << name;
+      ASSERT_GE(session.shed_allowance(), 1u) << name;
+
+      EXPECT_EQ(session.try_submit(stream_job(1.0, 1.0, {1.0, 1.0})),
+                service::SubmitOutcome::kBackpressure)
+          << name;
+      EXPECT_EQ(session.num_submitted(), 2u) << name;
+      EXPECT_EQ(session.num_shed(), 0u) << name;
+      EXPECT_EQ(session.max_live_jobs(), 2u) << name;
+
+      // Once a running job completes, the same arrival is admitted.
+      EXPECT_EQ(session.try_submit(stream_job(4.0, 1.0, {1.0, 1.0})),
+                service::SubmitOutcome::kAccepted)
+          << name;
+      const api::RunSummary summary = session.drain();
+      EXPECT_EQ(summary.report.num_completed + summary.report.num_rejected,
+                3u)
+          << name;
+      EXPECT_EQ(session.num_shed(), 0u) << name;
+    }
+  }
+}
+
 TEST(Overload, PlainSubmitAbortsAtSaturation) {
   service::SessionOptions options;
   options.live_window_cap = 1;
