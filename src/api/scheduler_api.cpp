@@ -3,14 +3,8 @@
 #include <cctype>
 #include <utility>
 
-#include "baselines/immediate_rejection.hpp"
-#include "baselines/list_scheduler.hpp"
-#include "core/energy_flow/energy_flow.hpp"
+#include "api/online_policies.hpp"
 #include "core/energy_min/config_primal_dual.hpp"
-#include "core/flow/rejection_flow.hpp"
-#include "extensions/weighted_flow.hpp"
-#include "service/job_store.hpp"
-#include "sim/validator.hpp"
 #include "util/check.hpp"
 
 namespace osched::api {
@@ -72,96 +66,24 @@ RunSummary run(Algorithm algorithm, const Instance& instance,
                const RunOptions& options) {
   RunSummary summary;
   summary.algorithm = algorithm;
-
-  // Per-algorithm validation/report knobs.
-  bool parallel_execution = false;
-  bool require_deadlines = false;
-  const PolynomialPower power(options.alpha);
-  const PowerFunction* report_power = nullptr;
-
-  switch (algorithm) {
-    case Algorithm::kTheorem1: {
-      auto result = run_rejection_flow(
-          instance, {.epsilon = options.epsilon, .fleet = options.fleet});
-      summary.schedule = std::move(result.schedule);
-      summary.certified_lower_bound = result.opt_lower_bound;
-      summary.rule1_rejections = result.rule1_rejections;
-      summary.rule2_rejections = result.rule2_rejections;
-      summary.fleet = result.fleet;
-      // Theorem 1's dispatch is the only reader of the order table.
-      summary.dispatch_order_width = instance.dispatch_order_width();
-      break;
-    }
-    case Algorithm::kTheorem2: {
-      EnergyFlowOptions ef;
-      ef.epsilon = options.epsilon;
-      ef.alpha = options.alpha;
-      ef.fleet = options.fleet;
-      auto result = run_energy_flow(instance, ef);
-      summary.schedule = std::move(result.schedule);
-      summary.rule1_rejections = result.rejections;
-      summary.fleet = result.fleet;
-      report_power = &power;
-      break;
-    }
-    case Algorithm::kTheorem3: {
-      // The configuration primal-dual solves an offline LP over a fixed
-      // machine set — dynamic fleet membership has no meaning there.
-      OSCHED_CHECK(options.fleet.empty())
-          << "theorem3 does not support fleet plans";
-      ConfigPDOptions pd;
-      pd.alpha = options.alpha;
-      pd.speed_levels = options.speed_levels;
-      pd.start_grid = options.start_grid;
-      auto result = run_config_primal_dual(instance, pd);
-      summary.schedule = std::move(result.schedule);
-      summary.certified_lower_bound = result.opt_lower_bound;
-      parallel_execution = true;
-      require_deadlines = true;
-      report_power = &power;
-      break;
-    }
-    case Algorithm::kWeightedExt: {
-      auto result = run_weighted_rejection_flow(
-          instance, {.epsilon = options.epsilon, .fleet = options.fleet});
-      summary.schedule = std::move(result.schedule);
-      summary.rule1_rejections = result.rule1_rejections;
-      summary.rule2_rejections = result.rule2_rejections;
-      summary.fleet = result.fleet;
-      break;
-    }
-    case Algorithm::kGreedySpt: {
-      ListSchedulerOptions ls{DispatchRule::kMinCompletion,
-                              QueueDiscipline::kSpt, options.fleet};
-      summary.schedule = run_list_scheduler(instance, ls, &summary.fleet);
-      break;
-    }
-    case Algorithm::kFifo: {
-      ListSchedulerOptions ls{DispatchRule::kMinBacklog,
-                              QueueDiscipline::kFifo, options.fleet};
-      summary.schedule = run_list_scheduler(instance, ls, &summary.fleet);
-      break;
-    }
-    case Algorithm::kImmediateReject: {
-      auto result = run_immediate_rejection(
-          instance, {.eps = options.epsilon, .fleet = options.fleet});
-      summary.schedule = std::move(result.schedule);
-      summary.rule1_rejections = result.rejections;
-      summary.fleet = result.fleet;
-      break;
-    }
+  if (algorithm == Algorithm::kTheorem3) {
+    // The configuration primal-dual solves an offline LP over a fixed
+    // machine set — dynamic fleet membership has no meaning there.
+    OSCHED_CHECK(options.fleet.empty())
+        << "theorem3 does not support fleet plans";
+    ConfigPDOptions pd;
+    pd.alpha = options.alpha;
+    pd.speed_levels = options.speed_levels;
+    pd.start_grid = options.start_grid;
+    auto result = run_config_primal_dual(instance, pd);
+    summary.schedule = std::move(result.schedule);
+    summary.certified_lower_bound = result.opt_lower_bound;
+  } else {
+    run_online(algorithm, instance, options, summary);
   }
-
-  // Both read the job store directly: its accessors are inline, the
-  // Instance façade's are not.
-  const service::StreamingJobStore& jobs = instance.store();
-  if (options.validate) {
-    ValidationOptions validation;
-    validation.allow_parallel_execution = parallel_execution;
-    validation.require_deadlines = require_deadlines;
-    check_schedule(summary.schedule, jobs, validation);
-  }
-  summary.report = evaluate(summary.schedule, jobs, report_power);
+  // Reads the job store directly: its accessors are inline, the Instance
+  // façade's are not.
+  finish_summary(summary, instance.store(), options);
   return summary;
 }
 

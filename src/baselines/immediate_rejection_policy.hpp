@@ -1,7 +1,7 @@
-// Immediate-rejection policy as a resumable, store-generic state machine
-// (see immediate_rejection.hpp for the Lemma 1 context and the batch entry
-// point, and sim/policy_core.hpp for the Store/Rec contract and the shared
-// fleet/shed protocol).
+// Immediate-rejection policy as a resumable state machine over the job
+// store (see immediate_rejection.hpp for the Lemma 1 context and the batch
+// entry point, and sim/policy_core.hpp for the store/Rec contract and the
+// shared fleet/shed protocol).
 #pragma once
 
 #include <limits>
@@ -27,11 +27,11 @@ struct SptKey {
 
 }  // namespace immediate_rejection_detail
 
-template <class Store, class Rec>
+template <class Rec>
 class ImmediateRejectionPolicy final
-    : public PolicyCore<ImmediateRejectionPolicy<Store, Rec>, Store, Rec> {
+    : public PolicyCore<ImmediateRejectionPolicy<Rec>, Rec> {
   using SptKey = immediate_rejection_detail::SptKey;
-  using Core = PolicyCore<ImmediateRejectionPolicy, Store, Rec>;
+  using Core = PolicyCore<ImmediateRejectionPolicy, Rec>;
   friend Core;
   using Core::effective_processing;
   using Core::fleet_;
@@ -41,7 +41,8 @@ class ImmediateRejectionPolicy final
   using Core::store_;
 
  public:
-  ImmediateRejectionPolicy(const Store& store, Rec& rec, EventQueue& events,
+  ImmediateRejectionPolicy(const service::StreamingJobStore& store, Rec& rec,
+                           EventQueue& events,
                            const ImmediateRejectionOptions& options)
       : Core(store, rec, events, options.fleet),
         options_(options),

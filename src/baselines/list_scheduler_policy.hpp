@@ -1,7 +1,7 @@
-// List-scheduler baselines as resumable, store-generic state machines (see
-// list_scheduler.hpp for the dispatch/discipline axes and the batch entry
-// points, and sim/policy_core.hpp for the Store/Rec contract and the shared
-// fleet/shed protocol).
+// List-scheduler baselines as resumable state machines over the job store
+// (see list_scheduler.hpp for the dispatch/discipline axes and the batch
+// entry points, and sim/policy_core.hpp for the store/Rec contract and the
+// shared fleet/shed protocol).
 #pragma once
 
 #include <limits>
@@ -29,11 +29,11 @@ struct QueueKey {
 
 }  // namespace list_scheduler_detail
 
-template <class Store, class Rec>
+template <class Rec>
 class ListSchedulerPolicy final
-    : public PolicyCore<ListSchedulerPolicy<Store, Rec>, Store, Rec> {
+    : public PolicyCore<ListSchedulerPolicy<Rec>, Rec> {
   using QueueKey = list_scheduler_detail::QueueKey;
-  using Core = PolicyCore<ListSchedulerPolicy, Store, Rec>;
+  using Core = PolicyCore<ListSchedulerPolicy, Rec>;
   friend Core;
   using Core::effective_processing;
   using Core::fleet_;
@@ -43,8 +43,8 @@ class ListSchedulerPolicy final
   using Core::store_;
 
  public:
-  ListSchedulerPolicy(const Store& store, Rec& rec, EventQueue& events,
-                      const ListSchedulerOptions& options)
+  ListSchedulerPolicy(const service::StreamingJobStore& store, Rec& rec,
+                      EventQueue& events, const ListSchedulerOptions& options)
       : Core(store, rec, events, options.fleet),
         options_(options),
         pending_(store.num_machines()),

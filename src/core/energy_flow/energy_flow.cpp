@@ -3,12 +3,9 @@
 #include <cmath>
 
 #include "core/energy_flow/energy_flow_policy.hpp"
-#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
-
-using service::StreamingJobStore;
 
 double theorem2_gamma(double eps, double alpha) {
   OSCHED_CHECK_GT(eps, 0.0);
@@ -33,19 +30,13 @@ double isolated_job_constant(double alpha) {
 
 EnergyFlowResult run_energy_flow(const Instance& instance,
                                  const EnergyFlowOptions& options) {
-  instance.check_valid();
-
-  const StreamingJobStore store(instance.store());
-  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
-  Schedule schedule(store.num_jobs());
-  EnergyFlowPolicy<StreamingJobStore, Schedule> policy(
-      store, schedule, engine.events(), options);
-  engine.run(policy);
-
-  EnergyFlowResult result;
-  policy.finalize_into(result);
-  result.schedule = std::move(schedule);
-  return result;
+  return run_batch<EnergyFlowPolicy<Schedule>>(
+      instance, options, [](const auto& policy, Schedule& schedule) {
+        EnergyFlowResult result;
+        policy.finalize_into(result);
+        result.schedule = std::move(schedule);
+        return result;
+      });
 }
 
 double reference_energy_lambda_ij(

@@ -1,6 +1,6 @@
-// Theorem 2 scheduling policy as a resumable, store-generic state machine
-// (see energy_flow.hpp for the paper conventions and the batch entry point,
-// and sim/policy_core.hpp for the Store/Rec contract and the shared
+// Theorem 2 scheduling policy as a resumable state machine over the job
+// store (see energy_flow.hpp for the paper conventions and the batch entry
+// point, and sim/policy_core.hpp for the store/Rec contract and the shared
 // fleet/shed/dispatch protocol).
 //
 // Unlike the flow-time policy, the dual bookkeeping here needs a final pass
@@ -49,11 +49,11 @@ struct DensityKey {
 
 }  // namespace energy_flow_detail
 
-template <class Store, class Rec>
+template <class Rec>
 class EnergyFlowPolicy final
-    : public PolicyCore<EnergyFlowPolicy<Store, Rec>, Store, Rec> {
+    : public PolicyCore<EnergyFlowPolicy<Rec>, Rec> {
   using DensityKey = energy_flow_detail::DensityKey;
-  using Core = PolicyCore<EnergyFlowPolicy, Store, Rec>;
+  using Core = PolicyCore<EnergyFlowPolicy, Rec>;
   friend Core;
   using Core::completion_event_;
   using Core::events_;
@@ -64,8 +64,8 @@ class EnergyFlowPolicy final
   using Core::store_;
 
  public:
-  EnergyFlowPolicy(const Store& store, Rec& rec, EventQueue& events,
-                   const EnergyFlowOptions& options)
+  EnergyFlowPolicy(const service::StreamingJobStore& store, Rec& rec,
+                   EventQueue& events, const EnergyFlowOptions& options)
       : Core(store, rec, events, options.fleet),
         options_(options),
         gamma_(options.gamma > 0.0 ? options.gamma

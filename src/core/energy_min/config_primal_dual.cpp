@@ -34,9 +34,13 @@ ConfigPDResult run_config_primal_dual(const Instance& instance,
   const double alpha_max = *std::max_element(alphas.begin(), alphas.end());
   const SmoothnessParams smooth = polynomial_smoothness(alpha_max);
 
+  // An empty instance has no window to span a speed grid over; the loop
+  // below then commits nothing, so it gets an empty schedule, zero energy
+  // and a zero bound.
   const std::vector<Speed> speeds =
-      options.speeds.empty() ? make_speed_grid(instance, options.speed_levels)
-                             : options.speeds;
+      options.speeds.empty() && instance.num_jobs() > 0
+          ? make_speed_grid(instance, options.speed_levels)
+          : options.speeds;
 
   ConfigPDResult result;
   result.schedule = Schedule(instance.num_jobs());

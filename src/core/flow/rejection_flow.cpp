@@ -1,12 +1,9 @@
 #include "core/flow/rejection_flow.hpp"
 
 #include "core/flow/rejection_flow_policy.hpp"
-#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 
 namespace osched {
-
-using service::StreamingJobStore;
 
 const char* to_string(Rule2Victim victim) {
   switch (victim) {
@@ -20,36 +17,30 @@ const char* to_string(Rule2Victim victim) {
 
 RejectionFlowResult run_rejection_flow(const Instance& instance,
                                        const RejectionFlowOptions& options) {
-  instance.check_valid();
-
   // Batch run = the resumable policy driven straight to quiescence.
   // Streaming sessions drive the same policy class one submit/advance at a
   // time (see service/scheduler_session.hpp).
-  const StreamingJobStore store(instance.store());
-  const std::size_t n = store.num_jobs();
-  SimEngineFor<StreamingJobStore> engine(store, &options.fleet);
-  Schedule schedule(n);
-  RejectionFlowPolicy<StreamingJobStore, Schedule> policy(
-      store, schedule, engine.events(), options);
-  engine.run(policy);
-
-  RejectionFlowResult result;
-  result.schedule = std::move(schedule);
-  result.rule1_rejections = policy.rule1_rejections();
-  result.rule2_rejections = policy.rule2_rejections();
-  result.fleet = policy.fleet_stats();
-  result.sum_lambda = policy.dual().sum_lambda();
-  result.beta_integral = policy.dual().beta_integral();
-  result.dual_objective = policy.dual().dual_objective();
-  result.opt_lower_bound = policy.dual().opt_lower_bound();
-  result.definitive_finish.resize(n);
-  result.lambda.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    result.definitive_finish[j] =
-        policy.dual().definitive_finish(static_cast<JobId>(j));
-    result.lambda[j] = policy.lambda(static_cast<JobId>(j));
-  }
-  return result;
+  return run_batch<RejectionFlowPolicy<Schedule>>(
+      instance, options, [](const auto& policy, Schedule& schedule) {
+        const std::size_t n = schedule.num_jobs();
+        RejectionFlowResult result;
+        result.schedule = std::move(schedule);
+        result.rule1_rejections = policy.rule1_rejections();
+        result.rule2_rejections = policy.rule2_rejections();
+        result.fleet = policy.fleet_stats();
+        result.sum_lambda = policy.dual().sum_lambda();
+        result.beta_integral = policy.dual().beta_integral();
+        result.dual_objective = policy.dual().dual_objective();
+        result.opt_lower_bound = policy.dual().opt_lower_bound();
+        result.definitive_finish.resize(n);
+        result.lambda.resize(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          result.definitive_finish[j] =
+              policy.dual().definitive_finish(static_cast<JobId>(j));
+          result.lambda[j] = policy.lambda(static_cast<JobId>(j));
+        }
+        return result;
+      });
 }
 
 double reference_lambda_ij(const std::vector<Work>& pending_sorted, Work p_ij,

@@ -1,8 +1,9 @@
-// Theorem 1 scheduling policy as a resumable, store-generic state machine.
+// Theorem 1 scheduling policy as a resumable state machine over the job
+// store.
 //
 // The algorithm itself (dispatch by argmin lambda_ij, Rule 1/Rule 2
 // rejections, SPT pending queues over the arena treap) lives here; the
-// Store/Rec contract and the fleet/shed/redispatch protocol every policy
+// store/Rec contract and the fleet/shed/redispatch protocol every policy
 // shares live in sim/policy_core.hpp. Identical call sequences produce
 // bit-identical decisions regardless of the driver, which is what the
 // streaming differential tests pin down.
@@ -65,12 +66,12 @@ using PendingQueue = util::AugmentedTreap<PendingKey, KeyProcessing>;
 
 }  // namespace rejection_flow_detail
 
-template <class Store, class Rec>
+template <class Rec>
 class RejectionFlowPolicy final
-    : public PolicyCore<RejectionFlowPolicy<Store, Rec>, Store, Rec> {
+    : public PolicyCore<RejectionFlowPolicy<Rec>, Rec> {
   using PendingKey = rejection_flow_detail::PendingKey;
   using PendingQueue = rejection_flow_detail::PendingQueue;
-  using Core = PolicyCore<RejectionFlowPolicy, Store, Rec>;
+  using Core = PolicyCore<RejectionFlowPolicy, Rec>;
   friend Core;
   using Core::completion_event_;
   using Core::effective_of;
@@ -86,8 +87,8 @@ class RejectionFlowPolicy final
   using Core::store_;
 
  public:
-  RejectionFlowPolicy(const Store& store, Rec& rec, EventQueue& events,
-                      const RejectionFlowOptions& options)
+  RejectionFlowPolicy(const service::StreamingJobStore& store, Rec& rec,
+                      EventQueue& events, const RejectionFlowOptions& options)
       : Core(store, rec, events, options.fleet, options.speed),
         options_(options),
         dual_(store.num_jobs(), options.epsilon),
@@ -213,6 +214,12 @@ class RejectionFlowPolicy final
   const FlowDualAccounting& dual() const { return dual_; }
   /// lambda_j = eps/(1+eps) * min_i lambda_ij; j must not be retired.
   double lambda(JobId j) const { return lambda_.at(static_cast<std::size_t>(j)); }
+  /// Machine-id width of the (p, id) order table the dispatch walks: 16
+  /// when the store has one (an Instance's dense or sparse store), 0 when
+  /// it has none (generator, m >= 65536, streamed stores).
+  int dispatch_order_width() const {
+    return store_.p_order_row(0) != nullptr ? 16 : 0;
+  }
 
  private:
   /// Above this many busy machines the per-contender exact evaluations of

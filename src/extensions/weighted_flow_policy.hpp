@@ -1,7 +1,7 @@
-// Weighted-flow extension policy as a resumable, store-generic state
-// machine (see weighted_flow.hpp for the algorithm notes and the batch
-// entry point, and sim/policy_core.hpp for the Store/Rec contract and the
-// shared fleet/shed/dispatch protocol).
+// Weighted-flow extension policy as a resumable state machine over the job
+// store (see weighted_flow.hpp for the algorithm notes and the batch entry
+// point, and sim/policy_core.hpp for the store/Rec contract and the shared
+// fleet/shed/dispatch protocol).
 //
 // Machine state is structure-of-arrays: the lambda inputs the dispatch
 // needs per machine (pending count, pending minimum processing time and
@@ -46,11 +46,11 @@ struct DensityKey {
 
 }  // namespace weighted_flow_detail
 
-template <class Store, class Rec>
+template <class Rec>
 class WeightedFlowPolicy final
-    : public PolicyCore<WeightedFlowPolicy<Store, Rec>, Store, Rec> {
+    : public PolicyCore<WeightedFlowPolicy<Rec>, Rec> {
   using DensityKey = weighted_flow_detail::DensityKey;
-  using Core = PolicyCore<WeightedFlowPolicy, Store, Rec>;
+  using Core = PolicyCore<WeightedFlowPolicy, Rec>;
   friend Core;
   using Core::completion_event_;
   using Core::effective_processing;
@@ -62,8 +62,8 @@ class WeightedFlowPolicy final
   using Core::store_;
 
  public:
-  WeightedFlowPolicy(const Store& store, Rec& rec, EventQueue& events,
-                     const WeightedFlowOptions& options)
+  WeightedFlowPolicy(const service::StreamingJobStore& store, Rec& rec,
+                     EventQueue& events, const WeightedFlowOptions& options)
       : Core(store, rec, events, options.fleet), options_(options) {
     OSCHED_CHECK_GT(options.epsilon, 0.0);
     OSCHED_CHECK_LT(options.epsilon, 1.0);

@@ -4,26 +4,20 @@
 #include <cmath>
 #include <deque>
 
-#include "baselines/immediate_rejection_policy.hpp"
-#include "baselines/list_scheduler_policy.hpp"
-#include "core/energy_flow/energy_flow_policy.hpp"
-#include "core/flow/rejection_flow_policy.hpp"
-#include "extensions/weighted_flow_policy.hpp"
-#include "instance/power.hpp"
+#include "api/online_policies.hpp"
 #include "metrics/metrics.hpp"
 #include "service/checkpoint.hpp"
 #include "service/job_store.hpp"
 #include "service/session_schedule.hpp"
 #include "sim/engine.hpp"
-#include "sim/validator.hpp"
 
 namespace osched::service {
 
 namespace {
 
 /// Type-erased owner of one policy instance. The session drives the policy
-/// through SimulationHooks; the algorithm-specific result fields are filled
-/// by finalize().
+/// through SimulationHooks; finalize() reports its counters (the policy
+/// table's report_counters).
 class PolicyHost {
  public:
   virtual ~PolicyHost() = default;
@@ -32,70 +26,21 @@ class PolicyHost {
   virtual void finalize(api::RunSummary& summary) = 0;
 };
 
-using T1Policy = RejectionFlowPolicy<StreamingJobStore, SessionSchedule>;
-using T2Policy = EnergyFlowPolicy<StreamingJobStore, SessionSchedule>;
-using WePolicy = WeightedFlowPolicy<StreamingJobStore, SessionSchedule>;
-using LsPolicy = ListSchedulerPolicy<StreamingJobStore, SessionSchedule>;
-using IrPolicy = ImmediateRejectionPolicy<StreamingJobStore, SessionSchedule>;
-
-template <class Policy, class Options>
-class HostBase : public PolicyHost {
+template <class Policy>
+class Host final : public PolicyHost {
  public:
-  HostBase(const StreamingJobStore& store, SessionSchedule& rec,
-           EventQueue& events, const Options& options)
+  template <class Options>
+  Host(const StreamingJobStore& store, SessionSchedule& rec,
+       EventQueue& events, const Options& options)
       : policy_(store, rec, events, options) {}
   SimulationHooks& hooks() override { return policy_; }
   void retire_below(JobId frontier) override { policy_.retire_below(frontier); }
+  void finalize(api::RunSummary& summary) override {
+    api::report_counters(policy_, summary);
+  }
 
- protected:
+ private:
   Policy policy_;
-};
-
-class Theorem1Host final : public HostBase<T1Policy, RejectionFlowOptions> {
- public:
-  using HostBase::HostBase;
-  void finalize(api::RunSummary& summary) override {
-    summary.certified_lower_bound = policy_.dual().opt_lower_bound();
-    summary.rule1_rejections = policy_.rule1_rejections();
-    summary.rule2_rejections = policy_.rule2_rejections();
-    summary.fleet = policy_.fleet_stats();
-  }
-};
-
-class Theorem2Host final : public HostBase<T2Policy, EnergyFlowOptions> {
- public:
-  using HostBase::HostBase;
-  void finalize(api::RunSummary& summary) override {
-    summary.rule1_rejections = policy_.rejections();
-    summary.fleet = policy_.fleet_stats();
-  }
-};
-
-class WeightedExtHost final : public HostBase<WePolicy, WeightedFlowOptions> {
- public:
-  using HostBase::HostBase;
-  void finalize(api::RunSummary& summary) override {
-    summary.rule1_rejections = policy_.rule1_rejections();
-    summary.rule2_rejections = policy_.rule2_rejections();
-    summary.fleet = policy_.fleet_stats();
-  }
-};
-
-class ListHost final : public HostBase<LsPolicy, ListSchedulerOptions> {
- public:
-  using HostBase::HostBase;
-  void finalize(api::RunSummary& summary) override {
-    summary.fleet = policy_.fleet_stats();
-  }
-};
-
-class ImmediateHost final : public HostBase<IrPolicy, ImmediateRejectionOptions> {
- public:
-  using HostBase::HostBase;
-  void finalize(api::RunSummary& summary) override {
-    summary.rule1_rejections = policy_.rejections();
-    summary.fleet = policy_.fleet_stats();
-  }
 };
 
 bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
@@ -120,42 +65,12 @@ std::unique_ptr<PolicyHost> make_host(api::Algorithm algorithm,
                                       const StreamingJobStore& store,
                                       SessionSchedule& rec, EventQueue& events,
                                       const api::RunOptions& run) {
-  switch (algorithm) {
-    case api::Algorithm::kTheorem1:
-      return std::make_unique<Theorem1Host>(
-          store, rec, events,
-          RejectionFlowOptions{.epsilon = run.epsilon, .fleet = run.fleet});
-    case api::Algorithm::kTheorem2: {
-      EnergyFlowOptions ef;
-      ef.epsilon = run.epsilon;
-      ef.alpha = run.alpha;
-      ef.fleet = run.fleet;
-      return std::make_unique<Theorem2Host>(store, rec, events, ef);
-    }
-    case api::Algorithm::kWeightedExt:
-      return std::make_unique<WeightedExtHost>(
-          store, rec, events,
-          WeightedFlowOptions{.epsilon = run.epsilon, .fleet = run.fleet});
-    case api::Algorithm::kGreedySpt:
-      return std::make_unique<ListHost>(
-          store, rec, events,
-          ListSchedulerOptions{DispatchRule::kMinCompletion,
-                               QueueDiscipline::kSpt, run.fleet});
-    case api::Algorithm::kFifo:
-      return std::make_unique<ListHost>(
-          store, rec, events,
-          ListSchedulerOptions{DispatchRule::kMinBacklog,
-                               QueueDiscipline::kFifo, run.fleet});
-    case api::Algorithm::kImmediateReject:
-      return std::make_unique<ImmediateHost>(
-          store, rec, events,
-          ImmediateRejectionOptions{.eps = run.epsilon, .fleet = run.fleet});
-    case api::Algorithm::kTheorem3:
-      break;
-  }
-  OSCHED_CHECK(false) << "algorithm " << api::to_string(algorithm)
-                      << " has no streaming session (theorem3 is batch-only)";
-  return nullptr;
+  return api::with_online_policy<SessionSchedule>(
+      algorithm, run,
+      [&]<class Policy>(std::type_identity<Policy>, const auto& options)
+          -> std::unique_ptr<PolicyHost> {
+        return std::make_unique<Host<Policy>>(store, rec, events, options);
+      });
 }
 
 }  // namespace
@@ -326,19 +241,10 @@ class SchedulerSession::Impl {
     host_->finalize(summary);
 
     if (options_.retain_records) {
-      Schedule schedule = records_.to_schedule();
       // The store holds every job (nothing retires in this mode), and the
-      // validator and evaluate read it in place.
-      if (options_.run.validate) {
-        // Same validator invocation as api::run for these algorithms (none
-        // of the streamable policies uses parallel execution or deadlines).
-        check_schedule(schedule, store_, ValidationOptions{});
-      }
-      const PolynomialPower power(options_.run.alpha);
-      const PowerFunction* report_power =
-          algorithm_ == api::Algorithm::kTheorem2 ? &power : nullptr;
-      summary.report = evaluate(schedule, store_, report_power);
-      summary.schedule = std::move(schedule);
+      // validator and evaluate read it in place, as api::run does.
+      summary.schedule = records_.to_schedule();
+      api::finish_summary(summary, store_, options_.run);
     } else {
       fold_to(records_.decided_frontier());
       OSCHED_CHECK_EQ(static_cast<std::size_t>(records_.decided_frontier()),

@@ -7,15 +7,18 @@
 // convention that a job counts as "dispatched during the execution of k"
 // only at times strictly inside k's execution window.
 //
-// The engine is a template over the Store it reads arrivals from — the
-// Instance façade or the service::StreamingJobStore that holds its data
-// (service/job_store.hpp). Only job(j).release and num_jobs() are
-// touched, so any Store the policies accept works here too. SimEngine is
-// the Instance-typed alias the generic callers use.
+// SimEngine reads arrivals from the service::StreamingJobStore every
+// policy reads (service/job_store.hpp); only job(j).release and num_jobs()
+// are touched. run_batch is the one batch driver: every public run_*
+// entry point and api::run drive their policy through it.
 #pragma once
 
+#include <utility>
+
 #include "instance/instance.hpp"
+#include "service/job_store.hpp"
 #include "sim/fleet.hpp"
+#include "sim/schedule.hpp"
 #include "util/event_queue.hpp"
 
 namespace osched {
@@ -80,7 +83,7 @@ class SimulationHooks {
 };
 
 /// The one merge of scheduler events with fleet-plan events. It owns the
-/// event queue, the fleet cursor and the clock; SimEngineFor (batch) and
+/// event queue, the fleet cursor and the clock; SimEngine (batch) and
 /// service::SchedulerSession (streaming) both drive it, so the two deliver
 /// identical call sequences by construction.
 ///
@@ -141,10 +144,10 @@ class EventLoop {
   Time now_ = 0.0;
 };
 
-template <class Store>
-class SimEngineFor : public EventLoop {
+class SimEngine : public EventLoop {
  public:
-  explicit SimEngineFor(const Store& store, const FleetPlan* plan = nullptr)
+  explicit SimEngine(const service::StreamingJobStore& store,
+                     const FleetPlan* plan = nullptr)
       : EventLoop(plan), store_(store) {}
 
   /// Runs to quiescence: all arrivals delivered, fleet plan exhausted, and
@@ -162,9 +165,22 @@ class SimEngineFor : public EventLoop {
   }
 
  private:
-  const Store& store_;
+  const service::StreamingJobStore& store_;
 };
 
-using SimEngine = SimEngineFor<Instance>;
+/// Runs `Policy` (recording into a Schedule) over a copy of the instance's
+/// store to quiescence, under options.fleet, and returns
+/// read(policy, schedule) — the caller moves the schedule out and reads
+/// whatever counters it reports.
+template <class Policy, class Options, class Read>
+auto run_batch(const Instance& instance, const Options& options, Read&& read) {
+  instance.check_valid();
+  const service::StreamingJobStore store(instance.store());
+  SimEngine engine(store, &options.fleet);
+  Schedule schedule(store.num_jobs());
+  Policy policy(store, schedule, engine.events(), options);
+  engine.run(policy);
+  return std::forward<Read>(read)(policy, schedule);
+}
 
 }  // namespace osched

@@ -9,15 +9,12 @@
 // sheds, start-time speed resolution, completions — is identical across
 // policies and lives here once.
 //
-// Each policy is a template over
-//   Store — where job data comes from: `service::StreamingJobStore`,
-//           filled by a streaming session, or a batch run's copy of its
-//           Instance's store. Must provide job(j), processing_unchecked(i, j),
-//           processing_row(j), eligible_machines(j) and num_machines()
-//           with Instance's semantics.
-//   Rec   — where decisions are recorded: the batch `Schedule`, or the
-//           session's windowed record store. Must provide the mark_*
-//           mutation surface of Schedule.
+// Every policy reads job data from one store type,
+// `service::StreamingJobStore`: the store a streaming session fills, or a
+// batch run's copy of its Instance's store. Each policy is a template over
+//   Rec — where decisions are recorded: the batch `Schedule`, or the
+//         session's windowed record store. Must provide the mark_*
+//         mutation surface of Schedule.
 // A policy holds no event loop: it reacts to on_arrival/on_event/on_fleet
 // calls from whatever driver owns the clock (SimEngine for batch runs, a
 // SchedulerSession for submit/advance/drain streaming), scheduling its own
@@ -26,8 +23,8 @@
 //
 // PolicyCore is a CRTP base: it reaches the policy's rules through a static
 // cast, so the arrival and completion paths gain no virtual call. A policy
-// derives as `final : public PolicyCore<Policy, Store, Rec>`, befriends the
-// core, and supplies
+// derives as `final : public PolicyCore<Policy, Rec>`, befriends the core,
+// and supplies
 //   MachineId pick(JobId j, Time now, double* score)
 //       its dispatch rule over ACTIVE eligible machines (kInvalidMachine when
 //       the fleet mask leaves none); `score` receives the winning value
@@ -60,12 +57,13 @@
 
 #include <vector>
 
+#include "service/job_store.hpp"
 #include "sim/engine.hpp"
 #include "util/dispatch_heap.hpp"
 
 namespace osched {
 
-template <class Derived, class Store, class Rec>
+template <class Derived, class Rec>
 class PolicyCore : public SimulationHooks {
  public:
   /// Membership and speed changes. A kFail orphans the machine's queue and
@@ -123,8 +121,9 @@ class PolicyCore : public SimulationHooks {
  protected:
   /// `base_speed` is the global speed every machine runs at before fleet
   /// multipliers (!= 1 only for the speed-augmented baseline).
-  PolicyCore(const Store& store, Rec& rec, EventQueue& events,
-             const FleetPlan& plan, double base_speed = 1.0)
+  PolicyCore(const service::StreamingJobStore& store, Rec& rec,
+             EventQueue& events, const FleetPlan& plan,
+             double base_speed = 1.0)
       : store_(store),
         rec_(rec),
         events_(events),
@@ -308,7 +307,7 @@ class PolicyCore : public SimulationHooks {
     return best_machine;
   }
 
-  const Store& store_;
+  const service::StreamingJobStore& store_;
   Rec& rec_;
   EventQueue& events_;
   FleetState fleet_;

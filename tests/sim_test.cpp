@@ -144,7 +144,7 @@ class RecordingHooks : public SimulationHooks {
 TEST(SimEngine, DeliversArrivalsInReleaseOrder) {
   const Instance instance =
       single_machine_instance({{3.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}});
-  SimEngine engine(instance);
+  SimEngine engine(instance.store());
   RecordingHooks hooks(engine);
   engine.run(hooks);
   ASSERT_EQ(hooks.log.size(), 3u);
@@ -155,7 +155,7 @@ TEST(SimEngine, DeliversArrivalsInReleaseOrder) {
 TEST(SimEngine, EventBeforeArrivalAtSameTime) {
   // Job 0 released at 0 schedules a completion at exactly job 1's release.
   const Instance instance = single_machine_instance({{0.0, 1.0}, {5.0, 1.0}});
-  SimEngine engine(instance);
+  SimEngine engine(instance.store());
   RecordingHooks hooks(engine);
   hooks.schedule_completion_at(0, 5.0);
   engine.run(hooks);
@@ -173,7 +173,7 @@ TEST(SimEngine, EventThenFleetThenArrivalAtSameTime) {
   const Instance instance = single_machine_instance({{0.0, 1.0}, {5.0, 1.0}});
   FleetPlan plan;
   plan.events = {{5.0, 0, FleetEventKind::kSpeedChange, 2.0}};
-  SimEngine engine(instance, &plan);
+  SimEngine engine(instance.store(), &plan);
   RecordingHooks hooks(engine);
   hooks.schedule_completion_at(0, 5.0);
   engine.run(hooks);
