@@ -218,7 +218,7 @@ class RejectionFlowPolicy final
   /// when the store has one (an Instance's dense or sparse store), 0 when
   /// it has none (generator, m >= 65536, streamed stores).
   int dispatch_order_width() const {
-    return store_.p_order_row(0) != nullptr ? 16 : 0;
+    return store_.p_order_row(0).data() != nullptr ? 16 : 0;
   }
 
  private:
@@ -227,6 +227,14 @@ class RejectionFlowPolicy final
   /// to the vectorized bound sweep. Both paths return the identical
   /// lexicographic argmin; the cutover is performance-only.
   static constexpr std::size_t kOrderedPathMaxLive = 16;
+  // With the whole fleet active the ordered path sees at most
+  // kOrderedPathMaxLive busy machines, so the first idle machine sits
+  // among the first kOrderedPathMaxLive + 1 order entries and the entry
+  // that ends its walk, when no bit-equal tie extends it, among the first
+  // kOrderedPathMaxLive + 2: the stored prefix settles the walk without
+  // the idle-scan fallback (see dispatch_ordered).
+  static_assert(service::StreamingJobStore::kPOrderPrefix >=
+                kOrderedPathMaxLive + 2);
 
   PendingKey make_key(MachineId i, JobId j) const {
     return PendingKey{effective_processing(i, j), store_.job(j).release, j};
@@ -288,8 +296,10 @@ class RejectionFlowPolicy final
   /// with an EMPTY queue (lambda = p/eps + p, monotone in p) comes from one
   /// of two places:
   ///  * the order walk: the first idle entry of the job's precomputed
-  ///    (p, id)-order plus its id-tie walk, O(|live|) and independent of m;
-  ///  * the idle scan, wherever no sound order exists: one masked minimum
+  ///    (p, id)-order prefix plus its id-tie walk, O(|live|) and
+  ///    independent of m;
+  ///  * the idle scan, wherever no sound order exists or the prefix cannot
+  ///    settle the walk: one masked minimum
   ///    p_min = min(row[i] + idle_bias_[i]) over the eligible span — no
   ///    branch and no division per machine — then the exact lambda only
   ///    for the near-tie band p <= p_min * (1 + 2^-40) (+ an absolute
@@ -303,9 +313,9 @@ class RejectionFlowPolicy final
                              const EligibleMachines& eligible,
                              double* best_lambda_out) {
     const std::size_t count = eligible.size();
-    // nullptr when the store has no table: streaming and generator stores,
+    // Empty when the store has no table: streaming and generator stores,
     // and batch instances at m >= 65536 (uint16 ids cannot name them).
-    const std::uint16_t* order = store_.p_order_row(j);
+    const std::span<const std::uint16_t> order = store_.p_order_row(j);
     const Work* rowd = store_.processing_row(j);
     const bool dense = count == store_.num_machines();
 
@@ -313,7 +323,7 @@ class RejectionFlowPolicy final
     // idle hit) and every live contender's entry fetch in parallel. (The
     // order table exists only for batch stores below 65536 machines;
     // streaming rows were just appended and are cache-hot without help.)
-    if (order != nullptr) __builtin_prefetch(rowd + order[0], 0, 0);
+    if (!order.empty()) __builtin_prefetch(rowd + order[0], 0, 0);
     for (const std::uint32_t i : live_list_) {
       __builtin_prefetch(rowd + i, 0, 0);
     }
@@ -328,24 +338,36 @@ class RejectionFlowPolicy final
     // lexicographic (lambda, id) argmin is the linear scan's by
     // construction. Restored multipliers (all back to 1) re-enable the
     // order-table walk automatically.
-    const bool order_walk_sound =
-        order != nullptr && !(fleet_speed_ && fleet_.any_speed_scaled());
-
-    if (order_walk_sound) {
+    bool idle_settled = false;
+    if (order.data() != nullptr &&
+        !(fleet_speed_ && fleet_.any_speed_scaled())) {
       // First ACTIVE idle machine in (p, id) order, then the id-tie walk:
       // later idle machines tie only while their rounded lambda is bit-equal
       // (p is non-decreasing along the order and fl is monotone, so the walk
       // stops at the first strictly larger lambda). Down/draining machines
       // have pend_n_ == 0 and would otherwise masquerade as idle.
+      //
+      // The walk reads only the stored prefix, the first `len` entries of
+      // the full order. When len == count the prefix IS the order and the
+      // walk is exact. Otherwise its answer still stands in two cases: an
+      // idle machine found at w is the first of the full order too (every
+      // earlier entry of the full order is in the prefix and busy or
+      // down), and a strictly larger lambda met at w2 < len bounds every
+      // later entry, inside the prefix or past it. The two remaining cases
+      // need entries past the prefix — no active idle machine in it, or a
+      // tie walk that runs off its end — and fall through to the exact idle
+      // scan below, which never reads the order.
+      const std::size_t len = order.size();
       std::size_t w = 0;
-      while (w < count && (pend_n_[order[w]] != 0 || !fleet_.active(order[w])))
+      while (w < len && (pend_n_[order[w]] != 0 || !fleet_.active(order[w])))
         ++w;
-      if (w < count) {
+      std::size_t w2 = w + 1;
+      if (w < len) {
         const auto i0 = static_cast<std::size_t>(order[w]);
         const Work p0 = effective_of(static_cast<MachineId>(i0), rowd[i0]);
         best_lambda = p0 / options_.epsilon + p0;  // empty-queue lambda
         best_machine = static_cast<MachineId>(i0);
-        for (std::size_t w2 = w + 1; w2 < count; ++w2) {
+        for (; w2 < len; ++w2) {
           const auto i2 = static_cast<std::size_t>(order[w2]);
           if (pend_n_[i2] != 0 || !fleet_.active(i2)) continue;
           const Work p2 = effective_of(static_cast<MachineId>(i2), rowd[i2]);
@@ -356,12 +378,18 @@ class RejectionFlowPolicy final
           }
         }
       }
-    } else {
+      idle_settled = len == count || w2 < len;
+      if (!idle_settled) {
+        best_lambda = kTimeInfinity;
+        best_machine = kInvalidMachine;
+      }
+    }
+    if (!idle_settled) {
       // No precomputed order (streaming or generator store, m >= 65536
-      // batch instance), or the table is unsound under active speed
-      // multipliers: derive the idle argmin from the double row directly,
-      // scaling the entry the scan already holds (never a per-machine store
-      // lookup).
+      // batch instance), the table is unsound under active speed
+      // multipliers, or the prefix could not settle the walk: derive the
+      // idle argmin from the double row directly, scaling the entry the
+      // scan already holds (never a per-machine store lookup).
       //
       // idle_bias_[i] is 0.0 for an idle, active, unscaled machine and +inf
       // otherwise, so row[i] + idle_bias_[i] is p exactly or +inf and one
@@ -480,12 +508,9 @@ class RejectionFlowPolicy final
     if (next < store_.num_jobs()) {
       const auto nj = static_cast<JobId>(next);
       const Work* nrow = store_.processing_row(nj);
-      const auto* norder = store_.p_order_row(nj);
-      if (norder != nullptr) {
-        const std::size_t ncount = store_.eligible_machines(nj).size();
-        __builtin_prefetch(nrow + norder[0], 0, 0);
-        if (ncount > 1) __builtin_prefetch(nrow + norder[1], 0, 0);
-      }
+      const std::span<const std::uint16_t> norder = store_.p_order_row(nj);
+      if (!norder.empty()) __builtin_prefetch(nrow + norder[0], 0, 0);
+      if (norder.size() > 1) __builtin_prefetch(nrow + norder[1], 0, 0);
       for (const std::uint32_t i : live_list_) {
         __builtin_prefetch(nrow + i, 0, 0);
         __builtin_prefetch(pending_[i].root_address(), 0, 3);

@@ -244,12 +244,14 @@ const Work* Instance::processing_row(JobId j) const {
   return store_->processing_row(j);
 }
 
-const std::uint16_t* Instance::p_order_row(JobId j) const {
-  return store_ != nullptr ? store_->p_order_row(j) : nullptr;
+std::span<const std::uint16_t> Instance::p_order_row(JobId j) const {
+  if (store_ == nullptr || num_jobs() == 0) return {};
+  OSCHED_CHECK(j >= 0 && static_cast<std::size_t>(j) < num_jobs());
+  return store_->p_order_row(j);
 }
 
 int Instance::dispatch_order_width() const {
-  return p_order_row(0) != nullptr ? 16 : 0;
+  return p_order_row(0).data() != nullptr ? 16 : 0;
 }
 
 EligibleMachines Instance::eligible_machines(JobId j) const {

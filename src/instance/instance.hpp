@@ -19,7 +19,7 @@
 // (release, id), computes validate()'s verdict, and appends every job
 // through service::StreamingJobStore's row writer — the one a streaming
 // session uses — into a single block, then has the store build the (p, id)
-// machine order table (dense and sparse, below 65536 machines). The store
+// machine order prefix (dense and sparse, below 65536 machines). The store
 // is held by shared_ptr<const>, so copies of an Instance share it and
 // outlive nothing. Every backend answers the same façade accessors with
 // identical values, and the schedulers make bit-identical decisions over
@@ -30,6 +30,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,12 +122,15 @@ class Instance {
   /// goes through a copy of store(), whose row tiles serve them).
   const Work* processing_row(JobId j) const;
 
-  /// Job j's eligible machines sorted by (p_ij, machine id) ascending, as
+  /// The first min(|eligible|, StreamingJobStore::kPOrderPrefix) of job
+  /// j's eligible machines sorted by (p_ij, machine id) ascending, as
   /// uint16 ids — built once at construction for the dense and sparse
-  /// backends. nullptr when there is no table: generator backend (sorting
-  /// would materialize the row work the backend avoids), empty instances,
-  /// and m >= 65536 (ids no longer fit uint16).
-  const std::uint16_t* p_order_row(JobId j) const;
+  /// backends. An empty span with a null data() when there is no table:
+  /// generator backend (selecting would materialize the row work the
+  /// backend avoids), empty instances, and m >= 65536 (ids no longer fit
+  /// uint16). Aborts on an id outside [0, num_jobs()) of a non-empty
+  /// instance.
+  std::span<const std::uint16_t> p_order_row(JobId j) const;
 
   /// Machine-id width of the order table in bits: 16 when it exists, 0 when
   /// it does not (see p_order_row) — then dispatch derives the idle argmin

@@ -201,24 +201,63 @@ const RowTileCache::Row& StreamingJobStore::tile(JobId j) const {
                             b.eligible_offsets[offset + 1] - begin);
 }
 
+namespace {
+
+/// Moves to the front of `keys` every key that can be among its `k`
+/// smallest and returns how many there are, without a branch per key. Of
+/// k blocks of keys.size() / k keys, each holds a key no larger than
+/// cut = max over blocks of the block minimum, so at least k keys have
+/// pbits <= cut, and so does each of the k smallest. Short rows are kept
+/// whole.
+std::size_t keep_prefix_candidates(std::vector<detail::POrderKey>& keys,
+                                   std::size_t k) {
+  const std::size_t n = keys.size();
+  if (n <= 2 * k) return n;
+  const std::size_t width = n / k;
+  std::uint64_t cut = 0;
+  for (std::size_t b = 0; b < k; ++b) {
+    std::uint64_t low = keys[b * width].pbits;
+    for (std::size_t e = 1; e < width; ++e) {
+      low = std::min(low, keys[b * width + e].pbits);
+    }
+    cut = std::max(cut, low);
+  }
+  std::size_t kept = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    keys[kept] = keys[e];
+    kept += keys[e].pbits <= cut ? 1 : 0;
+  }
+  return kept;
+}
+
+}  // namespace
+
 void StreamingJobStore::build_p_order() {
-  // Sorting runs over PACKED (p bit pattern, id) keys: the bit patterns of
-  // non-negative IEEE doubles order exactly like the values, and value
+  // Selection runs over PACKED (p bit pattern, id) keys: the bit patterns
+  // of non-negative IEEE doubles order exactly like the values, and value
   // compares beat a comparator that chases back into the matrix per call.
-  // The sort scratch is one row's keys, reused across jobs, so a build
-  // never holds more than the finished table plus one row of keys.
+  // Per job, one pass builds the keys, a branch-free filter drops most of
+  // those that cannot make the prefix, nth_element splits off the
+  // kPOrderPrefix smallest, and only those are sorted: O(m) per job, not
+  // O(m log m). (A bounded insertion pass over the row measured slower.)
+  // The scratch is one row's keys, reused across jobs.
   if (backend_ == StorageBackend::kGenerator || num_machines_ >= 65536u) {
     return;
   }
   OSCHED_CHECK_EQ(begin_id_, 0) << "build_p_order after retire_below";
+  static_assert(kPOrderPrefix <= 255, "prefix lengths are stored as uint8");
   auto table = std::make_shared<POrderTable>();
-  table->offsets.resize(num_jobs_ + 1, 0);
+  // The stride is the longest prefix any job has, so a sparse store whose
+  // rows list a handful of machines pays for a handful of ids per job.
   for (std::size_t j = 0; j < num_jobs_; ++j) {
-    table->offsets[j + 1] =
-        table->offsets[j] + eligible_machines(static_cast<JobId>(j)).size();
+    table->stride = std::max(
+        table->stride,
+        std::min(eligible_machines(static_cast<JobId>(j)).size(),
+                 kPOrderPrefix));
   }
-  if (table->offsets.back() == 0) return;
-  table->ids.resize(table->offsets.back());
+  if (table->stride == 0) return;
+  table->ids.resize(num_jobs_ * table->stride);
+  table->lengths.resize(num_jobs_);
   // A dense row is indexed by machine, CSR values by adjacency position.
   const bool dense = backend_ == StorageBackend::kDense;
   std::vector<detail::POrderKey> keys;
@@ -233,9 +272,14 @@ void StreamingJobStore::build_p_order() {
           p[dense ? static_cast<std::size_t>(i) : k],
           static_cast<std::uint16_t>(i)));
     }
-    std::sort(keys.begin(), keys.end());
-    std::uint16_t* out = table->ids.data() + table->offsets[j];
-    for (const detail::POrderKey& key : keys) *out++ = key.id;
+    const std::size_t kept = keep_prefix_candidates(keys, kPOrderPrefix);
+    const std::size_t len = std::min(kept, kPOrderPrefix);
+    detail::POrderKey* const first = keys.data();
+    std::nth_element(first, first + len, first + kept);
+    std::sort(first, first + len);
+    std::uint16_t* out = table->ids.data() + j * table->stride;
+    for (std::size_t k = 0; k < len; ++k) out[k] = keys[k].id;
+    table->lengths[j] = static_cast<std::uint8_t>(len);
   }
   p_order_ = std::move(table);
 }
@@ -249,7 +293,7 @@ std::size_t StreamingJobStore::store_bytes() const {
              bytes(b->eligible_offsets) + bytes(b->csr_p);
   }
   if (p_order_ != nullptr) {
-    total += bytes(p_order_->ids) + bytes(p_order_->offsets);
+    total += bytes(p_order_->ids) + bytes(p_order_->lengths);
   }
   return total;
 }

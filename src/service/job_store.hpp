@@ -9,10 +9,11 @@
 //
 // An Instance keeps its data in a store too: it appends its release-sorted
 // jobs through the same row writer (append_trusted) into one block, then
-// calls build_p_order for the (p, id) machine order table that batch
-// dispatch walks. Copies of a store share its blocks and order table and
-// own their row tiles: a batch run copies its Instance's store, and an
-// append to a block another copy still holds clones the block first.
+// calls build_p_order for the (p, id) machine order prefix that batch
+// dispatch walks: each job's kPOrderPrefix cheapest eligible machines.
+// Copies of a store share its blocks and order table and own their row
+// tiles: a batch run copies its Instance's store, and an append to a block
+// another copy still holds clones the block first.
 //
 // Storage backends (the PR-5 batch trio, carried through the service layer):
 //  * kDense     — each block holds a job-major m-wide double matrix. The
@@ -70,6 +71,12 @@ namespace osched::service {
 
 class StreamingJobStore {
  public:
+  /// Entries of each job's (p, id) machine order that build_p_order keeps,
+  /// at most 64 bytes of uint16 ids per job. Batch dispatch walks the order
+  /// only while few machines are busy (RejectionFlowPolicy static_asserts
+  /// this against its cutover), so it reads near the head.
+  static constexpr std::size_t kPOrderPrefix = 32;
+
   /// `backend` selects the block representation above. kGenerator requires
   /// a non-null `generator` (the closed form shared with the feeder); the
   /// matrix-backed backends require it null. `jobs_per_block` must be a
@@ -130,13 +137,15 @@ class StreamingJobStore {
   /// knows its total (Instance::from_sparse_rows) grows them once.
   void reserve_entries(std::size_t num_entries);
 
-  /// Builds the (p, id) order table over every stored job, once, after the
-  /// last append (an Instance's builders call it; streamed stores never
-  /// do, since sorting every append would sit on the ingest clock). Each
-  /// job's eligible machines sorted by (p, id) over packed keys, as uint16
-  /// ids. Builds nothing for kGenerator (sorting would materialize the row
-  /// work the backend avoids), at m >= 65536 (ids no longer fit uint16),
-  /// or when no job has an eligible machine.
+  /// Builds the (p, id) order prefix over every stored job, once, after
+  /// the last append (an Instance's builders call it; streamed stores never
+  /// do, since selecting on every append would sit on the ingest clock).
+  /// Each job keeps the first min(|eligible|, kPOrderPrefix) entries of its
+  /// eligible machines sorted by (p, id) over packed keys, as uint16 ids,
+  /// chosen in one O(|eligible|) selection pass. Builds nothing for
+  /// kGenerator (selecting would materialize the row work the backend
+  /// avoids), at m >= 65536 (ids no longer fit uint16), or when no job has
+  /// an eligible machine.
   void build_p_order();
 
   /// Frees every block that lies entirely below `frontier`.
@@ -144,7 +153,7 @@ class StreamingJobStore {
 
   /// Exact bytes of the stored representation: job records, dense rows,
   /// CSR values, adjacency and its offsets, the identity row and the order
-  /// table. The row tiles are scratch and are not counted.
+  /// prefix with its lengths. The row tiles are scratch and are not counted.
   std::size_t store_bytes() const;
 
   /// Bytes currently held in p_ij payload across live blocks: dense rows
@@ -200,15 +209,18 @@ class StreamingJobStore {
     return tile(j).p.data();
   }
 
-  /// Job j's slice of the (p, id) order table (build_p_order), same
+  /// Job j's (p, id) order prefix (build_p_order): its min(|eligible|,
+  /// kPOrderPrefix) cheapest eligible machines in (p, id) order, same
   /// contract as Instance::p_order_row. Streamed stores have none, and a
   /// just-appended row is cache-hot anyway, so the dispatch's ordered path
-  /// derives the idle argmin from the double row instead (nullptr selects
-  /// that sub-path).
-  const std::uint16_t* p_order_row(JobId j) const {
-    if (p_order_ == nullptr) return nullptr;
-    return p_order_->ids.data() +
-           p_order_->offsets[static_cast<std::size_t>(j)];
+  /// derives the idle argmin from the double row instead (a span with a
+  /// null data() selects that sub-path). Reads no block: the table's fixed
+  /// stride and the stored length locate the row.
+  std::span<const std::uint16_t> p_order_row(JobId j) const {
+    if (p_order_ == nullptr) return {};
+    const auto row = static_cast<std::size_t>(j);
+    return {p_order_->ids.data() + row * p_order_->stride,
+            p_order_->lengths[row]};
   }
 
   Work processing(MachineId i, JobId j) const {
@@ -287,11 +299,12 @@ class StreamingJobStore {
     std::vector<Work> csr_p;
   };
 
-  /// build_p_order's table: ids[offsets[j], offsets[j + 1]) is job j's
-  /// eligible machines in (p, id) order.
+  /// build_p_order's table: ids[j * stride, + lengths[j]) is job j's
+  /// order prefix; stride is the longest prefix, at most kPOrderPrefix.
   struct POrderTable {
     std::vector<std::uint16_t> ids;
-    std::vector<std::size_t> offsets;
+    std::vector<std::uint8_t> lengths;
+    std::size_t stride = 0;
   };
 
   /// The block the next append writes: opened on a block boundary, cloned

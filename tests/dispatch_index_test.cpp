@@ -16,6 +16,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/scheduler_api.hpp"
@@ -23,6 +24,7 @@
 #include "core/flow/rejection_flow.hpp"
 #include "extensions/weighted_flow.hpp"
 #include "fuzz_seed.hpp"
+#include "service/job_store.hpp"
 #include "service/scheduler_session.hpp"
 #include "sim/schedule_io.hpp"
 #include "util/rng.hpp"
@@ -206,7 +208,7 @@ TEST(DispatchIndex, Theorem1NearTiesMatchLinearScanOnEveryStore) {
   for (const std::size_t m : {std::size_t{64}, std::size_t{256}}) {
     const Instance dense =
         make_near_tie_workload(m, base_seed() + m, 6 * m, 1.6);
-    ASSERT_NE(dense.p_order_row(0), nullptr);
+    ASSERT_NE(dense.p_order_row(0).data(), nullptr);
     const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
     for (const double speed : {1.0, 1.5}) {
       RejectionFlowOptions linear;
@@ -577,6 +579,120 @@ TEST(DispatchIndex, Theorem1SubnormalTieGoesToTheLowerMachineId) {
   EXPECT_EQ(reference.schedule.record(0).machine, 1);
 }
 
+// Inputs that force both of the ordered walk's fallbacks to the exact idle
+// scan. A batch store keeps only each job's K = kPOrderPrefix cheapest
+// machines in (p, id) order. Here every job's cheapest machines are one
+// set of K + 8: its four lowest ids carry q, the rest carry p < q, and at
+// eps = 0.3 both have the same idle lambda bit for bit. So the prefix
+// holds only p machines, the idle tie walk runs off its end, and the
+// argmin is a lower-id q machine that only the scan sees. The plan holds
+// the whole set down for the first half of the run, and fails part of it
+// later, so the prefix often holds no active idle machine at all. Every
+// fifth job also loses one other machine (count < m, a listed adjacency).
+// Bursts of m jobs back machines up so that the sweep decides some
+// dispatches too.
+struct PrefixFallbackCase {
+  Instance instance;
+  std::vector<MachineId> cheap;  // the K + 8 cheapest machines of every job
+  std::vector<MachineId> past_prefix;  // the four q machines among them
+};
+
+PrefixFallbackCase make_prefix_fallback_case(std::size_t m, std::uint64_t seed,
+                                             double eps) {
+  constexpr std::size_t kK = service::StreamingJobStore::kPOrderPrefix;
+  const double p = 1.0 + 15.0 / 64.0;
+  const double q = std::nextafter(p, kTimeInfinity);
+  PrefixFallbackCase out;
+  for (std::size_t t = 0; t < kK + 8; ++t) {
+    out.cheap.push_back(static_cast<MachineId>((7 * t + 3) % m));
+  }
+  std::vector<MachineId> sorted = out.cheap;
+  std::sort(sorted.begin(), sorted.end());
+  out.past_prefix.assign(sorted.begin(), sorted.begin() + 4);
+  util::Rng rng(seed);
+  const std::size_t n = 8 * m;
+  std::vector<Job> jobs(n);
+  std::vector<std::vector<Work>> processing(m, std::vector<Work>(n));
+  Time release = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    // A power-of-two scale keeps the two idle lambdas bit-equal.
+    const double scale = static_cast<double>(1u << rng.index(3));
+    for (std::size_t i = 0; i < m; ++i) {
+      processing[i][j] =
+          scale * p * (2.0 + static_cast<double>(rng.index(6)));
+    }
+    for (std::size_t t = 0; t < sorted.size(); ++t) {
+      processing[static_cast<std::size_t>(sorted[t])][j] =
+          scale * (t < 4 ? q : p);
+    }
+    if (j % 5 == 4) {
+      std::size_t i = rng.index(m);
+      while (std::count(sorted.begin(), sorted.end(), i) != 0) i = (i + 1) % m;
+      processing[i][j] = kTimeInfinity;
+    }
+    jobs[j].id = static_cast<JobId>(j);
+    jobs[j].release = release;
+    release += j % (4 * m) < m ? 0.001
+                               : rng.exponential(static_cast<double>(m) / 8.0);
+  }
+  out.instance = Instance(std::move(jobs), std::move(processing));
+  // The premise of both fallbacks: bit-equal idle lambdas, and a prefix of
+  // p machines only, shorter than the eligible list.
+  EXPECT_EQ(q / eps + q, p / eps + p);
+  for (std::size_t j = 0; j < 10; ++j) {
+    const auto job = static_cast<JobId>(j);
+    const auto order = out.instance.p_order_row(job);
+    EXPECT_EQ(order.size(), kK);
+    EXPECT_LT(order.size(), out.instance.eligible_machines(job).size());
+    for (const std::uint16_t i : order) {
+      EXPECT_EQ(out.instance.processing(i, job),
+                out.instance.processing(sorted.back(), job));
+    }
+  }
+  return out;
+}
+
+TEST(DispatchIndex, Theorem1OrderPrefixFallbacksMatchLinearScan) {
+  constexpr double kEps = 0.3;
+  for (const std::size_t m : {std::size_t{64}, std::size_t{256}}) {
+    const PrefixFallbackCase c =
+        make_prefix_fallback_case(m, base_seed() + 11 * m, kEps);
+    ASSERT_EQ(c.instance.validate(), "");
+    const Time horizon = c.instance.job(c.instance.num_jobs() - 1).release;
+    FleetPlan plan;
+    plan.initially_down = c.cheap;
+    for (const MachineId i : c.cheap) {
+      plan.events.push_back({0.5 * horizon, i, FleetEventKind::kJoin});
+    }
+    for (const auto& [at, kind] : {std::pair{0.75, FleetEventKind::kFail},
+                                   std::pair{0.85, FleetEventKind::kJoin}}) {
+      for (std::size_t t = 0; t < c.cheap.size(); t += 2) {
+        plan.events.push_back({at * horizon, c.cheap[t], kind});
+      }
+    }
+    plan.rejection_budget = 4;
+    ASSERT_EQ(plan.validate(m), "");
+    for (const bool with_plan : {false, true}) {
+      RejectionFlowOptions options;
+      options.epsilon = kEps;
+      if (with_plan) options.fleet = plan;
+      const std::string context = "prefix fallback m=" + std::to_string(m) +
+                                  (with_plan ? " plan" : "");
+      const RejectionFlowResult reference =
+          expect_every_path_matches_linear(c.instance, options, context);
+      // The q machines lie past every prefix and win tied idle
+      // dispatches, so the fallbacks decided some of the run.
+      std::size_t on_q = 0;
+      for (std::size_t j = 0; j < c.instance.num_jobs(); ++j) {
+        const MachineId i =
+            reference.schedule.record(static_cast<JobId>(j)).machine;
+        on_q += std::count(c.past_prefix.begin(), c.past_prefix.end(), i);
+      }
+      EXPECT_GT(on_q, 0u) << context;
+    }
+  }
+}
+
 TEST(DispatchIndex, WeightedExtIndexedEqualsLinearScan) {
   for (const double density : kDensities) {
     for (const std::size_t m : kMachineCounts) {
@@ -665,7 +781,7 @@ TEST(DispatchIndex, OrderTableEndsAtTheUint16IdCeiling) {
         Instance::from_sparse_rows(std::move(jobs), m, std::move(rows));
     const int expect_width = m < 65536 ? 16 : 0;
     EXPECT_EQ(instance.dispatch_order_width(), expect_width) << "m=" << m;
-    EXPECT_EQ(instance.p_order_row(0) != nullptr, expect_width == 16)
+    EXPECT_EQ(instance.p_order_row(0).data() != nullptr, expect_width == 16)
         << "m=" << m;
 
     // Either side of the boundary, indexed dispatch (with or without the

@@ -114,7 +114,7 @@ TEST(Instance, ValidateCatchesProblems) {
         EXPECT_TRUE(each->jobs().empty());
         EXPECT_EQ(each->num_machines(), 3u);
         EXPECT_EQ(each->dispatch_order_width(), 0);
-        EXPECT_EQ(each->p_order_row(0), nullptr);
+        EXPECT_EQ(each->p_order_row(0).data(), nullptr);
       }
     }
   }

@@ -22,9 +22,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/scheduler_api.hpp"
@@ -182,7 +184,7 @@ TEST(StorageBackend, GeneratorBatchStoreServesRowsAndBounds) {
   const service::StreamingJobStore store(gen.store());
   for (std::size_t j = 0; j < config.num_jobs; ++j) {
     const auto job = static_cast<JobId>(j);
-    EXPECT_EQ(store.p_order_row(job), nullptr);
+    EXPECT_EQ(store.p_order_row(job).data(), nullptr);
     const Work* row = store.processing_row(job);
     ASSERT_EQ(store.eligible_machines(job).size(), config.num_machines);
     for (std::size_t i = 0; i < config.num_machines; ++i) {
@@ -396,15 +398,16 @@ TEST(StorageBackend, OrderWidthBoundaryAcrossMatrixBackends) {
     // tables must rank the same machines identically.
     for (std::size_t j = 0; j < 6; ++j) {
       const auto job = static_cast<JobId>(j);
-      const std::size_t count = sparse.eligible_machines(job).size();
-      const std::uint16_t* oa = dense.p_order_row(job);
-      const std::uint16_t* ob = sparse.p_order_row(job);
+      const auto oa = dense.p_order_row(job);
+      const auto ob = sparse.p_order_row(job);
       if (expect_width == 0) {
-        EXPECT_TRUE(oa == nullptr && ob == nullptr) << "m=" << m;
+        EXPECT_TRUE(oa.data() == nullptr && ob.data() == nullptr)
+            << "m=" << m;
         continue;
       }
-      ASSERT_TRUE(oa != nullptr && ob != nullptr) << "m=" << m;
-      for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(oa[k], ob[k]);
+      ASSERT_TRUE(oa.data() != nullptr && ob.data() != nullptr) << "m=" << m;
+      EXPECT_EQ(oa.size(), sparse.eligible_machines(job).size()) << "m=" << m;
+      EXPECT_TRUE(std::ranges::equal(oa, ob)) << "m=" << m;
     }
     expect_same_summary(api::run(api::Algorithm::kTheorem1, sparse),
                         api::run(api::Algorithm::kTheorem1, dense),
@@ -537,23 +540,99 @@ TEST(StorageBackend, FacadeAccessorsAgree) {
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a.first[k], b.first[k]);
     }
-    // The order tables are CSR-shaped in both backends and must match.
-    const std::uint16_t* oa = dense.p_order_row(job);
-    const std::uint16_t* ob = sparse.p_order_row(job);
-    ASSERT_TRUE(oa != nullptr && ob != nullptr);
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(oa[k], ob[k]);
+    // The order prefixes rank the same machines in both backends.
+    const auto oa = dense.p_order_row(job);
+    const auto ob = sparse.p_order_row(job);
+    ASSERT_TRUE(oa.data() != nullptr && ob.data() != nullptr);
+    EXPECT_EQ(oa.size(),
+              std::min(a.size(), service::StreamingJobStore::kPOrderPrefix));
+    EXPECT_TRUE(std::ranges::equal(oa, ob));
+    for (const auto& [store, want] :
+         {std::pair{&dense.store(), oa}, std::pair{&sparse.store(), ob},
+          std::pair{&dense_store, oa}, std::pair{&sparse_store, ob}}) {
+      EXPECT_EQ(store->p_order_row(job).data(), want.data());
+      EXPECT_EQ(store->p_order_row(job).size(), want.size());
     }
-    EXPECT_EQ(dense.store().p_order_row(job), oa);
-    EXPECT_EQ(sparse.store().p_order_row(job), ob);
-    EXPECT_EQ(dense_store.p_order_row(job), oa);
-    EXPECT_EQ(sparse_store.p_order_row(job), ob);
     EXPECT_EQ(dense.store().processing_row(job), dense.processing_row(job));
     EXPECT_EQ(dense_store.processing_row(job), dense.processing_row(job));
     for (std::size_t i = 0; i < dense.num_machines(); ++i) {
       EXPECT_EQ(dense.processing(static_cast<MachineId>(i), job),
                 sparse.processing(static_cast<MachineId>(i), job));
     }
+  }
+}
+
+// The order prefix is the first min(count, K) entries of a full sort of
+// each job's eligible machines on (p bit pattern, id), on both backends
+// that build one: rows shorter than, equal to and longer than K, and runs
+// of bit-equal p that straddle position K, where only the id decides which
+// tied machines make the cut.
+TEST(StorageBackend, OrderPrefixIsTheCheapestK) {
+  constexpr std::size_t kK = service::StreamingJobStore::kPOrderPrefix;
+  constexpr std::size_t m = 3 * kK;
+  std::mt19937_64 rng(base_seed() + 211);
+  const auto draw = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // Eligible counts per job: below, at, around and above K, and the full
+  // row (which a dense store keeps as the shared identity adjacency).
+  const std::size_t counts[] = {1, 5, kK - 1, kK, kK + 1, 2 * kK, m, m, m};
+  std::vector<Job> jobs;
+  std::vector<std::vector<Work>> processing(m);
+  for (std::size_t j = 0; j < 3 * std::size(counts); ++j) {
+    const std::size_t count = counts[j % std::size(counts)];
+    std::vector<std::size_t> machines(m);
+    std::iota(machines.begin(), machines.end(), std::size_t{0});
+    std::shuffle(machines.begin(), machines.end(), rng);
+    std::vector<Work> row(m, kTimeInfinity);
+    for (std::size_t k = 0; k < count; ++k) {
+      // Every second job: a run of bit-equal p across positions
+      // [K - 8, K + 8) of its order; the rest draw from a few values so
+      // smaller ties land everywhere. One full row per round is a single
+      // value, so only the ids decide its whole prefix.
+      const bool straddle = j % 2 == 0 && k >= kK - 8 && k < kK + 8;
+      const bool flat = j % std::size(counts) == 7;
+      row[machines[k]] =
+          straddle || flat
+              ? 4.0
+              : (k < kK - 8 ? 1.0 + 0.25 * static_cast<double>(draw(8))
+                            : 8.0 + static_cast<double>(draw(4)));
+    }
+    for (std::size_t i = 0; i < m; ++i) processing[i].push_back(row[i]);
+    Job job;
+    job.id = static_cast<JobId>(j);
+    job.release = static_cast<Time>(j);
+    jobs.push_back(job);
+  }
+  const Instance dense(std::move(jobs), std::move(processing));
+  ASSERT_EQ(dense.validate(), "");
+  const Instance sparse = dense.with_backend(StorageBackend::kSparseCsr);
+  for (const Instance* instance : {&dense, &sparse}) {
+    const std::string context = to_string(instance->backend());
+    const service::StreamingJobStore store(instance->store());
+    for (std::size_t j = 0; j < instance->num_jobs(); ++j) {
+      const auto job = static_cast<JobId>(j);
+      std::vector<std::pair<std::uint64_t, std::uint16_t>> keys;
+      for (const MachineId i : instance->eligible_machines(job)) {
+        keys.emplace_back(
+            std::bit_cast<std::uint64_t>(instance->processing(i, job)),
+            static_cast<std::uint16_t>(i));
+      }
+      ASSERT_EQ(keys.size(), counts[j % std::size(counts)]) << context;
+      std::sort(keys.begin(), keys.end());
+      std::vector<std::uint16_t> want;
+      for (std::size_t k = 0; k < std::min(keys.size(), kK); ++k) {
+        want.push_back(keys[k].second);
+      }
+      const auto got = store.p_order_row(job);
+      EXPECT_EQ(std::vector<std::uint16_t>(got.begin(), got.end()), want)
+          << context << " job " << j;
+      EXPECT_EQ(got.data(), instance->p_order_row(job).data())
+          << context << " job " << j;
+    }
+    // The façade checks the id; the store's hot-path accessor does not.
+    const auto past_end = static_cast<JobId>(instance->num_jobs());
+    EXPECT_DEATH(instance->p_order_row(past_end), "");
   }
 }
 
@@ -591,7 +670,11 @@ TEST(StorageBackend, BatchStoreMatchesTheInstanceFacade) {
         // An explicit adjacency slice, not the per-store identity row.
         EXPECT_EQ(got.begin(), want.begin()) << context << " job " << j;
       }
-      EXPECT_EQ(store.p_order_row(job), instance->p_order_row(job))
+      EXPECT_EQ(store.p_order_row(job).data(),
+                instance->p_order_row(job).data())
+          << context << " job " << j;
+      EXPECT_EQ(store.p_order_row(job).size(),
+                instance->p_order_row(job).size())
           << context << " job " << j;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(store.min_processing(job)),
                 std::bit_cast<std::uint64_t>(instance->min_processing(job)))
